@@ -1,5 +1,7 @@
 """Channel corruption: worked examples, invariants, seeded determinism."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from compcodes.channel import ErrorSpec, SplitMix64, apply, random_error, resolve
 from compcodes.core import Composition, full_readout
 from compcodes.errors import InvalidErrorSpecError, InvalidSkewError
+from compcodes.formats import emit_error_spec
 from conftest import EXAMPLE_MULTISET, EXAMPLE_S, readout_from_table
 
 
@@ -99,6 +102,32 @@ def test_seeded_draws_are_deterministic(example_readout):
         second = resolve(example_readout, err)
         assert first == second
         assert apply(example_readout, err) == apply(example_readout, first)
+
+
+# sha256 of the resolved targets of seeds 0..39 on the worked example, one
+# emitted error spec per line.  Recorded once; any change to the draw order
+# of a model (e.g. which skew entry a seed picks) changes its digest.
+GOLDEN_DRAWS = {
+    ("asym_delete", 2):
+        "b9e80aead8bc41dfd86c2c2fe8adef65bafdd0f5964f1f22afdd4483ce90903f",
+    ("sym_pair_delete", 2):
+        "80c60a4eca36aa6a5b8a206423c5fd64c2dcc6855c1166b3dcb960f8e183428d",
+    ("insert", 3):
+        "c4f633965831be2dd8b5230f068fdb3b05224fba61d62fe50eda626f30f6a2ba",
+    ("skew", 2):
+        "fe58841ce9f4a49b4a88b0734f063ef30ece6ebb71026fbe7c4b4d67d7c0b45d",
+}
+
+
+def test_seeded_draws_match_golden_digests(example_readout):
+    for (model, count), digest in GOLDEN_DRAWS.items():
+        lines = [emit_error_spec(resolve(example_readout,
+                                         random_error(model, count, seed, 9)))
+                 for seed in range(40)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, model
+    first = resolve(example_readout, random_error("skew", 2, 0, 9))
+    assert emit_error_spec(first) == \
+        '{"model":"skew","targets":[[8,[3,5],[4,4]],[6,[4,2],[6,0]]]}'
 
 
 def test_seeded_asym_draws_avoid_symmetric_collisions(example_readout):

@@ -1,5 +1,7 @@
 """Campaign runner: determinism, replayability, cross-checking."""
 
+import hashlib
+
 from compcodes.codebooks import CodebookSpec
 from compcodes.experiment import (
     ExperimentConfig,
@@ -7,6 +9,7 @@ from compcodes.experiment import (
     run_experiment,
     strip_wall_time,
 )
+from compcodes.formats import parse_spec
 
 
 def run_lines(cfg):
@@ -19,6 +22,35 @@ def test_replay_is_byte_identical_without_wall_time():
     first = [strip_wall_time(line) for line in run_lines(cfg)]
     second = [strip_wall_time(line) for line in run_lines(cfg)]
     assert first == second
+
+
+# (spec, model, errors) -> (config hash, sha256 of the 25 replay lines
+# without wall time, joined by newlines), seed 11.  Recorded once so that
+# codeword draws, corruption draws and record bytes are pinned across
+# versions, not only between two runs of one version.
+GOLDEN_CAMPAIGNS = {
+    ("SDA:12,t=2", "skew", 2): (
+        "4e48278a9ac672f5",
+        "575013aa838e176caecfb77fc5a2cb0ec63088069027f752865f3597b7fbca3e"),
+    ("SR:11", "insert", 1): (
+        "23825a122943f8d4",
+        "d0bb43cc012663f639e9bed77396ce0b4208c0b962d0544348f6c9666be703b9"),
+    ("SR:9", "asym_delete", 1): (
+        "3b46735d63e8abcf",
+        "3b41d6b8667d50b6a054a7aa3e16c02e2c50d1497361ad034efe9316861b0aac"),
+    ("SDS2:12", "sym_pair_delete", 2): (
+        "4dca524417cb927d",
+        "5c5181e774edfd42d6c923459720183d30b9f1562d7a38e06bc26c915b26b8f0"),
+}
+
+
+def test_replay_lines_match_golden_digests():
+    for (spec, model, errors), (cfg_hash, digest) in GOLDEN_CAMPAIGNS.items():
+        cfg = ExperimentConfig(parse_spec(spec), model, errors=errors,
+                               trials=25, seed=11)
+        assert cfg.hash() == cfg_hash, spec
+        lines = [strip_wall_time(line) for line in run_lines(cfg)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, spec
 
 
 def test_different_seeds_differ():

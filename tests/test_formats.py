@@ -1,5 +1,7 @@
 """Serialization: canonical bytes, round trips, parse failures."""
 
+import hashlib
+
 import pytest
 
 from compcodes.channel import ErrorSpec
@@ -23,6 +25,17 @@ from conftest import EXAMPLE_S
 def test_emit_readout_canonical_example():
     assert emit_readout(full_readout("01")) == \
         '{"n":2,"classes":{"1":[[1,0],[0,1]],"2":[[1,1]]}}'
+
+
+def test_emit_readout_golden_digest():
+    # sha256 of emit_readout(full_readout(s)) + "\n" for every s with
+    # 2 <= len(s) <= 10 in length-then-lexicographic order; recorded once
+    h = hashlib.sha256()
+    for n in range(2, 11):
+        for x in range(2 ** n):
+            h.update(emit_readout(full_readout(format(x, f"0{n}b"))).encode() + b"\n")
+    assert h.hexdigest() == \
+        "ebd1e03084b8af555df01a4d19d84b7f5403f11792a73a4602e5e42bc065bdc4"
 
 
 def test_readout_roundtrip():
