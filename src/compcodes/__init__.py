@@ -17,15 +17,12 @@ from .codebooks import (
 )
 from .core import (
     Composition,
-    LengthClass,
     PolyTerm,
     Readout,
     bivariate_poly,
     complement,
     composition_of,
-    cumulative_weight,
     full_readout,
-    length_class,
     sigma_from_weights,
     sigma_of_string,
 )

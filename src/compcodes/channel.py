@@ -9,7 +9,6 @@ examples exactly; seeded specs resolve lazily against the readout they corrupt.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,50 +76,7 @@ class ErrorSpec:
         if seeded and self.count < 1:
             raise InvalidErrorSpecError("count must be >= 1")
         if explicit:
-            self._check_target_shape()
-
-    def _check_target_shape(self):
-        """Validate everything that does not depend on the readout length."""
-        if self.model == "asym_delete":
-            classes = [int(k) for k in self.targets]
-            if len(set(classes)) != len(classes):
-                raise InvalidErrorSpecError("duplicate deletion targets")
-            if any(k < 1 for k in classes):
-                raise InvalidErrorSpecError("class indices start at 1")
-        elif self.model == "sym_pair_delete":
-            seen = set()
-            for item in self.targets:
-                i, j = int(item[0]), int(item[1])
-                if i == j or i < 1 or j < 1:
-                    raise InvalidErrorSpecError(f"invalid pair ({i}, {j})")
-                key = (min(i, j), max(i, j))
-                if key in seen:
-                    raise InvalidErrorSpecError(f"duplicate pair {key}")
-                seen.add(key)
-        elif self.model == "insert":
-            for item in self.targets:
-                k = int(item[0])
-                comp = Composition(*item[1]).validate()
-                if comp.length != k:
-                    raise InvalidErrorSpecError(
-                        f"inserted entry {comp} does not fit class {k}")
-        else:
-            seen = set()
-            for item in self.targets:
-                k = int(item[0])
-                old = Composition(*item[1]).validate()
-                new = Composition(*item[2]).validate()
-                if old.length != k:
-                    raise InvalidErrorSpecError(
-                        f"entry {old} does not fit class {k}")
-                if new.length != old.length:
-                    raise InvalidSkewError("skew must preserve fragment length")
-                if new.w >= old.w:
-                    raise InvalidSkewError(
-                        "skew must strictly lower the weight (mass under-read)")
-                if k in seen:
-                    raise InvalidErrorSpecError(f"class {k} skewed twice")
-                seen.add(k)
+            _TARGET_CHECKS[self.model](self.targets)
 
     def is_seeded(self) -> bool:
         return self.targets is None
@@ -130,13 +86,22 @@ def _sym_partner(k: int, n: int) -> int:
     return n - k + 1
 
 
-def _validate_asym_targets(targets, n) -> tuple[int, ...]:
+# One validator per model.  With n=None (at ErrorSpec construction) they
+# check everything that does not depend on the readout length; apply()
+# calls them again with n to add the range and partner checks.  Each
+# returns the targets in normalised form.
+
+def _asym_targets(targets, n=None) -> tuple[int, ...]:
     classes = tuple(int(k) for k in targets)
     seen = set(classes)
     if len(seen) != len(classes):
         raise InvalidErrorSpecError("duplicate deletion targets")
     for k in classes:
-        if not 1 <= k <= n:
+        if k < 1:
+            raise InvalidErrorSpecError("class indices start at 1")
+        if n is None:
+            continue
+        if k > n:
             raise InvalidErrorSpecError(f"class {k} outside [1, {n}]")
         p = _sym_partner(k, n)
         if p != k and p in seen:
@@ -145,42 +110,38 @@ def _validate_asym_targets(targets, n) -> tuple[int, ...]:
     return classes
 
 
-def _validate_pair_targets(targets, n) -> tuple[tuple[int, int], ...]:
+def _pair_targets(targets, n=None) -> tuple[tuple[int, int], ...]:
     pairs = []
-    seen = set()
     for item in targets:
-        i, j = int(item[0]), int(item[1])
-        if i > j:
-            i, j = j, i
-        if not (1 <= i <= n and j == _sym_partner(i, n) and i != j):
+        i, j = sorted((int(item[0]), int(item[1])))
+        if i == j or i < 1 or (n is not None and j != _sym_partner(i, n)):
             raise InvalidErrorSpecError(f"({i}, {j}) is not a symmetric pair")
-        if i in seen:
+        if (i, j) in pairs:
             raise InvalidErrorSpecError(f"duplicate pair ({i}, {j})")
-        seen.add(i)
         pairs.append((i, j))
     return tuple(pairs)
 
 
-def _validate_insert_targets(targets, n):
+def _insert_targets(targets, n=None) -> tuple[tuple[int, Composition], ...]:
     out = []
     for item in targets:
         k = int(item[0])
         comp = Composition(*item[1]).validate()
-        if not 1 <= k <= n or comp.length != k:
+        if comp.length != k or (n is not None and k > n):
             raise InvalidErrorSpecError(
                 f"inserted entry {comp} does not fit class {k}")
         out.append((k, comp))
     return tuple(out)
 
 
-def _validate_skew_targets(targets, n):
+def _skew_targets(targets, n=None):
     out = []
     seen = set()
     for item in targets:
         k = int(item[0])
         old = Composition(*item[1]).validate()
         new = Composition(*item[2]).validate()
-        if not 1 <= k <= n or old.length != k:
+        if old.length != k or (n is not None and k > n):
             raise InvalidErrorSpecError(f"entry {old} does not fit class {k}")
         if new.length != old.length:
             raise InvalidSkewError("skew must preserve fragment length")
@@ -192,6 +153,14 @@ def _validate_skew_targets(targets, n):
         seen.add(k)
         out.append((k, old, new))
     return tuple(out)
+
+
+_TARGET_CHECKS = {
+    "asym_delete": _asym_targets,
+    "sym_pair_delete": _pair_targets,
+    "insert": _insert_targets,
+    "skew": _skew_targets,
+}
 
 
 def random_error(model: str, count: int, seed: int, n: int) -> ErrorSpec:
@@ -247,9 +216,9 @@ def _draw_targets(r: Readout, e: ErrorSpec) -> tuple:
             if not pool:
                 raise InvalidErrorSpecError("no skewable class available")
             k = rng.choice(sorted(pool))
-            entries = [(c, m) for c, m in sorted(r.classes[k].items())
-                       if c.w >= 1]
-            if not entries:
+            counts = r.classes[k]
+            total = sum(counts) - counts[0]
+            if not total:
                 pool.remove(k)
                 continue
             break
@@ -257,15 +226,16 @@ def _draw_targets(r: Readout, e: ErrorSpec) -> tuple:
         p = _sym_partner(k, n)
         if p in pool:
             pool.remove(p)
-        total = sum(m for _, m in entries)
         pick = rng.below(total)
-        for comp, m in entries:
-            if pick < m:
-                old = comp
+        # weights from k down to 1: seeded draws are pinned across
+        # versions, so this order must not change
+        for old_w in range(k, 0, -1):
+            if pick < counts[old_w]:
                 break
-            pick -= m
-        new_w = rng.below(old.w)
-        out.append((k, old, Composition(k - new_w, new_w)))
+            pick -= counts[old_w]
+        new_w = rng.below(old_w)
+        out.append((k, Composition(k - old_w, old_w),
+                    Composition(k - new_w, new_w)))
     return tuple(out)
 
 
@@ -280,32 +250,26 @@ def apply(r: Readout, e: ErrorSpec) -> Readout:
     """Corrupted copy of r; untargeted classes are untouched."""
     e = resolve(r, e)
     n = r.n
-    if e.model == "asym_delete":
-        classes = _validate_asym_targets(e.targets, n)
-        for k in classes:
-            if not r.present(k):
-                raise InvalidErrorSpecError(f"class {k} already absent")
-        return r.restrict(classes)
+    targets = _TARGET_CHECKS[e.model](e.targets, n)
     if e.model == "sym_pair_delete":
-        pairs = _validate_pair_targets(e.targets, n)
-        drop = [k for pair in pairs for k in pair]
-        for k in drop:
+        targets = [k for pair in targets for k in pair]
+    if e.model in ("asym_delete", "sym_pair_delete"):
+        for k in targets:
             if not r.present(k):
                 raise InvalidErrorSpecError(f"class {k} already absent")
-        return r.restrict(drop)
+        return r.restrict(targets)
+    classes = dict(r.classes)
     if e.model == "insert":
-        inserts = _validate_insert_targets(e.targets, n)
-        out = r.copy()
-        for k, comp in inserts:
-            out.classes.setdefault(k, Counter())[comp] += 1
-        return out
-    skews = _validate_skew_targets(e.targets, n)
-    out = r.copy()
-    for k, old, new in skews:
-        if not r.present(k) or out.classes[k][old] < 1:
+        for k, comp in targets:
+            counts = list(classes.get(k, (0,) * (k + 1)))
+            counts[comp.w] += 1
+            classes[k] = tuple(counts)
+        return Readout(n, classes)
+    for k, old, new in targets:
+        if not r.present(k) or classes[k][old.w] < 1:
             raise InvalidErrorSpecError(f"no entry {old} in class {k}")
-        out.classes[k][old] -= 1
-        if out.classes[k][old] == 0:
-            del out.classes[k][old]
-        out.classes[k][new] += 1
-    return out
+        counts = list(classes[k])
+        counts[old.w] -= 1
+        counts[new.w] += 1
+        classes[k] = tuple(counts)
+    return Readout(n, classes)

@@ -73,10 +73,7 @@ def cmd_decode(args) -> int:
         elif r.missing_classes() or r.undersized_classes():
             mode = "deletions"
         else:
-            weights = [r.weight(k) for k in range(1, r.n + 1)]
-            skewed = any(weights[k - 1] != weights[r.n - k]
-                         for k in range(1, r.n + 1))
-            mode = "skew" if skewed else "reconstruct"
+            mode = "skew" if r.outweighed_classes() else "reconstruct"
     try:
         if mode == "reconstruct":
             rep = reconstructor.reconstruct(r, spec)

@@ -1,16 +1,19 @@
-"""Compositions, length classes, readouts and pairwise-weight sequences.
+"""Compositions, readouts and pairwise-weight sequences.
 
 Strings are plain ``str`` over the alphabet ``{'0','1'}``.  Substring
 positions are 1-based and inclusive, matching the usual coding-theory
-convention.  A composition is the (zeros, ones) count pair of a fragment;
-the readout groups the counted multisets of compositions by fragment
-length.  All operations are pure and all values are treated as immutable.
+convention.  A composition is the (zeros, ones) count pair of a fragment.
+A length-k composition is fixed by its weight, so the readout stores each
+class k (the multiset of compositions of all length-k fragments) as its
+weight-count vector: ``counts[w]`` windows of weight w, w = 0..k, in the
+layout of ``kernel.class_counts``.  All operations are pure and all values
+are treated as immutable.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import kernel
@@ -83,65 +86,30 @@ def composition_of(s: str, i: int, j: int) -> Composition:
     return Composition(j - i + 1 - ones, ones)
 
 
-@dataclass(frozen=True)
-class LengthClass:
-    """Counted multiset of the compositions of all length-k fragments."""
-
-    k: int
-    entries: Counter
-
-    @property
-    def size(self) -> int:
-        return sum(self.entries.values())
-
-    def weight(self) -> int:
-        """Total count of ones across all entries (multiplicity included)."""
-        return sum(c.w * m for c, m in self.entries.items())
-
-    def weight_counts(self) -> tuple[int, ...]:
-        """Multiplicity per window weight (w = 0..k); canonical form."""
-        out = [0] * (self.k + 1)
-        for c, m in self.entries.items():
-            out[c.w] += m
-        return tuple(out)
-
-
-def length_class(s: str, k: int) -> LengthClass:
-    """All n-k+1 window compositions of length k, as a counted multiset."""
-    check_bits(s)
-    n = len(s)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got {k}")
-    counts = Counter()
-    ones = s.count("1", 0, k)
-    counts[Composition(k - ones, ones)] += 1
-    for j in range(1, n - k + 1):
-        ones += (s[j + k - 1] == "1") - (s[j - 1] == "1")
-        counts[Composition(k - ones, ones)] += 1
-    return LengthClass(k, counts)
-
-
 @dataclass
 class Readout:
-    """Channel output: length classes keyed by fragment length.
+    """Channel output: weight-count vectors keyed by fragment length.
 
-    ``n`` is carried explicitly; classes may be missing, undersized or
-    oversized (corruption is data, not an error).  Treat instances as
-    read-only; corruption and restriction build new readouts.
+    ``classes[k][w]`` is the number of length-k fragments with w ones, for
+    w = 0..k.  ``n`` is carried explicitly; classes may be missing,
+    undersized or oversized (corruption is data, not an error).  Treat
+    instances as read-only; corruption and restriction build new readouts.
     """
 
     n: int
-    classes: dict[int, Counter]
+    classes: dict[int, tuple[int, ...]]
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_LENGTH:
             raise ValueError(f"n must be in [1, {MAX_LENGTH}]")
-        for k, counter in self.classes.items():
+        for k, counts in self.classes.items():
             if not 1 <= k <= self.n:
                 raise ValueError(f"class {k} outside [1, {self.n}]")
-            for comp in counter:
-                if comp.length != k:
-                    raise ValueError(f"entry {comp!r} has length != {k}")
+            if (type(counts) is not tuple or len(counts) != k + 1
+                    or not set(map(type, counts)) <= {int}
+                    or min(counts) < 0):
+                raise ValueError(f"class {k} needs a tuple of {k + 1} "
+                                 f"non-negative ints, got {counts!r}")
 
     def expected_size(self, k: int) -> int:
         return self.n - k + 1
@@ -150,7 +118,7 @@ class Readout:
         return k in self.classes
 
     def class_size(self, k: int) -> int:
-        return sum(self.classes[k].values()) if k in self.classes else 0
+        return sum(self.classes[k]) if k in self.classes else 0
 
     def missing_classes(self) -> tuple[int, ...]:
         return tuple(k for k in range(1, self.n + 1) if k not in self.classes)
@@ -163,6 +131,20 @@ class Readout:
         return tuple(k for k in self.classes
                      if self.class_size(k) > self.expected_size(k))
 
+    def outweighed_classes(self) -> tuple[int, ...]:
+        """Classes k that lose the symmetry comparison w_k < w_{n-k+1}.
+
+        Only pairs of distinct classes that are both present at their
+        expected size take part; a skew lowers the weight of the class it
+        corrupts, so the lighter side of an unequal pair is the suspect.
+        """
+        n = self.n
+        trusted = {k for k in self.classes
+                   if self.class_size(k) == self.expected_size(k)}
+        return tuple(k for k in sorted(trusted)
+                     if n - k + 1 != k and n - k + 1 in trusted
+                     and self.weight(k) < self.weight(n - k + 1))
+
     def is_full(self) -> bool:
         return all(self.present(k) and self.class_size(k) == self.expected_size(k)
                    for k in range(1, self.n + 1))
@@ -171,47 +153,24 @@ class Readout:
         return sum(self.class_size(k) for k in self.classes)
 
     def weight(self, k: int) -> int:
+        """Cumulative weight w_k: total count of ones over class k."""
         if k not in self.classes:
             raise MissingClassError(f"class {k} absent from readout")
-        return sum(c.w * m for c, m in self.classes[k].items())
-
-    def weight_counts(self, k: int) -> tuple[int, ...]:
-        """Multiplicity per window weight for class k (canonical form)."""
-        out = [0] * (k + 1)
-        for c, m in self.classes[k].items():
-            out[c.w] += m
-        return tuple(out)
-
-    def length_class(self, k: int) -> LengthClass:
-        if k not in self.classes:
-            raise MissingClassError(f"class {k} absent from readout")
-        return LengthClass(k, Counter(self.classes[k]))
+        return sum(map(mul, range(k + 1), self.classes[k]))
 
     def restrict(self, drop: Iterable[int]) -> "Readout":
         """New readout with the given classes removed entirely."""
         dropped = set(drop)
-        return Readout(self.n, {k: Counter(v) for k, v in self.classes.items()
+        return Readout(self.n, {k: v for k, v in self.classes.items()
                                 if k not in dropped})
-
-    def copy(self) -> "Readout":
-        return Readout(self.n, {k: Counter(v) for k, v in self.classes.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Readout):
-            return NotImplemented
-        return self.n == other.n and self.classes == other.classes
 
 
 def full_readout(s: str) -> Readout:
     """The complete composition multiset of s, grouped by fragment length."""
-    check_bits(s)
+    sig = signature_of(s)
     n = len(s)
-    return Readout(n, {k: length_class(s, k).entries for k in range(1, n + 1)})
-
-
-def cumulative_weight(r: Readout, k: int) -> int:
-    """Sum of ones over all compositions in class k of the readout."""
-    return r.weight(k)
+    return Readout(n, {k: kernel.class_counts(sig, n, k)
+                       for k in range(1, n + 1)})
 
 
 def sigma_of_string(s: str) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
+from itertools import compress
 
 from .channel import ErrorSpec
 from .codebooks import FAMILIES, CodebookSpec
@@ -26,9 +26,10 @@ def _compact(obj) -> str:
 def emit_readout(r: Readout) -> str:
     classes = {}
     for k in sorted(r.classes):
+        counts = r.classes[k]
         entries = []
-        for comp, mult in sorted(r.classes[k].items(), key=lambda it: it[0].w):
-            entries.extend([[comp.z, comp.w]] * mult)
+        for w in compress(range(k + 1), counts):  # occupied weights only
+            entries += [[k - w, w]] * counts[w]
         classes[str(k)] = entries
     return _compact({"n": r.n, "classes": classes})
 
@@ -43,7 +44,7 @@ def parse_readout(text: str) -> Readout:
     n = obj["n"]
     if not isinstance(n, int) or n < 1:
         raise ParseError(f"invalid n: {n!r}")
-    classes: dict[int, Counter] = {}
+    classes: dict[int, tuple[int, ...]] = {}
     for key, entries in obj["classes"].items():
         try:
             k = int(key)
@@ -51,7 +52,7 @@ def parse_readout(text: str) -> Readout:
             raise ParseError(f"invalid class key {key!r}") from None
         if not 1 <= k <= n:
             raise ParseError(f"class {k} outside [1, {n}]")
-        counter: Counter = Counter()
+        counts = [0] * (k + 1)
         for entry in entries:
             if (not isinstance(entry, (list, tuple)) or len(entry) != 2
                     or not all(isinstance(x, int) for x in entry)):
@@ -61,8 +62,8 @@ def parse_readout(text: str) -> Readout:
                 raise ParseError(f"negative counts in entry {entry!r}")
             if z + w != k:
                 raise ParseError(f"entry {entry!r} has length {z + w} != {k}")
-            counter[Composition(z, w)] += 1
-        classes[k] = counter
+            counts[w] += 1
+        classes[k] = tuple(counts)
     return Readout(n, classes)
 
 

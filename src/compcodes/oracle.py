@@ -15,7 +15,7 @@ from itertools import combinations
 
 from . import kernel
 from .codebooks import CodebookSpec, enumerate_codebook
-from .core import bits_to_bytes, check_bits, signature_of
+from .core import Readout, bits_to_bytes, check_bits, full_readout, signature_of
 from .errors import ResourceCapError
 
 PROPERTY_MODELS = ("asym_delete", "sym_pair_delete",
@@ -164,15 +164,10 @@ def insertion_witness_readouts(witness: ConfusabilityWitness):
     classes yields identical readouts, which is the operational content
     of the insertion/deletion equivalence.
     """
-    from collections import Counter
-
-    from .core import full_readout
-
     r_s = full_readout(witness.s)
     r_v = full_readout(witness.v)
-    merged_s, merged_v = r_s.copy(), r_v.copy()
+    merged_s, merged_v = dict(r_s.classes), dict(r_v.classes)
     for k in witness.deleted_classes:
-        union = r_s.classes[k] | r_v.classes[k]  # max multiplicity per entry
-        merged_s.classes[k] = Counter(union)
-        merged_v.classes[k] = Counter(union)
-    return merged_s, merged_v
+        union = tuple(map(max, r_s.classes[k], r_v.classes[k]))  # per weight
+        merged_s[k] = merged_v[k] = union
+    return Readout(r_s.n, merged_s), Readout(r_v.n, merged_v)

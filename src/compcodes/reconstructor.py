@@ -47,16 +47,13 @@ class _SearchStats:
 
 def _observations(r: Readout, drop: set[int]):
     """Sorted weight multisets and weight-count vectors of trusted classes."""
+    obs_counts = {k: v for k, v in r.classes.items() if k not in drop}
     obs_sorted: dict[int, tuple[int, ...]] = {}
-    obs_counts: dict[int, tuple[int, ...]] = {}
-    for k in r.classes:
-        if k in drop:
-            continue
-        weights = []
-        for comp, mult in r.classes[k].items():
-            weights.extend([comp.w] * mult)
-        obs_sorted[k] = tuple(sorted(weights))
-        obs_counts[k] = r.weight_counts(k)
+    for k, counts in obs_counts.items():
+        weights: list[int] = []
+        for w, mult in enumerate(counts):
+            weights += [w] * mult
+        obs_sorted[k] = tuple(weights)
     return obs_sorted, obs_counts
 
 
@@ -363,9 +360,7 @@ def decode_skewed(r: Readout, spec: CodebookSpec) -> DecodeReport:
         raise CapabilityError(
             "readout class sizes are off; skew decoding expects full classes")
     n = r.n
-    weights = [r.weight(k) for k in range(1, n + 1)]
-    flagged = {k for k in range(1, n + 1)
-               if weights[k - 1] < weights[n - k]}
+    flagged = set(r.outweighed_classes())
     cap = spec.t if spec.family == "SDA" else 1
     if spec.family == "SCA1":
         raise CapabilityError("no skew decoder is defined for SCA1")
@@ -406,16 +401,9 @@ def brute_force_decode(r: Readout, spec: CodebookSpec) -> DecodeReport:
         raise ValueError(f"spec n={spec.n} does not match readout n={r.n}")
     n = r.n
     dropped = (set(r.missing_classes()) | set(r.undersized_classes())
-               | set(r.oversized_classes()))
-    for k in range(1, n + 1):
-        partner = n - k + 1
-        if k in dropped or partner in dropped or partner == k:
-            continue
-        if k in r.classes and partner in r.classes \
-                and r.weight(k) < r.weight(partner):
-            dropped.add(k)
+               | set(r.oversized_classes()) | set(r.outweighed_classes()))
     surviving = [k for k in sorted(r.classes) if k not in dropped]
-    obs = {k: r.weight_counts(k) for k in surviving}
+    obs = {k: r.classes[k] for k in surviving}
 
     members, sigs = _member_signatures(spec)
 

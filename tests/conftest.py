@@ -1,11 +1,9 @@
 """Shared fixtures: the worked-example string and its hand-transcribed
 composition multiset, used as frozen ground truth across the suite."""
 
-from collections import Counter
-
 import pytest
 
-from compcodes.core import Composition, Readout
+from compcodes.core import Readout
 
 EXAMPLE_S = "001010111"
 
@@ -29,8 +27,14 @@ EXAMPLE_WEIGHTS = (5, 9, 12, 13, 14, 13, 12, 9, 5)
 
 
 def readout_from_table(table: dict, n: int) -> Readout:
-    classes = {k: Counter({Composition(*zw): m for zw, m in entries.items()})
-               for k, entries in table.items()}
+    """Readout whose class k counts the table's (z, w) entries by weight."""
+    classes = {}
+    for k, entries in table.items():
+        counts = [0] * (k + 1)
+        for (z, w), m in entries.items():
+            assert z + w == k, (k, z, w)
+            counts[w] += m
+        classes[k] = tuple(counts)
     return Readout(n, classes)
 
 

@@ -30,9 +30,8 @@ def test_sym_pair_delete_matches_reference_listing(example_readout):
 def test_insert_matches_worked_example(example_readout):
     corrupted = apply(example_readout,
                       ErrorSpec("insert", targets=((7, Composition(1, 6)),)))
-    assert dict(corrupted.classes[7]) == {
-        Composition(4, 3): 1, Composition(3, 4): 1,
-        Composition(2, 5): 1, Composition(1, 6): 1}
+    # class 7 held weights 3, 4, 5 once each; the inserted 0 1^6 adds weight 6
+    assert corrupted.classes[7] == (0, 0, 0, 1, 1, 1, 1, 0)
     assert corrupted.oversized_classes() == (7,)
 
 
@@ -150,7 +149,7 @@ def test_seeded_skew_draws_are_valid(example_readout):
         for k, old, new in err.targets:
             assert old.length == new.length == k
             assert new.w < old.w
-            assert example_readout.classes[k][old] >= 1
+            assert example_readout.classes[k][old.w] >= 1
 
 
 def test_skew_resamples_weightless_classes():

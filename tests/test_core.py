@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compcodes.channel import apply, random_error
 from compcodes.core import (
     Composition,
     PolyTerm,
+    Readout,
     bivariate_poly,
     complement,
     composition_of,
-    cumulative_weight,
     full_readout,
-    length_class,
     sigma_from_weights,
     sigma_of_string,
 )
@@ -39,11 +39,12 @@ def test_composition_of_rejects_bad_range():
 
 
 def test_length_class_worked_example():
-    assert dict(length_class(EXAMPLE_S, 7).entries) == {
-        Composition(4, 3): 1, Composition(3, 4): 1, Composition(2, 5): 1}
-    assert dict(length_class(EXAMPLE_S, 3).entries) == {
-        Composition(2, 1): 3, Composition(1, 2): 3, Composition(0, 3): 1}
-    assert dict(length_class("01", 2).entries) == {Composition(1, 1): 1}
+    # class 7: 0^4 1^3, 0^3 1^4, 0^2 1^5 once each; class 3: 0^2 1 and
+    # 0 1^2 three times each, 1^3 once
+    r = full_readout(EXAMPLE_S)
+    assert r.classes[7] == (0, 0, 0, 1, 1, 1, 0, 0)
+    assert r.classes[3] == (0, 3, 3, 1)
+    assert full_readout("01").classes[2] == (0, 1, 0)
 
 
 def test_full_readout_matches_reference_listing(example_readout):
@@ -53,20 +54,78 @@ def test_full_readout_matches_reference_listing(example_readout):
 
 def test_full_readout_trivial_cases():
     r = full_readout("01")
-    assert dict(r.classes[1]) == {Composition(1, 0): 1, Composition(0, 1): 1}
-    assert dict(r.classes[2]) == {Composition(1, 1): 1}
+    assert r.classes == {1: (1, 1), 2: (0, 1, 0)}
     assert full_readout("110011010").total_entries() == 45
 
 
+def test_readout_rejects_malformed_classes():
+    Readout(2, {1: (1, 1), 2: (0, 1, 0)})
+    for classes in ({3: (0, 1, 0, 0)},  # class beyond n
+                    {0: (1,)},  # class below 1
+                    {2: (0, 1)},  # vector of the wrong length
+                    {1: (2, -1)},  # negative count
+                    {1: [1, 1]},  # not a tuple
+                    {1: (1.0, 1)}):  # not an int
+        with pytest.raises(ValueError):
+            Readout(2, classes)
+
+
+def _losers_brute_force_loop(r):
+    # the symmetry check brute_force_decode made before outweighed_classes
+    n = r.n
+    dropped = (set(r.missing_classes()) | set(r.undersized_classes())
+               | set(r.oversized_classes()))
+    losers = set()
+    for k in range(1, n + 1):
+        partner = n - k + 1
+        if k in dropped or partner in dropped or partner == k:
+            continue
+        if k in r.classes and partner in r.classes \
+                and r.weight(k) < r.weight(partner):
+            dropped.add(k)
+            losers.add(k)
+    return losers
+
+
+def _losers_full_readout_loop(r):
+    # decode_skewed's flags and cli auto mode's test, on full readouts
+    n = r.n
+    weights = [r.weight(k) for k in range(1, n + 1)]
+    flagged = {k for k in range(1, n + 1) if weights[k - 1] < weights[n - k]}
+    skewed = any(weights[k - 1] != weights[n - k] for k in range(1, n + 1))
+    return flagged, skewed
+
+
+def test_outweighed_classes_matches_the_loops_it_replaces():
+    models = (("asym_delete", 2), ("sym_pair_delete", 2), ("insert", 3),
+              ("skew", 2), ("skew", 3))
+    for n in (8, 9):
+        for x in range(1, 2 ** n, 7):  # 0 (no ones) admits no skew
+            r = full_readout(format(x, f"0{n}b"))
+            for model, count in models:
+                for seed in range(3):
+                    bad = apply(r, random_error(model, count, seed, n))
+                    losers = set(bad.outweighed_classes())
+                    assert losers == _losers_brute_force_loop(bad)
+                    if bad.is_full():
+                        flagged, skewed = _losers_full_readout_loop(bad)
+                        assert losers == flagged
+                        assert bool(losers) == skewed
+                    # a second error on top, as brute_force_decode may see
+                    worse = apply(bad, random_error("insert", 1, seed, n))
+                    assert set(worse.outweighed_classes()) == \
+                        _losers_brute_force_loop(worse)
+
+
 def test_cumulative_weight_worked_example(example_readout):
-    assert cumulative_weight(example_readout, 7) == 12
-    assert cumulative_weight(example_readout, 2) == 9
-    assert cumulative_weight(example_readout, 3) == 12
+    assert example_readout.weight(7) == 12
+    assert example_readout.weight(2) == 9
+    assert example_readout.weight(3) == 12
 
 
 def test_cumulative_weight_missing_class(example_readout):
     with pytest.raises(MissingClassError):
-        cumulative_weight(example_readout.restrict({4}), 4)
+        example_readout.restrict({4}).weight(4)
 
 
 def test_sigma_of_string_examples():

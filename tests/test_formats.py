@@ -45,7 +45,7 @@ def test_readout_roundtrip():
 
 def test_emit_is_canonical_under_input_order():
     r = full_readout(EXAMPLE_S)
-    shuffled = r.restrict(set())  # deep copy
+    shuffled = r.restrict(set())  # copy
     text1 = emit_readout(r)
     # reinsert classes in reverse order; bytes must not change
     shuffled.classes = dict(sorted(shuffled.classes.items(), reverse=True))

@@ -239,10 +239,10 @@ def test_skew_exhaustive_small():
         for s in enumerate_codebook(spec):
             r = full_readout(s)
             for k in range(1, n + 1):
-                for comp in sorted(r.classes[k]):
-                    for w2 in range(comp.w):
-                        bad = apply(r, ErrorSpec(
-                            "skew", targets=((k, comp, Composition(k - w2, w2)),)))
+                for w1 in [w for w, m in enumerate(r.classes[k]) if m]:
+                    for w2 in range(w1):
+                        bad = apply(r, ErrorSpec("skew", targets=(
+                            (k, Composition(k - w1, w1), Composition(k - w2, w2)),)))
                         assert decode_skewed(bad, spec).result == s
 
 
