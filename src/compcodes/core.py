@@ -145,6 +145,12 @@ class Readout:
                      if n - k + 1 != k and n - k + 1 in trusted
                      and self.weight(k) < self.weight(n - k + 1))
 
+    def untrusted_classes(self) -> tuple[int, ...]:
+        """Classes no decoder may read: missing, mis-sized or outweighed."""
+        return tuple(sorted({
+            *self.missing_classes(), *self.undersized_classes(),
+            *self.oversized_classes(), *self.outweighed_classes()}))
+
     def is_full(self) -> bool:
         return all(self.present(k) and self.class_size(k) == self.expected_size(k)
                    for k in range(1, self.n + 1))

@@ -44,6 +44,8 @@ def parse_readout(text: str) -> Readout:
     n = obj["n"]
     if not isinstance(n, int) or n < 1:
         raise ParseError(f"invalid n: {n!r}")
+    if not isinstance(obj["classes"], dict):
+        raise ParseError("'classes' must be an object of class lists")
     classes: dict[int, tuple[int, ...]] = {}
     for key, entries in obj["classes"].items():
         try:
@@ -52,6 +54,8 @@ def parse_readout(text: str) -> Readout:
             raise ParseError(f"invalid class key {key!r}") from None
         if not 1 <= k <= n:
             raise ParseError(f"class {k} outside [1, {n}]")
+        if not isinstance(entries, list):
+            raise ParseError(f"class {k} must be a list of entries")
         counts = [0] * (k + 1)
         for entry in entries:
             if (not isinstance(entry, (list, tuple)) or len(entry) != 2

@@ -1,7 +1,7 @@
 """Brute-force ground truth: equicomposability, class counts, code
 property verification and confusable-pair search.
 
-Verification buckets codewords by the signature of their surviving
+Verification buckets codewords by the signature bytes of their surviving
 classes for every deletion pattern, so an exhaustive sweep over a
 codebook is linear in its size per pattern.  Search order is fixed
 (patterns ascending, strings lexicographic) so the first witness is
@@ -106,22 +106,21 @@ def deletion_patterns(model: str, t: int, n: int):
             yield frozenset(k for i in run for k in (i, n - i + 1))
 
 
-def _class_signatures(members, n):
-    out = {}
-    for s in members:
-        sig = kernel.full_signature(bits_to_bytes(s))
-        out[s] = tuple(kernel.class_counts(sig, n, k) for k in range(1, n + 1))
-    return out
+def _kept_ranges(n: int, pattern) -> list[tuple[int, int]]:
+    """Signature byte ranges of the classes outside the pattern, merged."""
+    cuts = [b for k in sorted(pattern) for b in kernel.class_slice_bounds(n, k)]
+    bounds = [0, *cuts, kernel.class_slice_bounds(n, n)[1]]
+    return [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]) if lo < hi]
 
 
 def _collision_scan(members, n, patterns) -> ConfusabilityWitness | None:
-    per_class = _class_signatures(members, n)
+    sigs = [kernel.full_signature(bits_to_bytes(s)) for s in members]
     for pattern in patterns:
-        keep = [k - 1 for k in range(1, n + 1) if k not in pattern]
-        buckets: dict[tuple, str] = {}
+        ranges = _kept_ranges(n, pattern)
+        buckets: dict[bytes, str] = {}
         best: tuple[str, str] | None = None
-        for s in members:
-            key = tuple(per_class[s][k] for k in keep)
+        for s, sig in zip(members, sigs):
+            key = b"".join([sig[lo:hi] for lo, hi in ranges])
             other = buckets.get(key)
             if other is not None:
                 pair = (other, s) if other < s else (s, other)

@@ -10,11 +10,17 @@ whose cumulative weight is unknown (both symmetric partners deleted)
 leave a few pairwise weights undetermined; those are enumerated under the
 linear equations the surviving weights impose, optionally pre-filtered by
 the family's weight-sum residue.
+
+Every decoder reads only the classes a readout can vouch for: one body
+drops exactly ``Readout.untrusted_classes()`` (missing, undersized,
+oversized and outweighed classes) and decodes from the rest, and
+``brute_force_decode`` drops the same set.  Deletion, insertion and
+skew decoding differ only in the guards in front of that body.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernel
@@ -45,45 +51,29 @@ class _SearchStats:
     max_span: int = 0
 
 
-def _observations(r: Readout, drop: set[int]):
-    """Sorted weight multisets and weight-count vectors of trusted classes."""
-    obs_counts = {k: v for k, v in r.classes.items() if k not in drop}
-    obs_sorted: dict[int, tuple[int, ...]] = {}
-    for k, counts in obs_counts.items():
-        weights: list[int] = []
-        for w, mult in enumerate(counts):
-            weights += [w] * mult
-        obs_sorted[k] = tuple(weights)
-    return obs_sorted, obs_counts
+# (prefix bit, suffix bit) choices for a mirror pair of weight 0, 1, 2
+_PAIR_OPTIONS = ((("0", "0"),), (("0", "1"), ("1", "0")), (("1", "1"),))
 
 
-def _first_half_weights(r: Readout, drop: set[int], *, check_symmetry: bool):
+def _first_half_weights(r: Readout, drop: set[int]):
     """Known cumulative weights for k = 1..ceil(n/2), filled via symmetry."""
     n = r.n
     known: dict[int, int] = {}
     for k in range(1, (n + 1) // 2 + 1):
-        partner = n - k + 1
-        w_here = r.weight(k) if (k in r.classes and k not in drop) else None
-        w_mirror = (r.weight(partner)
-                    if (partner in r.classes and partner not in drop and partner != k)
-                    else None)
-        if check_symmetry and w_here is not None and w_mirror is not None \
-                and w_here != w_mirror:
+        seen = {r.weight(c) for c in (k, n - k + 1)
+                if c in r.classes and c not in drop}
+        if len(seen) > 1:
             raise InconsistentReadoutError(
-                f"w_{k}={w_here} != w_{partner}={w_mirror}; "
+                f"w_{k} and w_{n - k + 1} differ ({sorted(seen)}); "
                 "readout violates weight symmetry")
-        if w_here is not None:
-            known[k] = w_here
-        elif w_mirror is not None:
-            known[k] = w_mirror
+        if seen:
+            known[k] = seen.pop()
     return known
 
 
 def _derived_weights(sigma: tuple[int, ...], w1: int, m: int) -> list[int]:
-    out = []
-    for k in range(1, m + 1):
-        out.append(k * w1 - sum((k - j) * sigma[j - 1] for j in range(1, k)))
-    return out
+    return [k * w1 - sum((k - j) * sigma[j - 1] for j in range(1, k))
+            for k in range(1, m + 1)]
 
 
 def _sigma_candidates(n: int, known: dict[int, int],
@@ -134,13 +124,18 @@ def _sigma_candidates(n: int, known: dict[int, int],
     return found
 
 
-def _search(n: int, obs_sorted, obs_counts, sigma: tuple[int, ...],
-            stats: _SearchStats, results: list[str], limit: int | None):
-    """Inward pairwise assignment; appends consistent strings to results."""
+def _search(n: int, trusted: dict[int, tuple[int, ...]],
+            sigma: tuple[int, ...], stats: _SearchStats, results: list[str],
+            limit: int | None):
+    """Inward pairwise assignment; appends consistent strings to results.
+
+    ``trusted`` maps each class the search must match to its observed
+    weight-count vector; every such class has its expected size.
+    """
     m = (n + 1) // 2
     half = n // 2
     total_w = sum(sigma)
-    if n in obs_sorted and obs_sorted[n] != (total_w,):
+    if n in trusted and not trusted[n][total_w]:
         return
     pre_bits: list[str] = []
     suf_bits: list[str] = []          # suf_bits[0] is s_n
@@ -150,22 +145,21 @@ def _search(n: int, obs_sorted, obs_counts, sigma: tuple[int, ...],
 
     def class_matches(i: int) -> bool:
         k = n - i
-        if k == n or k not in obs_sorted:
+        if k not in trusted:
             return True
-        pred = sorted(total_w - pre_w[j - 1] - suf_w[i - j + 1]
-                      for j in range(1, i + 2))
-        return tuple(pred) == obs_sorted[k]
+        pred = [0] * (k + 1)
+        for j in range(1, i + 2):
+            pred[total_w - pre_w[j - 1] - suf_w[i - j + 1]] += 1
+        return tuple(pred) == trusted[k]
 
     def finish():
         center = str(sigma[m - 1]) if n % 2 else ""
         s = "".join(pre_bits) + center + "".join(reversed(suf_bits))
         sig = kernel.full_signature(bits_to_bytes(s))
-        for k, counts in obs_counts.items():
-            if k >= m:
-                continue  # already enforced during the inward walk
-            if kernel.class_counts(sig, n, k) != counts:
-                return
-        results.append(s)
+        # classes k >= m were already enforced during the inward walk
+        if all(kernel.class_counts(sig, n, k) == counts
+               for k, counts in trusted.items() if k < m):
+            results.append(s)
 
     def rec(i: int):
         if limit is not None and len(results) >= limit:
@@ -173,13 +167,7 @@ def _search(n: int, obs_sorted, obs_counts, sigma: tuple[int, ...],
         if i > half:
             finish()
             return
-        sv = sigma[i - 1]
-        if sv == 1:
-            options = (("0", "1"), ("1", "0"))
-        elif sv == 0:
-            options = (("0", "0"),)
-        else:
-            options = (("1", "1"),)
+        options = _PAIR_OPTIONS[sigma[i - 1]]
         branching = len(options) == 2
         results_at_entry = len(results)
         for oi, (a, b) in enumerate(options):
@@ -211,13 +199,18 @@ def _search(n: int, obs_sorted, obs_counts, sigma: tuple[int, ...],
 def _consistent_strings(r: Readout, drop: set[int],
                         sigma_candidates, stats: _SearchStats,
                         limit: int | None = None) -> list[str]:
-    obs_sorted, obs_counts = _observations(r, drop)
+    trusted = {k: v for k, v in r.classes.items() if k not in drop}
     results: list[str] = []
     for sigma in sigma_candidates:
-        _search(r.n, obs_sorted, obs_counts, sigma, stats, results, limit)
+        _search(r.n, trusted, sigma, stats, results, limit)
         if limit is not None and len(results) >= limit:
             break
     return results
+
+
+def _check_length(r: Readout, spec: CodebookSpec):
+    if spec.n != r.n:
+        raise ValueError(f"spec n={spec.n} does not match readout n={r.n}")
 
 
 def reconstruct(r: Readout, spec: CodebookSpec | None = None) -> DecodeReport:
@@ -230,41 +223,36 @@ def reconstruct(r: Readout, spec: CodebookSpec | None = None) -> DecodeReport:
     if not r.is_full():
         raise CapabilityError(
             "readout has missing or mis-sized classes; use a decode_* entry point")
-    if spec is not None and spec.n != r.n:
-        raise ValueError(f"spec n={spec.n} does not match readout n={r.n}")
+    if spec is not None:
+        _check_length(r, spec)
     weights = [r.weight(k) for k in range(1, r.n + 1)]
     sigma = sigma_from_weights(weights, r.n)
     stats = _SearchStats()
-    if spec is None:
-        found = _consistent_strings(r, set(), [sigma], stats, limit=1)
-        if not found:
-            raise UndecodableError("no string is consistent with the readout")
-        return DecodeReport(found[0], backtracks=stats.backtracks,
-                            max_backtrack_span=stats.max_span)
-    found = _consistent_strings(r, set(), [sigma], stats)
+    found = _consistent_strings(r, set(), [sigma], stats,
+                                limit=1 if spec is None else None)
     if not found:
         raise UndecodableError("no string is consistent with the readout")
-    members = [s for s in found if is_member(spec, s)]
+    members = [s for s in found if spec is not None and is_member(spec, s)]
     if len(members) > 1:
         raise UndecodableError("several codewords share this readout",
                                candidates=members)
-    result = members[0] if members else found[0]
-    return DecodeReport(result, backtracks=stats.backtracks,
+    return DecodeReport((members or found)[0], backtracks=stats.backtracks,
                         max_backtrack_span=stats.max_span)
 
 
 def _classify_dropped(dropped: set[int], n: int):
     """Split dropped classes into symmetric pairs and asymmetric singles."""
-    pairs = sorted(k for k in dropped
-                   if k <= n - k + 1 and n - k + 1 in dropped and k != n - k + 1)
-    paired = {k for k in dropped
-              if n - k + 1 in dropped and k != n - k + 1}
-    asym = sorted(dropped - paired)
-    return pairs, asym
+    paired = {k for k in dropped if n - k + 1 in dropped and 2 * k != n + 1}
+    return sorted(k for k in paired if 2 * k <= n), sorted(dropped - paired)
+
+
+def _single_cap(spec: CodebookSpec) -> int:
+    """Asymmetric class losses (deletions or skews) the family guarantees."""
+    return spec.t if spec.family == "SDA" else 1
 
 
 def _check_capability(spec: CodebookSpec, pairs: list[int], asym: list[int],
-                      n: int, experimental: bool):
+                      experimental: bool):
     fam, t = spec.family, spec.t
     if fam == "SCA1":
         raise CapabilityError("no deletion decoder is defined for SCA1")
@@ -274,11 +262,10 @@ def _check_capability(spec: CodebookSpec, pairs: list[int], asym: list[int],
             "family guarantee; rerun with the brute-force fallback")
     if asym:
         # the self-symmetric center class of odd n counts as one ordinary
-        # drop here: a center skew is a legal error that weight comparison
-        # cannot flag, so the skew decoder must be able to shed the center
-        # alongside the detected classes (verified exhaustively at desk
-        # scale for the SDA family)
-        cap = t if fam == "SDA" else 1
+        # drop: weight comparison cannot flag a center skew, so the center
+        # retry sheds it alongside the detected classes (verified
+        # exhaustively at desk scale for the SDA family)
+        cap = _single_cap(spec)
         if len(asym) > cap:
             raise CapabilityError(
                 f"{len(asym)} asymmetric deletions exceed the {fam} "
@@ -297,15 +284,28 @@ def _check_capability(spec: CodebookSpec, pairs: list[int], asym: list[int],
                     "pass experimental_nonconsecutive=True to try anyway")
 
 
-def decode_deletions(r: Readout, spec: CodebookSpec, *,
-                     experimental_nonconsecutive: bool = False) -> DecodeReport:
-    """Recover the codeword from a readout with whole classes missing."""
-    if spec.n != r.n:
-        raise ValueError(f"spec n={spec.n} does not match readout n={r.n}")
-    if r.oversized_classes():
-        raise CapabilityError(
-            "readout has oversized classes; use decode_insertions")
-    dropped = set(r.missing_classes()) | set(r.undersized_classes())
+def _decode(r: Readout, spec: CodebookSpec,
+            experimental: bool = False) -> DecodeReport:
+    """Decode from the trusted classes, dropping ``r.untrusted_classes()``.
+
+    A center skew (odd n) is never outweighed, so a failed pass is retried
+    with the center dropped too, if the guarantee covers that drop set.
+    """
+    try:
+        return _decode_once(r, spec, experimental)
+    except (UndecodableError, InconsistentReadoutError) as first:
+        center = (r.n + 1) // 2
+        if not r.n % 2 or center in r.untrusted_classes():
+            raise
+        try:
+            return _decode_once(r.restrict({center}), spec, experimental)
+        except CapabilityError:
+            raise first from None
+
+
+def _decode_once(r: Readout, spec: CodebookSpec,
+                 experimental: bool) -> DecodeReport:
+    dropped = set(r.untrusted_classes())
     if not dropped:
         rep = reconstruct(r, spec)
         if not is_member(spec, rep.result):
@@ -313,8 +313,8 @@ def decode_deletions(r: Readout, spec: CodebookSpec, *,
                 f"{rep.result} reconstructs but is not a {spec.family} member")
         return rep
     pairs, asym = _classify_dropped(dropped, r.n)
-    _check_capability(spec, pairs, asym, r.n, experimental_nonconsecutive)
-    known = _first_half_weights(r, dropped, check_symmetry=True)
+    _check_capability(spec, pairs, asym, experimental)
+    known = _first_half_weights(r, dropped)
     candidates = _sigma_candidates(r.n, known, spec.modulus, spec.a)
     stats = _SearchStats()
     found = _consistent_strings(r, dropped, candidates, stats)
@@ -330,55 +330,48 @@ def decode_deletions(r: Readout, spec: CodebookSpec, *,
                         max_backtrack_span=stats.max_span)
 
 
+def decode_deletions(r: Readout, spec: CodebookSpec, *,
+                     experimental_nonconsecutive: bool = False) -> DecodeReport:
+    """Recover the codeword from a readout with whole classes missing."""
+    _check_length(r, spec)
+    if r.oversized_classes():
+        raise CapabilityError(
+            "readout has oversized classes; use decode_insertions")
+    return _decode(r, spec, experimental_nonconsecutive)
+
+
 def decode_insertions(r: Readout, spec: CodebookSpec, *,
                       experimental_nonconsecutive: bool = False) -> DecodeReport:
     """Recover the codeword from a readout with spurious extra entries.
 
-    Every oversized class is discarded entirely; correcting insertions in
-    a set of classes is equivalent to correcting their deletion.
+    An oversized class is untrusted like any other and is dropped whole;
+    correcting insertions in a set of classes is equivalent to correcting
+    their deletion.
     """
-    oversized = set(r.oversized_classes())
-    rep = decode_deletions(
-        r.restrict(oversized), spec,
-        experimental_nonconsecutive=experimental_nonconsecutive)
-    dropped = tuple(sorted(set(rep.dropped_classes) | oversized))
-    return replace(rep, dropped_classes=dropped)
+    _check_length(r, spec)
+    return _decode(r, spec, experimental_nonconsecutive)
 
 
 def decode_skewed(r: Readout, spec: CodebookSpec) -> DecodeReport:
     """Recover the codeword after skewed substitutions (weights only drop).
 
-    A corrupted class k betrays itself through w_k < w_{n-k+1}; flagged
-    classes are dropped and the deletion decoder finishes the job.  For
-    odd n the center class is its own symmetric partner, so an undetected
-    center skew is handled by retrying with the center dropped once the
-    first pass fails.
+    A corrupted class k betrays itself through w_k < w_{n-k+1}; on a full
+    readout these outweighed classes are the whole untrusted set, so they
+    are dropped and the rest decoded.  An undetected center skew (odd n)
+    is caught by the center retry of the shared body.
     """
-    if spec.n != r.n:
-        raise ValueError(f"spec n={spec.n} does not match readout n={r.n}")
+    _check_length(r, spec)
     if not r.is_full():
         raise CapabilityError(
             "readout class sizes are off; skew decoding expects full classes")
-    n = r.n
-    flagged = set(r.outweighed_classes())
-    cap = spec.t if spec.family == "SDA" else 1
+    flagged, cap = r.outweighed_classes(), _single_cap(spec)
     if spec.family == "SCA1":
         raise CapabilityError("no skew decoder is defined for SCA1")
     if len(flagged) > cap:
         raise CapabilityError(
             f"{len(flagged)} skewed classes exceed the {spec.family} "
             f"guarantee of {cap}")
-    try:
-        rep = decode_deletions(r.restrict(flagged), spec)
-    except (UndecodableError, InconsistentReadoutError):
-        # an undetected center skew corrupts the center weight; drop the
-        # center class and decode from what remains
-        center = (n + 1) // 2
-        if n % 2 and len(flagged) < cap:
-            rep = decode_deletions(r.restrict(flagged | {center}), spec)
-        else:
-            raise
-    return rep
+    return _decode(r, spec)
 
 
 @lru_cache(maxsize=32)
@@ -391,19 +384,15 @@ def _member_signatures(spec: CodebookSpec):
 def brute_force_decode(r: Readout, spec: CodebookSpec) -> DecodeReport:
     """Reference decoder: scan the whole codebook for consistent members.
 
-    Classes that are structurally corrupt (missing, mis-sized, or on the
-    losing side of a weight-symmetry violation) are ignored; the rest
-    must match exactly.  Always returns a report; ambiguity is an
-    expected outcome whenever the corruption exceeds the family
-    guarantee.
+    The classes of ``r.untrusted_classes()`` are ignored (for odd n, the
+    center too when nothing else matches); the rest must match exactly.
+    Always returns a report; ambiguity is an expected outcome whenever
+    the corruption exceeds the family guarantee.
     """
-    if spec.n != r.n:
-        raise ValueError(f"spec n={spec.n} does not match readout n={r.n}")
+    _check_length(r, spec)
     n = r.n
-    dropped = (set(r.missing_classes()) | set(r.undersized_classes())
-               | set(r.oversized_classes()) | set(r.outweighed_classes()))
-    surviving = [k for k in sorted(r.classes) if k not in dropped]
-    obs = {k: r.classes[k] for k in surviving}
+    dropped = set(r.untrusted_classes())
+    obs = {k: v for k, v in sorted(r.classes.items()) if k not in dropped}
 
     members, sigs = _member_signatures(spec)
 
@@ -412,10 +401,10 @@ def brute_force_decode(r: Readout, spec: CodebookSpec) -> DecodeReport:
                      if all(kernel.class_counts(sigs[s], n, k) == obs[k]
                             for k in keep))
 
-    found = consistent(surviving)
+    found = consistent(obs)
     center = (n + 1) // 2
     if not found and n % 2 and center in obs:
-        retry = consistent([k for k in surviving if k != center])
+        retry = consistent([k for k in obs if k != center])
         if retry:
             found = retry
             dropped.add(center)

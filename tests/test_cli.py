@@ -1,15 +1,23 @@
 """CLI surface: commands, exit codes, pipeline compatibility."""
 
 import json
+import os
 import subprocess
 import sys
 
+import compcodes
+
 EXAMPLE_S = "001010111"
+
+# the CLI subprocess imports the same package as this test process
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(compcodes.__file__)),
+    os.environ.get("PYTHONPATH")))))
 
 
 def run(*args, inp=None):
     proc = subprocess.run([sys.executable, "-m", "compcodes.cli", *args],
-                          capture_output=True, text=True, input=inp)
+                          capture_output=True, text=True, input=inp, env=_ENV)
     return proc.returncode, proc.stdout.strip(), proc.stderr.strip()
 
 
@@ -92,6 +100,13 @@ def test_usage_errors_exit_two():
     assert rc == 2
     rc, _, _ = run("classes", "--n", "25")
     assert rc == 3  # resource cap
+
+
+def test_malformed_readout_exits_two():
+    for text in ('{"n":3,"classes":[1]}', '{"n":3,"classes":{"1":5}}'):
+        rc, _, err = run("decode", "--spec", "SR:3", inp=text)
+        assert rc == 2, err
+        assert "Traceback" not in err
 
 
 def test_experiment_jsonl_replay(tmp_path):

@@ -117,6 +117,20 @@ def test_outweighed_classes_matches_the_loops_it_replaces():
                         _losers_brute_force_loop(worse)
 
 
+def test_untrusted_classes_worked_example(example_readout):
+    classes = dict(example_readout.restrict({2}).classes)  # 2 missing
+    classes[4] = (0, 1, 3, 1, 0)     # undersized: one (1,3) entry lost
+    classes[5] = (0, 0, 2, 2, 2, 0)  # oversized: an extra (1,4) entry
+    classes[7] = (0, 0, 0, 1, 2, 0, 0, 0)  # skewed: w_7 = 11 < w_3 = 12
+    r = Readout(9, classes)
+    assert r.missing_classes() == (2,)
+    assert r.undersized_classes() == (4,)
+    assert r.oversized_classes() == (5,)
+    assert r.outweighed_classes() == (7,)
+    assert r.untrusted_classes() == (2, 4, 5, 7)
+    assert example_readout.untrusted_classes() == ()
+
+
 def test_cumulative_weight_worked_example(example_readout):
     assert example_readout.weight(7) == 12
     assert example_readout.weight(2) == 9

@@ -70,6 +70,10 @@ def test_parse_errors():
         parse_readout('{"n":2,"classes":{"1":[[1,1]]}}')  # length mismatch
     with pytest.raises(ParseError):
         parse_readout('{"n":2,"classes":{"5":[[4,1]]}}')  # class beyond n
+    with pytest.raises(ParseError):
+        parse_readout('{"n":3,"classes":[1]}')  # classes not an object
+    with pytest.raises(ParseError):
+        parse_readout('{"n":3,"classes":{"1":5}}')  # class value not a list
 
 
 def test_spec_roundtrip_and_compact_form():

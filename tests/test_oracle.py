@@ -1,8 +1,12 @@
 """Brute-force oracle: class counts, property verification, witnesses."""
 
+import functools
+import itertools
+
 import pytest
 
-from compcodes.codebooks import CodebookSpec
+from compcodes import oracle
+from compcodes.codebooks import CodebookSpec, enumerate_codebook
 from compcodes.core import full_readout, sigma_of_string
 from compcodes.errors import ResourceCapError
 from compcodes.oracle import (
@@ -168,3 +172,37 @@ def test_insertion_deletion_equivalence_on_witness():
 def test_verification_cap():
     with pytest.raises(ResourceCapError):
         verify_code_property(CodebookSpec("SR", 18), "asym_delete", 1)
+
+
+def _pairwise_first_witness(spec, model, t):
+    """Slow reference: patterns in scan order, then every pair of members
+    in lexicographic order, each rechecked class by class."""
+    members = sorted(enumerate_codebook(spec))
+    for pattern in deletion_patterns(model, t, spec.n):
+        for s, v in itertools.combinations(members, 2):
+            w = ConfusabilityWitness(s, v, frozenset(pattern))
+            if w.verify():
+                return w
+    return None
+
+
+def test_collision_scan_matches_pairwise_reference(monkeypatch):
+    # memoise signatures so the pairwise reference stays affordable;
+    # verify() itself still compares the two strings class by class
+    monkeypatch.setattr(oracle, "signature_of",
+                        functools.lru_cache(maxsize=None)(oracle.signature_of))
+    specs = ([CodebookSpec("SR", n) for n in range(4, 11)]
+             + [CodebookSpec("SDS2", n, a=a) for n in (8, 9, 10) for a in (0, 3)]
+             + [CodebookSpec("SDSprime", n, t=2, a=a)
+                for n in (8, 9, 10) for a in (0, 2)])
+    cases = [(spec, model, t) for spec in specs
+             for model in oracle.PROPERTY_MODELS for t in (1, 2)]
+    # here the first colliding member in scan order is not in the
+    # lexicographically smallest colliding pair
+    cases.append((CodebookSpec("SDSprime", 10, t=2), "sym_pair_delete", 3))
+    outcomes = set()
+    for spec, model, t in cases:
+        got = verify_code_property(spec, model, t)
+        assert got == _pairwise_first_witness(spec, model, t), (spec, model, t)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}  # both witnesses and clean sweeps

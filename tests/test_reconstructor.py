@@ -8,7 +8,8 @@ import pytest
 from compcodes.channel import ErrorSpec, SplitMix64, apply, random_error, resolve
 from compcodes.codebooks import CodebookSpec, enumerate_codebook
 from compcodes.core import Composition, full_readout
-from compcodes.errors import CapabilityError, UndecodableError
+from compcodes.errors import CapabilityError, CompCodesError, UndecodableError
+from compcodes.formats import emit_readout, parse_spec
 from compcodes.oracle import find_confusable_pair
 from compcodes.reconstructor import (
     brute_force_decode,
@@ -316,3 +317,31 @@ def test_undecodable_reports_candidates():
     with pytest.raises(UndecodableError) as exc:
         decode_deletions(r, spec)
     assert set(exc.value.candidates) == {"001101", "010011"}
+
+
+@pytest.mark.parametrize("text", ["SDA:11,t=2", "SDA:12,t=2"])
+@pytest.mark.parametrize("model, decoder", [
+    ("asym_delete", decode_deletions),
+    ("insert", decode_insertions),
+])
+def test_decoders_match_brute_force_on_mixed_corruptions(text, model, decoder):
+    # a seeded skew, then one deletion or insertion on top: every decoder
+    # drops the classes brute force distrusts, so it must return brute
+    # force's codeword whenever there is one and fail when there is none
+    spec = parse_spec(text)
+    members = enumerate_codebook(spec)
+    rng = SplitMix64(spec.n)
+    recovered = 0
+    for s in members:
+        for _ in range(4):
+            r = apply(full_readout(s), ErrorSpec("skew", count=1,
+                                                 seed=rng.next_u64()))
+            r = apply(r, ErrorSpec(model, count=1, seed=rng.next_u64()))
+            bf = brute_force_decode(r, spec).result
+            if bf is None:
+                with pytest.raises(CompCodesError):
+                    decoder(r, spec)
+                continue
+            assert decoder(r, spec).result == bf, (s, emit_readout(r))
+            recovered += bf == s
+    assert recovered > 3 * len(members)
