@@ -8,7 +8,7 @@ class OptionalBuildExt(build_ext):
     """Build the accelerator extension if possible, otherwise fall back.
 
     The package is fully functional with the pure-Python kernel, so a
-    missing compiler or Cython must not break installation.
+    missing compiler must not break installation.
     """
 
     def run(self):
@@ -25,14 +25,5 @@ class OptionalBuildExt(build_ext):
                           "the pure-Python kernel will be used")
 
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension("compcodes._ckernel", ["src/compcodes/_ckernel.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions, cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[Extension("compcodes._ckernel", ["src/compcodes/_ckernel.c"])],
+      cmdclass={"build_ext": OptionalBuildExt})

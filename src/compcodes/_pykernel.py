@@ -6,6 +6,10 @@ length is determined by its weight, this byte string is a canonical,
 hashable encoding of the full composition multiset.  Layout: classes in
 ascending k, each contributing k+1 count bytes (w = 0..k); class k starts
 at offset (k-1)(k+2)/2.
+
+This module is the reference for the compiled kernel in ``_ckernel.c``,
+which must return the same bytes and raise ValueError on the same inputs,
+and the fallback when that extension was not built.
 """
 
 BACKEND = "pure"

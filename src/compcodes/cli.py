@@ -68,10 +68,8 @@ def cmd_decode(args) -> int:
     spec = formats.parse_spec(args.spec)
     mode = args.mode
     if mode == "auto":
-        if r.oversized_classes():
-            mode = "insertions"
-        elif r.missing_classes() or r.undersized_classes():
-            mode = "deletions"
+        if not r.is_full():
+            mode = "insertions"  # no oversized guard: decodes deletions too
         else:
             mode = "skew" if r.outweighed_classes() else "reconstruct"
     try:

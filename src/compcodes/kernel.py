@@ -1,8 +1,9 @@
 """Kernel backend selection.
 
-Imports the compiled signature kernel when it was built, otherwise the
-pure-Python twin.  Set COMPCODES_PURE=1 to force the fallback (used by the
-differential tests and the benchmark).
+Imports the compiled signature kernel, which setup.py builds from
+``_ckernel.c`` when a C compiler is available, otherwise the pure-Python
+twin.  Set COMPCODES_PURE=1 to force the fallback (used by the
+benchmark's gated runs).
 """
 
 import os

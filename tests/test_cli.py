@@ -47,6 +47,19 @@ def test_corrupt_decode_pipeline():
     assert json.loads(out)["result"] == EXAMPLE_S
 
 
+def test_corrupt_insert_decode_auto_pipeline():
+    _, readout, _ = run("compose", EXAMPLE_S)
+    rc, corrupted, err = run("corrupt", "--model", "insert", "--count", "1",
+                             "--seed", "2", "--show-error", inp=readout)
+    assert rc == 0
+    [[k, _]] = json.loads(err)["targets"]
+    rc, out, _ = run("decode", "--spec", "SR:9", inp=corrupted)
+    assert rc == 0
+    report = json.loads(out)
+    assert report["result"] == EXAMPLE_S
+    assert report["dropped_classes"] == [k]
+
+
 def test_decode_explicit_targets_skew():
     _, readout, _ = run("compose", EXAMPLE_S)
     targets = json.dumps({"model": "skew",

@@ -1,5 +1,15 @@
 """Kernel backends must agree byte for byte."""
 
+import importlib.machinery
+import importlib.util
+import os
+import random
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
+
 import pytest
 
 from compcodes import _pykernel, kernel
@@ -10,9 +20,41 @@ try:
 except ImportError:
     _ckernel = None
 
+CKERNEL_SOURCE = Path(_pykernel.__file__).with_name("_ckernel.c")
+
+
+@pytest.fixture(scope="module")
+def ckernel(tmp_path_factory):
+    """The built compiled kernel, else one compiled here from _ckernel.c.
+
+    The module compiled here is loaded without entering sys.modules, so the
+    rest of the suite keeps the backend it imported.
+    """
+    if _ckernel is not None:
+        return _ckernel
+    cc = sysconfig.get_config_var("CC") or ""
+    argv = shlex.split(cc)
+    if not argv or shutil.which(argv[0]) is None:
+        pytest.skip(f"no C compiler found (sysconfig CC={cc!r})")
+    include = sysconfig.get_paths()["include"]
+    if not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip(f"no Python headers found (no Python.h in {include})")
+    out = tmp_path_factory.mktemp("ckernel") / (
+        "_ckernel" + sysconfig.get_config_var("EXT_SUFFIX"))
+    proc = subprocess.run(
+        [*argv, "-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
+         f"-I{include}", str(CKERNEL_SOURCE), "-o", str(out)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loader = importlib.machinery.ExtensionFileLoader("compcodes._ckernel", str(out))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
+
 
 def test_backend_reports_itself():
-    assert kernel.BACKEND in ("cython", "pure")
+    assert kernel.BACKEND in ("compiled", "pure")
 
 
 def test_signature_layout():
@@ -28,18 +70,25 @@ def test_weights_from_signature():
     assert kernel.weights_from_signature(sig, 9) == (5, 9, 12, 13, 14, 13, 12, 9, 5)
 
 
-@pytest.mark.skipif(_ckernel is None, reason="compiled kernel not built")
-def test_backends_agree_exhaustively():
+def test_backends_agree_exhaustively(ckernel):
+    assert (ckernel.BACKEND, ckernel.MAX_N) == ("compiled", _pykernel.MAX_N)
     for n in range(1, 11):
         for x in range(2 ** n):
             bits = bytes(int(b) for b in format(x, f"0{n}b"))
-            assert _ckernel.full_signature(bits) == _pykernel.full_signature(bits)
+            assert ckernel.full_signature(bits) == _pykernel.full_signature(bits)
+    rng = random.Random(5)
+    for n in range(11, _pykernel.MAX_N + 1):
+        for bits in (bytes(rng.getrandbits(1) for _ in range(n)),
+                     bytes(rng.choices((0, 1), weights=(1, 9), k=n))):
+            assert ckernel.full_signature(bits) == _pykernel.full_signature(bits)
+    for bits in (bytes(255), bytes([1]) * 255):  # fullest count bytes
+        assert ckernel.full_signature(bits) == _pykernel.full_signature(bits)
 
 
-@pytest.mark.skipif(_ckernel is None, reason="compiled kernel not built")
-def test_backends_reject_bad_input_alike():
-    for bad in (b"", bytes([2]), bytes(300)):
-        with pytest.raises(ValueError):
+def test_backends_reject_bad_input_alike(ckernel):
+    for bad in (b"", bytes([2]), bytes(256), bytes(300), bytes([0, 1, 2])):
+        with pytest.raises(ValueError) as pure:
             _pykernel.full_signature(bad)
-        with pytest.raises(ValueError):
-            _ckernel.full_signature(bad)
+        with pytest.raises(ValueError) as compiled:
+            ckernel.full_signature(bad)
+        assert str(compiled.value) == str(pure.value)
