@@ -1,12 +1,15 @@
 """Serialization: canonical bytes, round trips, parse failures."""
 
 import hashlib
+import json
+import random
+from itertools import compress
 
 import pytest
 
-from compcodes.channel import ErrorSpec
+from compcodes.channel import MODELS, ErrorSpec, apply
 from compcodes.codebooks import CodebookSpec
-from compcodes.core import Composition, full_readout
+from compcodes.core import Composition, Readout, full_readout
 from compcodes.errors import ParseError
 from compcodes.formats import (
     config_hash,
@@ -110,3 +113,197 @@ def test_report_emission():
 def test_config_hash_is_order_insensitive():
     assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
     assert config_hash({"a": 1}) != config_hash({"a": 2})
+
+
+# -- the readout wire path against slow references ------------------------
+#
+# The references spend one Python-level step per entry: emit builds every
+# [z, w] list for json.dumps, parse checks every entry in a loop.
+
+def _reference_emit_readout(r: Readout) -> str:
+    classes = {}
+    for k in sorted(r.classes):
+        counts = r.classes[k]
+        entries = []
+        for w in compress(range(k + 1), counts):
+            entries += [[k - w, w]] * counts[w]
+        classes[str(k)] = entries
+    return json.dumps({"n": r.n, "classes": classes}, separators=(",", ":"))
+
+
+def _reference_parse_readout(text: str) -> Readout:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict) or "n" not in obj or "classes" not in obj:
+        raise ParseError("readout JSON needs 'n' and 'classes'")
+    n = obj["n"]
+    if not isinstance(n, int) or n < 1:
+        raise ParseError(f"invalid n: {n!r}")
+    if not isinstance(obj["classes"], dict):
+        raise ParseError("'classes' must be an object of class lists")
+    classes = {}
+    for key, entries in obj["classes"].items():
+        try:
+            k = int(key)
+        except (TypeError, ValueError):
+            raise ParseError(f"invalid class key {key!r}") from None
+        if not 1 <= k <= n:
+            raise ParseError(f"class {k} outside [1, {n}]")
+        if not isinstance(entries, list):
+            raise ParseError(f"class {k} must be a list of entries")
+        counts = [0] * (k + 1)
+        for entry in entries:
+            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                    or not all(isinstance(x, int) for x in entry)):
+                raise ParseError(f"bad entry {entry!r} in class {k}")
+            z, w = entry
+            if z < 0 or w < 0:
+                raise ParseError(f"negative counts in entry {entry!r}")
+            if z + w != k:
+                raise ParseError(f"entry {entry!r} has length {z + w} != {k}")
+            counts[w] += 1
+        classes[k] = tuple(counts)
+    return Readout(n, classes)
+
+
+_CORRUPTIONS = (("asym_delete", 2), ("sym_pair_delete", 2), ("insert", 3),
+                ("skew", 2))
+assert {model for model, _ in _CORRUPTIONS} == set(MODELS)
+
+
+def _wire_readouts() -> list[Readout]:
+    """Seeded full readouts up to n = 255, each channel model's corruption
+    of them (missing and oversized classes, skews), an undersized class
+    and an all-zero class."""
+    rng = random.Random(6)
+    out = []
+    for n in (1, 2, 3, 9, 16, 64, 255):
+        full = full_readout("".join(rng.choice("01") for _ in range(n)))
+        out.append(full)
+        if n >= 9:
+            for seed, (model, count) in enumerate(_CORRUPTIONS):
+                out.append(apply(full, ErrorSpec(model, count=count, seed=seed)))
+        k = rng.randrange(1, n + 1)
+        counts = list(full.classes[k])
+        counts[max(w for w, c in enumerate(counts) if c)] -= 1
+        out.append(Readout(n, {**full.classes, k: tuple(counts)}))
+        out.append(Readout(n, {**full.classes, k: (0,) * (k + 1)}))
+    return out
+
+
+def _shuffled_text(r: Readout, rng: random.Random) -> str:
+    """Valid but not canonical: classes and entries in random order,
+    default separators."""
+    obj = json.loads(_reference_emit_readout(r))
+    items = list(obj["classes"].items())
+    rng.shuffle(items)
+    for _, entries in items:
+        rng.shuffle(entries)
+    return json.dumps({"classes": dict(items), "n": obj["n"]})
+
+
+_MALFORMED = (
+    "not json", "", "[]", "5", '"n"', "null", '{"classes":{}}', '{"n":2}',
+    '{"n":0,"classes":{}}', '{"n":-1,"classes":{}}', '{"n":1.0,"classes":{}}',
+    '{"n":"2","classes":{}}', '{"n":null,"classes":{}}',
+    '{"n":256,"classes":{}}', '{"n":3,"classes":[1]}',
+    '{"n":3,"classes":null}', '{"n":3,"classes":{"1":5}}',
+    '{"n":3,"classes":{"1":{"a":1}}}', '{"n":3,"classes":{"1":"ab"}}',
+    '{"n":3,"classes":{"x":[]}}', '{"n":3,"classes":{"0":[]}}',
+    '{"n":3,"classes":{"4":[]}}', '{"n":3,"classes":{"-1":[]}}',
+    '{"n":3,"classes":{"1.5":[]}}', '{"n":3,"classes":{"":[]}}',
+    '{"n":3,"classes":{" 2 ":[[1,1],[2,0]]}}',
+    '{"n":3,"classes":{"1":[[1]]}}', '{"n":3,"classes":{"1":[[1,0,0]]}}',
+    '{"n":3,"classes":{"1":[1]}}', '{"n":3,"classes":{"1":[[1,0],5]}}',
+    '{"n":3,"classes":{"1":[["1",0]]}}', '{"n":3,"classes":{"1":[[1.0,0]]}}',
+    '{"n":3,"classes":{"1":[[null,1]]}}', '{"n":3,"classes":{"1":[[1,-1]]}}',
+    '{"n":3,"classes":{"1":[[-1,2]]}}', '{"n":3,"classes":{"1":[[2,0]]}}',
+    '{"n":3,"classes":{"1":[[0,0]]}}', '{"n":3,"classes":{"1":["ab"]}}',
+    '{"n":3,"classes":{"1":[{"a":1,"b":2}]}}',
+    '{"n":3,"classes":{"1":[[[1],0]]}}', '{"n":3,"classes":{"1":[[1e400,0]]}}',
+    '{"n":3,"classes":{"2":[[1,1],[0,1,1]]}}',
+    '{"n":3,"classes":{"2":[[1,1],[2,0],[1,2]]}}',
+    '{"n":3,"classes":{"1":[[1,0],[0,1]],"2":[[2,-1]]}}',
+    '{"n":3,"classes":{"1":[[1,0],[0,1]],"9":[]}}',
+    '{"n":3,"classes":{"1":[[100000000000000000000,-99999999999999999999]]}}',
+)
+
+_BAD_SCALARS = (-1, 1.5, "1", None, [1], {"z": 1}, 2 ** 70)
+
+
+def _fuzzed_texts(rng: random.Random, count: int) -> list[str]:
+    """One seeded mutation each of small full readouts: a bad or shifted
+    entry, a bad scalar inside an entry, a bad class key, a bad class
+    value or a bad n.  Class keys never collide with another class."""
+    bases = [json.loads(_reference_emit_readout(full_readout(s)))
+             for s in ("001010111", "0110100110010110")]
+    out = []
+    for _ in range(count):
+        obj = json.loads(json.dumps(rng.choice(bases)))
+        n, classes = obj["n"], obj["classes"]
+        key = rng.choice(sorted(classes))
+        entries = classes[key]
+        i = rng.randrange(len(entries))
+        what = rng.randrange(6)
+        if what == 0:
+            entries[i] = rng.choice(([], [0], [0, 1, 2], "ab", 7, None, {}))
+        elif what == 1:
+            entries[i][rng.randrange(2)] = rng.choice(_BAD_SCALARS)
+        elif what == 2:
+            entries.insert(i, [rng.randrange(-1, 4), rng.randrange(-1, 4)])
+        elif what == 3:
+            bad = rng.choice(("0", str(n + 1), "x", "1.5", "-2", "", f" {key} "))
+            classes[bad] = classes.pop(key)
+        elif what == 4:
+            classes[key] = rng.choice(([], 3, "x", None, {}))
+        else:
+            obj["n"] = rng.choice((0, -1, 1.0, "9", None, 256, n - 1, n + 1))
+        out.append(json.dumps(obj, separators=(",", ":")))
+    return out
+
+
+def _outcome(parse, text):
+    """The parsed readout, or the type of the ValueError raised."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_emit_readout_matches_reference():
+    for r in _wire_readouts():
+        assert emit_readout(r) == _reference_emit_readout(r)
+
+
+def test_parse_readout_matches_reference():
+    rng = random.Random(7)
+    texts = list(_MALFORMED) + _fuzzed_texts(rng, 600)
+    for r in _wire_readouts():
+        texts += [_reference_emit_readout(r), _shuffled_text(r, rng)]
+        assert parse_readout(texts[-2]) == r
+    accepted = rejected = 0
+    for text in texts:
+        expected = _outcome(_reference_parse_readout, text)
+        assert _outcome(parse_readout, text) == expected, text
+        if isinstance(expected, Readout):
+            accepted += 1
+        else:
+            rejected += 1
+    assert accepted > 100 and rejected > 300
+
+
+def test_emit_readout_golden_digest_corrupted_n255():
+    # sha256 of emit_readout(apply(full_readout(s), e)) + "\n" for three
+    # seeded s of length 255 and each model in _CORRUPTIONS with seeds
+    # 0..2; recorded once
+    rng = random.Random(255)
+    h = hashlib.sha256()
+    for seed in range(3):
+        full = full_readout(format(rng.getrandbits(255), "0255b"))
+        for model, count in _CORRUPTIONS:
+            r = apply(full, ErrorSpec(model, count=count, seed=seed))
+            h.update(emit_readout(r).encode() + b"\n")
+    assert h.hexdigest() == \
+        "09623c2ff1bb270d7f7e1ad8d63ff37e2353147529c83a09c5c18624e4523b6a"
