@@ -4,18 +4,29 @@ Emission is canonical: classes ascend by length, entries within a class
 ascend by weight, JSON uses compact separators.  Identical multisets
 therefore always produce identical bytes, which makes log hashes
 meaningful.
+
+The readout wire path does Python-level work per class and per occupied
+weight, not per entry.  ``emit_readout`` writes the canonical text
+directly, one ``[z,w]`` string per occupied weight repeated by its count.
+``parse_readout`` validates each class column-wise with builtins over the
+whole entry list and counts its weights with a ``Counter``; a per-entry
+loop runs only on the error path, to name the first bad entry.  Integers
+on the wire must be exact ints (JSON ``true`` is not 1), and a key may
+not repeat in an object or, for class keys, after ``int()``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from itertools import compress
+from operator import add
 
 from .channel import ErrorSpec
 from .codebooks import FAMILIES, CodebookSpec
 from .core import Composition, Readout
-from .errors import ParseError
+from .errors import CompCodesError, ParseError
 from .reconstructor import DecodeReport
 
 
@@ -23,26 +34,45 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _exact_int(value, what: str) -> int:
+    """value if it is an int; JSON true, 9.7 and "9" are errors."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: a repeated key is an error, not an overwrite."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+        raise ParseError(f"repeated key {key!r}")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def emit_readout(r: Readout) -> str:
-    classes = {}
-    for k in sorted(r.classes):
-        counts = r.classes[k]
-        entries = []
-        for w in compress(range(k + 1), counts):  # occupied weights only
-            entries += [[k - w, w]] * counts[w]
-        classes[str(k)] = entries
-    return _compact({"n": r.n, "classes": classes})
+    return '{"n":%d,"classes":{%s}}' % (r.n, ",".join(
+        f'"{k}":[{_class_text(k, r.classes[k])}]' for k in sorted(r.classes)))
+
+
+def _class_text(k: int, counts: tuple[int, ...]) -> str:
+    """Entries of class k, ascending by weight, without brackets."""
+    return "".join(f"[{k - w},{w}]," * counts[w]
+                   for w in compress(range(k + 1), counts))[:-1]
 
 
 def parse_readout(text: str) -> Readout:
     try:
-        obj = json.loads(text)
+        obj = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "n" not in obj or "classes" not in obj:
         raise ParseError("readout JSON needs 'n' and 'classes'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError(f"invalid n: {n!r}")
     if not isinstance(obj["classes"], dict):
         raise ParseError("'classes' must be an object of class lists")
@@ -54,21 +84,45 @@ def parse_readout(text: str) -> Readout:
             raise ParseError(f"invalid class key {key!r}") from None
         if not 1 <= k <= n:
             raise ParseError(f"class {k} outside [1, {n}]")
+        if k in classes:
+            raise ParseError(f"class {k} repeats (key {key!r})")
         if not isinstance(entries, list):
             raise ParseError(f"class {k} must be a list of entries")
-        counts = [0] * (k + 1)
-        for entry in entries:
-            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                    or not all(isinstance(x, int) for x in entry)):
-                raise ParseError(f"bad entry {entry!r} in class {k}")
-            z, w = entry
-            if z < 0 or w < 0:
-                raise ParseError(f"negative counts in entry {entry!r}")
-            if z + w != k:
-                raise ParseError(f"entry {entry!r} has length {z + w} != {k}")
-            counts[w] += 1
-        classes[k] = tuple(counts)
+        classes[k] = _class_counts(k, entries)
     return Readout(n, classes)
+
+
+def _class_counts(k: int, entries: list) -> tuple[int, ...]:
+    """Weight-count vector of class k, its entries checked column-wise:
+    each a list of two exact non-negative ints z, w with z + w = k."""
+    if not entries:
+        return (0,) * (k + 1)
+    if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+        zs, ws = zip(*entries)
+        if ({*map(type, zs), *map(type, ws)} == {int}
+                and set(map(add, zs, ws)) == {k}):
+            weights = Counter(ws)
+            # z = k - w, so both columns are non-negative iff 0 <= w <= k
+            if min(weights) >= 0 and max(weights) <= k:
+                counts = [0] * (k + 1)
+                for w, m in weights.items():
+                    counts[w] = m
+                return tuple(counts)
+    raise ParseError(_bad_entry_message(k, entries))
+
+
+def _bad_entry_message(k: int, entries: list) -> str:
+    """Name the first entry of class k that fails a check (error path)."""
+    for entry in entries:
+        if (type(entry) is not list or len(entry) != 2
+                or {*map(type, entry)} != {int}):
+            return f"bad entry {entry!r} in class {k}"
+        z, w = entry
+        if z < 0 or w < 0:
+            return f"negative counts in entry {entry!r} in class {k}"
+        if z + w != k:
+            return f"entry {entry!r} in class {k} has length {z + w}"
+    return f"bad entries in class {k}"
 
 
 def emit_spec(spec: CodebookSpec) -> str:
@@ -82,8 +136,9 @@ def parse_spec(text: str) -> CodebookSpec:
     try:
         if text.startswith("{"):
             obj = json.loads(text)
-            return CodebookSpec(obj["family"], int(obj["n"]),
-                                int(obj.get("t", 1)), int(obj.get("a", 0)))
+            return CodebookSpec(obj["family"], _exact_int(obj["n"], "n"),
+                                _exact_int(obj.get("t", 1), "t"),
+                                _exact_int(obj.get("a", 0), "a"))
         head, _, rest = text.partition(":")
         if head not in FAMILIES:
             raise ParseError(f"unknown family {head!r} (one of {FAMILIES})")
@@ -126,24 +181,31 @@ def parse_error_spec(text: str) -> ErrorSpec:
         if "targets" in obj:
             raw = obj["targets"]
             if model == "asym_delete":
-                targets = tuple(int(k) for k in raw)
+                targets = tuple(_exact_int(k, "class") for k in raw)
             elif model == "sym_pair_delete":
-                targets = tuple((int(i), int(j)) for i, j in raw)
+                targets = tuple((_exact_int(i, "class"), _exact_int(j, "class"))
+                                for i, j in raw)
             elif model == "insert":
-                targets = tuple((int(k), Composition(*map(int, comp)))
+                targets = tuple((_exact_int(k, "class"), _composition(comp))
                                 for k, comp in raw)
             elif model == "skew":
-                targets = tuple(
-                    (int(k), Composition(*map(int, old)), Composition(*map(int, new)))
-                    for k, old, new in raw)
+                targets = tuple((_exact_int(k, "class"), _composition(old),
+                                 _composition(new)) for k, old, new in raw)
             else:
                 raise ParseError(f"unknown model {model!r}")
             return ErrorSpec(model, targets=targets)
-        return ErrorSpec(model, count=int(obj["count"]), seed=int(obj["seed"]))
+        return ErrorSpec(model, count=_exact_int(obj["count"], "count"),
+                         seed=_exact_int(obj["seed"], "seed"))
     except ParseError:
         raise
-    except Exception as exc:
+    except (KeyError, TypeError, ValueError, RecursionError,
+            CompCodesError) as exc:
         raise ParseError(f"invalid error spec: {exc}") from None
+
+
+def _composition(pair) -> Composition:
+    z, w = pair
+    return Composition(_exact_int(z, "zero count"), _exact_int(w, "one count"))
 
 
 def report_to_dict(rep: DecodeReport) -> dict:

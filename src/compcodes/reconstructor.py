@@ -56,16 +56,18 @@ _PAIR_OPTIONS = ((("0", "0"),), (("0", "1"), ("1", "0")), (("1", "1"),))
 
 
 def _first_half_weights(r: Readout, drop: set[int]):
-    """Known cumulative weights for k = 1..ceil(n/2), filled via symmetry."""
+    """Known cumulative weights for k = 1..ceil(n/2), filled via symmetry.
+
+    ``drop`` must contain ``r.untrusted_classes()``, which holds the lighter
+    class of every unequal pair of full-size partners, so the partners
+    that are kept always agree.
+    """
     n = r.n
     known: dict[int, int] = {}
     for k in range(1, (n + 1) // 2 + 1):
         seen = {r.weight(c) for c in (k, n - k + 1)
                 if c in r.classes and c not in drop}
-        if len(seen) > 1:
-            raise InconsistentReadoutError(
-                f"w_{k} and w_{n - k + 1} differ ({sorted(seen)}); "
-                "readout violates weight symmetry")
+        assert len(seen) <= 1, f"kept partners {k}, {n - k + 1} disagree"
         if seen:
             known[k] = seen.pop()
     return known

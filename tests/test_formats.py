@@ -77,6 +77,24 @@ def test_parse_errors():
         parse_readout('{"n":3,"classes":[1]}')  # classes not an object
     with pytest.raises(ParseError):
         parse_readout('{"n":3,"classes":{"1":5}}')  # class value not a list
+    with pytest.raises(ParseError, match="invalid n"):
+        parse_readout('{"n":true,"classes":{}}')  # JSON true is not 1
+    with pytest.raises(ParseError, match="class 1"):
+        parse_readout('{"n":2,"classes":{"1":[[false,true]]}}')
+    with pytest.raises(ParseError, match="class 1 repeats"):
+        parse_readout('{"n":2,"classes":{"01":[[1,0],[0,1]],"1":[[1,0],[1,0]]}}')
+    with pytest.raises(ParseError, match="repeated key '1'"):
+        parse_readout('{"n":2,"classes":{"1":[[1,0],[0,1]],"1":[[1,0],[1,0]]}}')
+
+
+def test_parse_errors_name_class_and_first_bad_entry():
+    for entries, bad in (('[[1,0],[0,1],[1,0,0],[5]]', "[1, 0, 0]"),
+                         ('[[0,1],[2,-1],[-1,2]]', "[2, -1]"),
+                         ('[[1,0],[1,1],[0,2]]', "[1, 1]"),
+                         ('[[0,1],[1,0.0]]', "[1, 0.0]")):
+        with pytest.raises(ParseError) as info:
+            parse_readout('{"n":2,"classes":{"1":%s}}' % entries)
+        assert "class 1" in str(info.value) and bad in str(info.value)
 
 
 def test_spec_roundtrip_and_compact_form():
@@ -91,6 +109,16 @@ def test_spec_roundtrip_and_compact_form():
             parse_spec(bad)
 
 
+def test_parse_spec_json_needs_exact_ints():
+    assert parse_spec('{"family":"SDA","n":12,"t":2}') == \
+        CodebookSpec("SDA", 12, t=2)
+    for bad in ('{"family":"SR","n":9.7}', '{"family":"SR","n":"9"}',
+                '{"family":"SR","n":true}', '{"family":"SDA","n":12,"t":2.0}',
+                '{"family":"SDS2","n":10,"a":false}'):
+        with pytest.raises(ParseError):
+            parse_spec(bad)
+
+
 def test_error_spec_roundtrips():
     specs = [
         ErrorSpec("asym_delete", targets=(3,)),
@@ -101,6 +129,31 @@ def test_error_spec_roundtrips():
     ]
     for e in specs:
         assert parse_error_spec(emit_error_spec(e)) == e
+
+
+def test_parse_error_spec_needs_exact_ints():
+    for bad in ('{"model":"insert","count":true,"seed":1.9}',
+                '{"model":"insert","count":1,"seed":"1"}',
+                '{"model":"asym_delete","targets":[3.0]}',
+                '{"model":"sym_pair_delete","targets":[[3,true]]}',
+                '{"model":"insert","targets":[[7,[1,6.0]]]}',
+                '{"model":"skew","targets":[[7,[2,5],[3,"4"]]]}'):
+        with pytest.raises(ParseError, match="must be an integer"):
+            parse_error_spec(bad)
+
+
+def test_parse_error_spec_wraps_every_malformed_input():
+    for bad in ("not json", "[]", '"x"', "{}", '{"model":"insert"}',
+                '{"model":"nope","count":1,"seed":1}',
+                '{"model":"nope","targets":[]}',
+                '{"model":"insert","count":0,"seed":1}',
+                '{"model":"asym_delete","targets":5}',
+                '{"model":"sym_pair_delete","targets":[[1,2,3]]}',
+                '{"model":"insert","targets":[[7,[1]]]}',
+                '{"model":"skew","targets":[[7,[2,5],[1,6]]]}',
+                "[" * 100000):
+        with pytest.raises(ParseError, match="error spec|unknown model"):
+            parse_error_spec(bad)
 
 
 def test_report_emission():
@@ -307,3 +360,14 @@ def test_emit_readout_golden_digest_corrupted_n255():
             h.update(emit_readout(r).encode() + b"\n")
     assert h.hexdigest() == \
         "09623c2ff1bb270d7f7e1ad8d63ff37e2353147529c83a09c5c18624e4523b6a"
+
+
+def test_wire_path_matches_reference_on_dense_n255():
+    # heavy classes reach weights near k only when ones dominate
+    rng = random.Random(90)
+    for s in ("1" * 255, "".join(rng.choice("0111111111") for _ in range(255))):
+        full = full_readout(s)
+        for r in (full, apply(full, ErrorSpec("insert", count=3, seed=1))):
+            text = _reference_emit_readout(r)
+            assert emit_readout(r) == text
+            assert parse_readout(text) == _reference_parse_readout(text) == r
