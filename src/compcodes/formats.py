@@ -50,23 +50,20 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
-
-
 def emit_readout(r: Readout) -> str:
     return '{"n":%d,"classes":{%s}}' % (r.n, ",".join(
         f'"{k}":[{_class_text(k, r.classes[k])}]' for k in sorted(r.classes)))
 
 
 def _class_text(k: int, counts: tuple[int, ...]) -> str:
-    """Entries of class k, ascending by weight, without brackets."""
+    """Entries of class k, ascending by weight, without the outer brackets."""
     return "".join(f"[{k - w},{w}]," * counts[w]
                    for w in compress(range(k + 1), counts))[:-1]
 
 
 def parse_readout(text: str) -> Readout:
     try:
-        obj = _DECODER.decode(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "n" not in obj or "classes" not in obj:
