@@ -85,9 +85,7 @@ def test_parse_errors():
         parse_readout('{"n":2,"classes":{"01":[[1,0],[0,1]],"1":[[1,0],[1,0]]}}')
     with pytest.raises(ParseError, match="repeated key '1'"):
         parse_readout('{"n":2,"classes":{"1":[[1,0],[0,1]],"1":[[1,0],[1,0]]}}')
-
-
-def test_parse_errors_name_class_and_first_bad_entry():
+    # messages name the class and its first bad entry
     for entries, bad in (('[[1,0],[0,1],[1,0,0],[5]]', "[1, 0, 0]"),
                          ('[[0,1],[2,-1],[-1,2]]', "[2, -1]"),
                          ('[[1,0],[1,1],[0,2]]', "[1, 1]"),
@@ -104,15 +102,8 @@ def test_spec_roundtrip_and_compact_form():
     assert parse_spec("SDA:12,t=2") == spec
     assert parse_spec("SDS2:10,a=3") == CodebookSpec("SDS2", 10, a=3)
     assert parse_spec("SR:9") == CodebookSpec("SR", 9)
-    for bad in ("SR", "SR:", "XX:9", "SR:9,q=1", '{"family":"SR"}'):
-        with pytest.raises(ParseError):
-            parse_spec(bad)
-
-
-def test_parse_spec_json_needs_exact_ints():
-    assert parse_spec('{"family":"SDA","n":12,"t":2}') == \
-        CodebookSpec("SDA", 12, t=2)
-    for bad in ('{"family":"SR","n":9.7}', '{"family":"SR","n":"9"}',
+    for bad in ("SR", "SR:", "XX:9", "SR:9,q=1", '{"family":"SR"}',
+                '{"family":"SR","n":9.7}', '{"family":"SR","n":"9"}',
                 '{"family":"SR","n":true}', '{"family":"SDA","n":12,"t":2.0}',
                 '{"family":"SDS2","n":10,"a":false}'):
         with pytest.raises(ParseError):
