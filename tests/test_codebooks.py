@@ -1,5 +1,6 @@
 """Codebook predicates, enumeration, rank/unrank and size accounting."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -83,6 +84,72 @@ def test_enumeration_agrees_with_membership_scan(spec):
     # constructive enumeration vs the independent exhaustive filter
     expected = tuple(s for s in all_strings(spec.n) if is_member(spec, s))
     assert enumerate_codebook(spec) == expected
+
+
+# sha256 of each newline-joined enumeration, keyed by (family, n, t, a).
+# Pins membership and lexicographic order past the lengths the exhaustive
+# scan above can reach; campaign records carry ranks into these lists.
+GOLDEN_ENUMERATIONS = {
+    ("SR", 17, 1, 0):
+        "658daddc1758c6f6c4bda9b6fa4538a2bc455b044c5a9cbb5aac366cf25e1e8a",
+    ("SR", 18, 1, 0):
+        "c3f423eacfd4c06deaed3993a43405d18e91f91d8d92f2e928f4394653c45c83",
+    ("SR", 19, 1, 0):
+        "fde926e7cdb022a94de4620a17dd6ccc502e991cc6746d7a28fc1d3947e72844",
+    ("SR", 20, 1, 0):
+        "de1996a6d579419c94eafa4cbf6f835b13de810fb4ea78ee1228f42fcfccf1a8",
+    ("SDA", 19, 2, 0):
+        "b2c00138dee50de402588df8db3dad67b8a6e4b3d773aa669f35e5480278775b",
+    ("SDA", 19, 3, 0):
+        "6f71acf89c2465eff9d3ff6d274ed2707bd914c0afb20156c0285506a9d2d675",
+    ("SDA", 20, 2, 0):
+        "4264081710602e1080cb80d3ef6aada4e8a5c56a8e1e015eb8ffbe7b98635125",
+    ("SDA", 20, 3, 0):
+        "00f073b79b95a4aff9a948322acf1038bd284309d9ff7f21f35dac57c45378d7",
+    ("SDS2", 18, 1, 0):
+        "a925dff3d72b1cdc30c8b3448cea2753161de1a61b8f65e171e9a7bcf26969a9",
+    ("SDS2", 18, 1, 1):
+        "6de3b80900f35af777fc3323117d9510e2fd9010da6fd60ac8eee60d59d6aba1",
+    ("SDS2", 18, 1, 2):
+        "1f1b42ca18cf8e794d7235348b91e7f03e04c0527e971773fb95dc54221ccb14",
+    ("SDS2", 18, 1, 3):
+        "6a3b070a3c8aa9a369809da13067342740ffe751ecdbfc2cfab1fb32e0d416a4",
+    ("SDS2", 18, 1, 4):
+        "b3f10d592ec944e343c405fc0a3acacecd4ff92145d988d34a3e534d8b9df7da",
+    ("SDS2", 18, 1, 5):
+        "ec115b58dac03da7199875bc587a6c69871e59eb8e11e4a22a87fabf59ef82f3",
+    ("SDS2", 18, 1, 6):
+        "2931c60d0d169b6a67a426707e910974b4f808137319728bb50b92c12992e261",
+    ("SDSprime", 18, 2, 0):
+        "09252cf54c2274c8140b6878bdf4c4173dc22c39a428774ec48bd31d0c63a9c4",
+    ("SDSprime", 18, 2, 1):
+        "3981fc82c03533d108f430f67b2caf06583442b7463666576107815f4829a1a9",
+    ("SDSprime", 18, 2, 2):
+        "4883ce1870ba8a74dd90045e748696a862b199d154c3c975f189f2615dbc5c7c",
+    ("SDSprime", 18, 2, 3):
+        "22501faabb7724d2f936a9b47d6d065f41db95ce7e0baa22d9f0a8e5c0fd83ca",
+    ("SDSprime", 18, 2, 4):
+        "dbf629642d037290750a4cfdc686b9e02c476ac44073f1dfe0a4d491ee70c967",
+    ("SCA1", 17, 1, 0):
+        "8b37d91844fcda5576782ee2cce950bd171233ddf29e8ebd199489e7c59b210a",
+    ("SCA1", 17, 1, 1):
+        "5cf30c21515dc6fa2807460162cb1b234416f487228ee5cdff8c1f8a41b32b03",
+    ("SCA1", 17, 1, 2):
+        "22bd0c5b664ba43a6874212d5104ba5438bfe05d5ff6a521df6ae95d677b1274",
+    ("SCA1", 19, 1, 0):
+        "b6151a1f2ebe0ccc33716a55baed56ec48e8611e17e7dc747d87a50a4e8498b2",
+    ("SCA1", 19, 1, 1):
+        "ffad0494e73106d76bd75028f06e582edaa1383c7b0c4b499c0dbc6dded01946",
+    ("SCA1", 19, 1, 2):
+        "d19ecb8b2b38bb3788ff6c9c9a57caf5302986a0fabc20ba71cc8509f2379ff8",
+}
+
+
+def test_enumeration_golden_digests():
+    for (family, n, t, a), digest in GOLDEN_ENUMERATIONS.items():
+        members = enumerate_codebook(CodebookSpec(family, n, t=t, a=a))
+        assert hashlib.sha256("\n".join(members).encode()).hexdigest() == digest, \
+            (family, n, t, a)
 
 
 def test_endpoints_fixed_on_all_members():
