@@ -13,6 +13,14 @@ SDS2      2-symmetric-pair-deletion code: SR plus a mod-7 residue on the
 SDSprime  t-consecutive-symmetric-pair-deletion code: SR plus a residue
           modulo A(t) on the first-half weight sum.
 
+Every family but SCA1 is SR-shaped: fixed ends, and each mirror pair
+(i, n+1-i), i = 2..n//2, is either equal or selected (unequal).  One
+predicate and one pair walk, both parameterised by the domination depth
+of the selected bits and the least number of selected pairs, decide and
+list these shapes: SR is (1, 0), SDA is (t, t).  SCA1 lifts two bits out
+of an SR core.  The residue is a linear form, sum_i s_i c_i, whose
+per-length coefficients count the first-half windows covering each bit.
+
 Encoding is enumerative: rank/unrank index the lexicographic member list.
 """
 
@@ -24,8 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import kernel
-from .core import check_bits, signature_of
+from .core import check_bits
 from .errors import ResourceCapError
 
 FAMILIES = ("SR", "SCA1", "SDA", "SDS2", "SDSprime")
@@ -84,16 +91,6 @@ class CodebookSpec:
         return (self.family, self.n, self.t, self.a)
 
 
-def is_catalan_bertrand(x: str) -> bool:
-    """True iff every nonempty prefix has strictly more zeros than ones."""
-    diff = 0
-    for c in x:
-        diff += 1 if c == "0" else -1
-        if diff < 1:
-            return False
-    return True
-
-
 def is_t_dominated(x: str, t: int) -> bool:
     """True iff every prefix of length >= t has at least t more zeros than ones.
 
@@ -111,6 +108,11 @@ def is_t_dominated(x: str, t: int) -> bool:
     return True
 
 
+def is_catalan_bertrand(x: str) -> bool:
+    """True iff every nonempty prefix has strictly more zeros than ones."""
+    return is_t_dominated(x, 1)
+
+
 def antisymmetric_index_set(s: str) -> frozenset[int]:
     """First-half positions i in {2..floor(n/2)} with s_i != s_{n+1-i}.
 
@@ -121,62 +123,70 @@ def antisymmetric_index_set(s: str) -> frozenset[int]:
     return frozenset(i for i in range(2, n // 2 + 1) if s[i - 1] != s[n - i])
 
 
-def _selected_substring(s: str) -> str:
-    return "".join(s[i - 1] for i in sorted(antisymmetric_index_set(s)))
+def _shape(spec: CodebookSpec) -> tuple[int, int]:
+    """(domination depth, least selected pairs) of an SR-shaped family."""
+    return (spec.t, spec.t) if spec.family == "SDA" else (1, 0)
 
 
-def _strip_center(s: str) -> str:
-    n = len(s)
-    return s[: (n - 1) // 2] + s[(n + 1) // 2:]
-
-
-def _is_sr(s: str) -> bool:
-    n = len(s)
-    if n % 2:
-        return n >= 3 and _is_sr(_strip_center(s))
+def _is_sr_shaped(s: str, depth: int, least: int) -> bool:
+    """Fixed ends, at least ``least`` selected mirror pairs, and selected
+    bits forming a ``depth``-dominated string.  The centre bit of odd n
+    sits in no mirror pair, so it is free."""
     if s[0] != "0" or s[-1] != "1":
         return False
-    return is_catalan_bertrand(_selected_substring(s))
+    idx = sorted(antisymmetric_index_set(s))
+    return len(idx) >= least and is_t_dominated("".join(s[i - 1] for i in idx), depth)
 
 
-def _is_sda(s: str, t: int) -> bool:
-    n = len(s)
-    if n % 2:
-        return n >= 3 and _is_sda(_strip_center(s), t)
-    if s[0] != "0" or s[-1] != "1":
-        return False
-    idx = antisymmetric_index_set(s)
-    if len(idx) < t:
-        return False
-    return is_t_dominated(_selected_substring(s), t)
+def _sr_shaped_strings(n: int, depth: int, least: int) -> list[str]:
+    """Every length-n string that ``_is_sr_shaped`` accepts, unordered.
+
+    Walks the mirror pairs i = 2..n//2.  A pair is equal (00 or 11) or
+    selected (s_i != s_{n+1-i}); the state is the number of selected pairs
+    and the ballot excess (zeros minus ones) of the selected bits so far.
+    """
+    half = n // 2
+    centres = ("0", "1") if n % 2 else ("",)
+    out: list[str] = []
+
+    def walk(i: int, head: str, tail: str, selected: int, excess: int):
+        if i > half:
+            if selected >= least:
+                out.extend(head + c + tail for c in centres)
+            return
+        walk(i + 1, head + "0", "0" + tail, selected, excess)
+        walk(i + 1, head + "1", "1" + tail, selected, excess)
+        for bit, mirror, step in (("0", "1", 1), ("1", "0", -1)):
+            if selected + 1 < depth or excess + step >= depth:
+                walk(i + 1, head + bit, mirror + tail, selected + 1, excess + step)
+
+    walk(2, "0", "1", 0, 0)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _residue_coefficients(n: int) -> tuple[int, ...]:
+    """c_i = sum_{k <= h} min(i, k, n-k+1, n-i+1), h = ceil(n/2).
+
+    The summand counts the length-k windows that cover position i, so
+    w_1 + ... + w_h = sum_i s_i c_i.  With m = min(i, n-i+1) <= h the sum
+    is 1 + ... + m plus (h - m) copies of m.
+    """
+    h = (n + 1) // 2
+    return tuple(m * (2 * h - m + 1) // 2
+                 for m in (min(i, n - i + 1) for i in range(1, n + 1)))
 
 
 def weight_sum_mod(s: str, modulus: int) -> int:
     """Sum of the first ceil(n/2) cumulative weights, reduced mod modulus."""
+    return sum(c for c, b in zip(_residue_coefficients(len(s)), s) if b == "1") % modulus
+
+
+def _is_sca1_shaped(s: str) -> bool:
+    """An SR core with bits 2 and n-1 lifted out, s_2 <= s_{n-1}, even weight."""
     n = len(s)
-    sig = signature_of(s)
-    weights = kernel.weights_from_signature(sig, n)
-    return sum(weights[: (n + 1) // 2]) % modulus
-
-
-def _sca1_parts(s: str) -> tuple[str, str, str]:
-    """Split a candidate codeword into (inner string, bit 2, bit n-1)."""
-    n = len(s)
-    return s[0] + s[2: n - 2] + s[-1], s[1], s[-2]
-
-
-def _is_sca1(s: str, a: int) -> bool:
-    n = len(s)
-    if n < 4:
-        return False
-    inner, star1, star2 = _sca1_parts(s)
-    if not _is_sr(inner):
-        return False
-    if star1 > star2:
-        return False
-    if s.count("1") % 2:
-        return False
-    return weight_sum_mod(s, 3) == a
+    return (n >= 4 and s[1] <= s[-2] and s.count("1") % 2 == 0
+            and _is_sr_shaped(s[0] + s[2: n - 2] + s[-1], 1, 0))
 
 
 def is_member(spec: CodebookSpec, s: str) -> bool:
@@ -184,107 +194,29 @@ def is_member(spec: CodebookSpec, s: str) -> bool:
     check_bits(s)
     if len(s) != spec.n:
         raise ValueError(f"string length {len(s)} != spec n {spec.n}")
-    if spec.family == "SR":
-        return _is_sr(s)
-    if spec.family == "SDA":
-        return _is_sda(s, spec.t)
-    if spec.family == "SDS2":
-        return _is_sr(s) and weight_sum_mod(s, 7) == spec.a
-    if spec.family == "SDSprime":
-        return _is_sr(s) and weight_sum_mod(s, spec.modulus) == spec.a
-    return _is_sca1(s, spec.a)
-
-
-def catalan_bertrand_strings(length: int) -> list[str]:
-    """All Catalan-Bertrand strings of the given length, lexicographic."""
-    out: list[str] = []
-
-    def rec(prefix: list[str], diff: int):
-        if len(prefix) == length:
-            out.append("".join(prefix))
-            return
-        prefix.append("0")
-        rec(prefix, diff + 1)
-        prefix.pop()
-        if diff >= 2:
-            prefix.append("1")
-            rec(prefix, diff - 1)
-            prefix.pop()
-
-    rec([], 0)
-    return out
-
-
-def _dominated_strings(length: int, t: int) -> list[str]:
-    """Strings whose length->=t prefixes hold at least t more zeros than ones."""
-    if length < t:
-        return []
-    return ["0" * (t - 1) + tail for tail in catalan_bertrand_strings(length - t + 1)]
-
-
-def _mirror_family_even(n: int, min_idx: int, selected_strings) -> list[str]:
-    """Members of an SR-shaped even-length family.
-
-    Bits at anti-symmetric positions come from ``selected_strings(size)``;
-    bits at mirror-equal positions are free.
-    """
-    half = n // 2
-    positions = list(range(2, half + 1))
-    members = []
-    for mask in range(1 << len(positions)):
-        idx = [p for b, p in enumerate(positions) if mask >> b & 1]
-        if len(idx) < min_idx:
-            continue
-        free = [p for p in positions if p not in idx]
-        for sel in selected_strings(len(idx)):
-            for fmask in range(1 << len(free)):
-                bits = [""] * n
-                bits[0], bits[n - 1] = "0", "1"
-                for b, p in zip(sel, idx):
-                    bits[p - 1] = b
-                    bits[n - p] = "1" if b == "0" else "0"
-                for b, p in enumerate(free):
-                    v = "1" if fmask >> b & 1 else "0"
-                    bits[p - 1] = v
-                    bits[n - p] = v
-                members.append("".join(bits))
-    return members
-
-
-def _insert_centers(members: list[str]) -> list[str]:
-    out = []
-    for s in members:
-        h = len(s) // 2
-        out.append(s[:h] + "0" + s[h:])
-        out.append(s[:h] + "1" + s[h:])
-    return out
+    if spec.family == "SCA1":
+        if not _is_sca1_shaped(s):
+            return False
+    elif not _is_sr_shaped(s, *_shape(spec)):
+        return False
+    return spec.modulus is None or weight_sum_mod(s, spec.modulus) == spec.a
 
 
 @lru_cache(maxsize=None)
-def _members(key: tuple) -> tuple[str, ...]:
-    family, n, t, a = key
-    if family == "SR":
-        if n % 2:
-            raw = _insert_centers(list(_members(("SR", n - 1, 1, 0))))
-        else:
-            raw = _mirror_family_even(n, 0, catalan_bertrand_strings)
-    elif family == "SDA":
-        if n % 2:
-            raw = _insert_centers(list(_members(("SDA", n - 1, t, 0))))
-        else:
-            raw = _mirror_family_even(n, t, lambda sz: _dominated_strings(sz, t))
-    elif family == "SDS2":
-        raw = [s for s in _members(("SR", n, 1, 0)) if weight_sum_mod(s, 7) == a]
-    elif family == "SDSprime":
-        mod = modulus_A(t)
-        raw = [s for s in _members(("SR", n, 1, 0)) if weight_sum_mod(s, mod) == a]
-    else:  # SCA1
-        raw = []
-        for inner in _members(("SR", n - 2, 1, 0)):
-            for star1, star2 in (("0", "0"), ("0", "1"), ("1", "1")):
-                cand = inner[0] + star1 + inner[1: n - 3] + star2 + inner[-1]
-                if cand.count("1") % 2 == 0 and weight_sum_mod(cand, 3) == a:
-                    raw.append(cand)
+def _members(spec: CodebookSpec) -> tuple[str, ...]:
+    n = spec.n
+    if spec.family == "SCA1":  # the SR core needs length n - 2 >= 2
+        raw = [] if n < 4 else [
+            inner[0] + star1 + inner[1: n - 3] + star2 + inner[-1]
+            for inner in _members(CodebookSpec("SR", n - 2))
+            for star1, star2 in ("00", "01", "11")
+            if (inner + star1 + star2).count("1") % 2 == 0]
+    elif spec.family in ("SDS2", "SDSprime"):
+        raw = _members(CodebookSpec("SR", n))
+    else:
+        raw = _sr_shaped_strings(n, *_shape(spec))
+    if spec.modulus is not None:
+        raw = [s for s in raw if weight_sum_mod(s, spec.modulus) == spec.a]
     return tuple(sorted(raw))
 
 
@@ -297,7 +229,7 @@ def _check_cap(spec: CodebookSpec):
 def enumerate_codebook(spec: CodebookSpec) -> tuple[str, ...]:
     """All members in lexicographic order."""
     _check_cap(spec)
-    return _members(spec.key())
+    return _members(spec)
 
 
 def size(spec: CodebookSpec) -> int:

@@ -64,7 +64,7 @@ def _class_text(k: int, counts: tuple[int, ...]) -> str:
 def parse_readout(text: str) -> Readout:
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "n" not in obj or "classes" not in obj:
         raise ParseError("readout JSON needs 'n' and 'classes'")
@@ -152,7 +152,7 @@ def parse_spec(text: str) -> CodebookSpec:
         return CodebookSpec(head, n, **kwargs)
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"invalid spec {text!r}: {exc}") from None
 
 

@@ -34,11 +34,3 @@ def class_counts(sig: bytes, n: int, k: int) -> tuple[int, ...]:
     lo, hi = class_slice_bounds(n, k)
     return tuple(sig[lo:hi])
 
-
-def weights_from_signature(sig: bytes, n: int) -> tuple[int, ...]:
-    """Cumulative weights w_1..w_n from a signature."""
-    out = []
-    for k in range(1, n + 1):
-        lo, _ = class_slice_bounds(n, k)
-        out.append(sum(w * sig[lo + w] for w in range(1, k + 1)))
-    return tuple(out)

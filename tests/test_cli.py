@@ -116,7 +116,7 @@ def test_usage_errors_exit_two():
 
 
 def test_malformed_readout_exits_two():
-    for text in ('{"n":3,"classes":[1]}', '{"n":3,"classes":{"1":5}}'):
+    for text in ('{"n":3,"classes":[1]}', '{"n":3,"classes":{"1":5}}', "[" * 5000):
         rc, _, err = run("decode", "--spec", "SR:3", inp=text)
         assert rc == 2, err
         assert "Traceback" not in err

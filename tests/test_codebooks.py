@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from compcodes.codebooks import (
     CodebookSpec,
     antisymmetric_index_set,
-    catalan_bertrand_strings,
     enumerate_codebook,
     is_catalan_bertrand,
     is_member,
@@ -23,6 +23,7 @@ from compcodes.codebooks import (
     unrank,
     weight_sum_mod,
 )
+from compcodes.core import full_readout
 from compcodes.errors import ResourceCapError
 
 
@@ -40,7 +41,8 @@ def test_catalan_bertrand_examples():
 def test_catalan_bertrand_counts():
     # even lengths 2h contain C(2h, h)/2 such strings
     for h in (1, 2, 3, 4):
-        assert len(catalan_bertrand_strings(2 * h)) == math.comb(2 * h, h) // 2
+        count = sum(map(is_catalan_bertrand, all_strings(2 * h)))
+        assert count == math.comb(2 * h, h) // 2
 
 
 def test_t_dominated_examples():
@@ -79,6 +81,10 @@ def test_enumeration_examples():
     CodebookSpec("SDS2", 10, a=0), CodebookSpec("SDS2", 10, a=4),
     CodebookSpec("SDSprime", 10, t=2, a=0), CodebookSpec("SDSprime", 10, t=2, a=3),
     CodebookSpec("SCA1", 9), CodebookSpec("SCA1", 9, a=1),
+    CodebookSpec("SR", 15), CodebookSpec("SR", 16),
+    CodebookSpec("SDA", 16, t=2), CodebookSpec("SDA", 15, t=3),
+    CodebookSpec("SDS2", 16, a=3), CodebookSpec("SDSprime", 16, t=2, a=1),
+    CodebookSpec("SCA1", 15, a=2), CodebookSpec("SCA1", 2), CodebookSpec("SCA1", 3),
 ])
 def test_enumeration_agrees_with_membership_scan(spec):
     # constructive enumeration vs the independent exhaustive filter
@@ -255,6 +261,21 @@ def test_single_substitution_code_size_claim():
         inner = size(CodebookSpec("SR", n - 2))
         assert size(CodebookSpec("SCA1", n)) == inner // 2
         assert total == 3 * inner // 2  # each residue shard is inner/2
+
+
+def test_linear_residue_matches_signature_residue():
+    # reference: the first ceil(n/2) cumulative weights of the full readout
+    moduli = (3, 7) + tuple(modulus_A(t) for t in (2, 3, 4))
+    strings = [x for n in range(1, 13) for x in all_strings(n)]
+    rng = random.Random(13)
+    for n in range(13, 256):
+        strings.append("".join(rng.choice("01") for _ in range(n)))
+        strings.append("".join(rng.choices("01", weights=(1, 9), k=n)))
+    for s in strings:
+        r = full_readout(s)
+        total = sum(r.weight(k) for k in range(1, (len(s) + 1) // 2 + 1))
+        for m in moduli:
+            assert weight_sum_mod(s, m) == total % m, (s, m)
 
 
 def test_sca1_members_have_even_weight_and_residue():

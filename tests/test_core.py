@@ -135,6 +135,8 @@ def test_cumulative_weight_worked_example(example_readout):
     assert example_readout.weight(7) == 12
     assert example_readout.weight(2) == 9
     assert example_readout.weight(3) == 12
+    assert tuple(map(example_readout.weight, range(1, 10))) == (
+        5, 9, 12, 13, 14, 13, 12, 9, 5)
 
 
 def test_cumulative_weight_missing_class(example_readout):

@@ -77,6 +77,8 @@ def test_parse_errors():
         parse_readout('{"n":3,"classes":[1]}')  # classes not an object
     with pytest.raises(ParseError):
         parse_readout('{"n":3,"classes":{"1":5}}')  # class value not a list
+    with pytest.raises(ParseError):
+        parse_readout("[" * 5000)  # nesting deeper than the JSON decoder recurses
     with pytest.raises(ParseError, match="invalid n"):
         parse_readout('{"n":true,"classes":{}}')  # JSON true is not 1
     with pytest.raises(ParseError, match="class 1"):
@@ -105,7 +107,7 @@ def test_spec_roundtrip_and_compact_form():
     for bad in ("SR", "SR:", "XX:9", "SR:9,q=1", '{"family":"SR"}',
                 '{"family":"SR","n":9.7}', '{"family":"SR","n":"9"}',
                 '{"family":"SR","n":true}', '{"family":"SDA","n":12,"t":2.0}',
-                '{"family":"SDS2","n":10,"a":false}'):
+                '{"family":"SDS2","n":10,"a":false}', '{"family":' + "[" * 5000):
         with pytest.raises(ParseError):
             parse_spec(bad)
 

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from compcodes import _pykernel, kernel
-from compcodes.core import bits_to_bytes
 
 try:
     from compcodes import _ckernel
@@ -63,11 +62,6 @@ def test_signature_layout():
     assert sig == bytes([1, 1, 0, 1, 0])
     assert kernel.class_slice_bounds(2, 1) == (0, 2)
     assert kernel.class_slice_bounds(2, 2) == (2, 5)
-
-
-def test_weights_from_signature():
-    sig = _pykernel.full_signature(bits_to_bytes("001010111"))
-    assert kernel.weights_from_signature(sig, 9) == (5, 9, 12, 13, 14, 13, 12, 9, 5)
 
 
 def test_backends_agree_exhaustively(ckernel):
