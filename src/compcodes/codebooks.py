@@ -203,16 +203,19 @@ def is_member(spec: CodebookSpec, s: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _members(spec: CodebookSpec) -> tuple[str, ...]:
+def _members(key: tuple) -> tuple[str, ...]:
+    # keyed by the plain tuple: a dataclass key would run Python-level
+    # __hash__ and __eq__ on every rank/unrank lookup
+    spec = CodebookSpec(*key)
     n = spec.n
     if spec.family == "SCA1":  # the SR core needs length n - 2 >= 2
         raw = [] if n < 4 else [
             inner[0] + star1 + inner[1: n - 3] + star2 + inner[-1]
-            for inner in _members(CodebookSpec("SR", n - 2))
+            for inner in _members(("SR", n - 2, 1, 0))
             for star1, star2 in ("00", "01", "11")
             if (inner + star1 + star2).count("1") % 2 == 0]
     elif spec.family in ("SDS2", "SDSprime"):
-        raw = _members(CodebookSpec("SR", n))
+        raw = _members(("SR", n, 1, 0))
     else:
         raw = _sr_shaped_strings(n, *_shape(spec))
     if spec.modulus is not None:
@@ -229,7 +232,7 @@ def _check_cap(spec: CodebookSpec):
 def enumerate_codebook(spec: CodebookSpec) -> tuple[str, ...]:
     """All members in lexicographic order."""
     _check_cap(spec)
-    return _members(spec)
+    return _members(spec.key())
 
 
 def size(spec: CodebookSpec) -> int:
