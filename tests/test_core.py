@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compcodes.channel import apply, random_error
+from compcodes.channel import SplitMix64, apply, random_error
 from compcodes.core import (
     Composition,
     PolyTerm,
@@ -129,6 +129,68 @@ def test_untrusted_classes_worked_example(example_readout):
     assert r.outweighed_classes() == (7,)
     assert r.untrusted_classes() == (2, 4, 5, 7)
     assert example_readout.untrusted_classes() == ()
+
+
+def _untrusted_reference(r):
+    n = r.n
+    sizes = {k: sum(v) for k, v in r.classes.items()}
+    weights = {k: sum(w * c for w, c in enumerate(v))
+               for k, v in r.classes.items()}
+    trusted = {k for k in r.classes if sizes[k] == n - k + 1}
+    outweighed = {k for k in trusted if n - k + 1 != k and n - k + 1 in trusted
+                  and weights[k] < weights[n - k + 1]}
+    return tuple(sorted(set(range(1, n + 1)) - trusted | outweighed))
+
+
+def _undersize_one(r, rng):
+    # no channel model loses a single entry; drop one by hand
+    classes = dict(r.classes)
+    k = rng.choice(sorted(classes))
+    counts = list(classes[k])
+    counts[rng.choice([w for w, c in enumerate(counts) if c])] -= 1
+    classes[k] = tuple(counts)
+    return Readout(r.n, classes)
+
+
+def _check_against_inline_sums(r):
+    for _ in range(2):  # the second round reads the cached answers
+        for k in range(1, r.n + 1):
+            assert r.class_size(k) == sum(r.classes.get(k, ()))
+            if k in r.classes:
+                assert r.weight(k) == sum(w * c for w, c in
+                                          enumerate(r.classes[k]))
+        assert r.untrusted_classes() == _untrusted_reference(r)
+
+
+def test_readout_caches_agree_with_inline_sums():
+    rng = SplitMix64(6)
+    seen = set()
+    for n in (9, 12):
+        for x in range(1, 2 ** n, 37):
+            r = full_readout(format(x, f"0{n}b"))
+            for model in ("asym_delete", "insert", "skew"):
+                bad = apply(r, random_error(model, 2, rng.next_u64(), n))
+                if rng.below(2):
+                    bad = _undersize_one(bad, rng)
+                _check_against_inline_sums(bad)
+                seen.update(name for name, ks in (
+                    ("missing", bad.missing_classes()),
+                    ("undersized", bad.undersized_classes()),
+                    ("oversized", bad.oversized_classes()),
+                    ("outweighed", bad.outweighed_classes())) if ks)
+                # a restricted copy carries its own answers, not its parent's
+                kept = sorted(set(bad.classes) - set(bad.untrusted_classes()))
+                if kept:
+                    k = rng.choice(kept)
+                    child = bad.restrict({k})
+                    _check_against_inline_sums(child)
+                    assert child.class_size(k) == 0
+                    assert k in child.untrusted_classes()
+                    with pytest.raises(MissingClassError):
+                        child.weight(k)
+                    assert bad.class_size(k) == n - k + 1
+                    assert k not in bad.untrusted_classes()
+    assert seen == {"missing", "undersized", "oversized", "outweighed"}
 
 
 def test_cumulative_weight_worked_example(example_readout):

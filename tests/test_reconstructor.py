@@ -2,6 +2,7 @@
 with the brute-force reference, and honest ambiguity."""
 
 import itertools
+from functools import lru_cache
 
 import pytest
 
@@ -11,6 +12,7 @@ from compcodes.core import Composition, full_readout
 from compcodes.errors import CapabilityError, CompCodesError, UndecodableError
 from compcodes.oracle import find_confusable_pair
 from compcodes.reconstructor import (
+    DecodeReport,
     brute_force_decode,
     decode_deletions,
     decode_insertions,
@@ -344,3 +346,91 @@ def test_decoders_match_brute_force_on_mixed_corruptions(n, model, decoder):
             assert decoder(r, spec).result == bf, (s, r.classes)
             recovered += bf == s
     assert recovered > 3 * len(members)
+
+
+@lru_cache(maxsize=None)
+def _member_readouts(spec):
+    return [(s, full_readout(s).classes) for s in enumerate_codebook(spec)]
+
+
+def _brute_force_by_class(r, spec):
+    # slow reference for brute_force_decode: every member's readout is
+    # compared with the observation one kept class at a time
+    n = r.n
+    dropped = set(r.untrusted_classes())
+    obs = {k: v for k, v in sorted(r.classes.items()) if k not in dropped}
+
+    def consistent(keep):
+        return tuple(s for s, classes in _member_readouts(spec)
+                     if all(classes[k] == obs[k] for k in keep))
+
+    found = consistent(obs)
+    center = (n + 1) // 2
+    if not found and n % 2 and center in obs:
+        retry = consistent([k for k in obs if k != center])
+        if retry:
+            found = retry
+            dropped.add(center)
+    if len(found) == 1:
+        return DecodeReport(found[0], dropped_classes=tuple(sorted(dropped)),
+                            consistent_set=found)
+    reason = "no consistent codeword" if not found else \
+        f"ambiguous: {len(found)} consistent codewords"
+    return DecodeReport(None, dropped_classes=tuple(sorted(dropped)),
+                        reason=reason, consistent_set=found)
+
+
+_SCAN_SPECS = [CodebookSpec("SR", 11), CodebookSpec("SR", 12),
+               CodebookSpec("SDA", 11, t=2), CodebookSpec("SDA", 12, t=2),
+               CodebookSpec("SDS2", 12), CodebookSpec("SDSprime", 12, t=2)]
+
+
+def _spec_id(spec):
+    return f"{spec.family}:{spec.n},t={spec.t}"
+
+
+def _seeded_corruption(r, model, rng):
+    if model == "mixed":  # a skew, then a deletion of either kind on top
+        r = apply(r, ErrorSpec("skew", count=1, seed=rng.next_u64()))
+        model = rng.choice(("asym_delete", "sym_pair_delete"))
+        return apply(r, ErrorSpec(model, count=1, seed=rng.next_u64()))
+    return apply(r, ErrorSpec(model, count=rng.below(2) + 1,
+                              seed=rng.next_u64()))
+
+
+@pytest.mark.parametrize("spec", _SCAN_SPECS, ids=_spec_id)
+def test_brute_force_matches_class_by_class_reference(spec):
+    members = enumerate_codebook(spec)
+    rng = SplitMix64(1000 * spec.n + len(members))
+    decoded = 0
+    for model in ("asym_delete", "sym_pair_delete", "insert", "skew", "mixed"):
+        for _ in range(40):
+            s = members[rng.below(len(members))]
+            r = _seeded_corruption(full_readout(s), model, rng)
+            ref = _brute_force_by_class(r, spec)
+            assert brute_force_decode(r, spec) == ref, (s, model, r.classes)
+            decoded += ref.result == s
+    assert decoded > 100
+
+
+@pytest.mark.parametrize("spec", [s for s in _SCAN_SPECS if s.n % 2],
+                         ids=_spec_id)
+def test_brute_force_center_retry_matches_reference(spec):
+    # a skew of the self-symmetric center class is never outweighed, so
+    # the full scan finds nothing and the retry without the center decides
+    n, center = spec.n, (spec.n + 1) // 2
+    rng = SplitMix64(spec.n)
+    retries = 0
+    for s in enumerate_codebook(spec)[::3]:
+        r = full_readout(s)
+        old = rng.choice([w for w, c in enumerate(r.classes[center]) if w and c])
+        new = rng.below(old)
+        r = apply(r, ErrorSpec("skew", targets=((
+            center, Composition(center - old, old),
+            Composition(center - new, new)),)))
+        if spec.family == "SDA":  # one more asymmetric loss stays in guarantee
+            r = apply(r, ErrorSpec("asym_delete", count=1, seed=rng.next_u64()))
+        ref = _brute_force_by_class(r, spec)
+        assert brute_force_decode(r, spec) == ref, (s, r.classes)
+        retries += center in ref.dropped_classes
+    assert retries > 0
