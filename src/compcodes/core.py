@@ -13,6 +13,7 @@ are treated as immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -94,6 +95,8 @@ class Readout:
     w = 0..k.  ``n`` is carried explicitly; classes may be missing,
     undersized or oversized (corruption is data, not an error).  Treat
     instances as read-only; corruption and restriction build new readouts.
+    Class sizes, weights and the trust set are each computed on first use
+    and kept for the life of the instance.
     """
 
     n: int
@@ -117,19 +120,34 @@ class Readout:
     def present(self, k: int) -> bool:
         return k in self.classes
 
+    @cached_property
+    def _sizes(self) -> dict[int, int]:
+        return {k: sum(counts) for k, counts in self.classes.items()}
+
+    @cached_property
+    def _weights(self) -> dict[int, int]:
+        return {k: sum(map(mul, range(k + 1), counts))
+                for k, counts in self.classes.items()}
+
+    @cached_property
+    def _full_size(self) -> frozenset[int]:
+        n = self.n
+        return frozenset(k for k, size in self._sizes.items()
+                         if size == n - k + 1)
+
     def class_size(self, k: int) -> int:
-        return sum(self.classes[k]) if k in self.classes else 0
+        return self._sizes.get(k, 0)
 
     def missing_classes(self) -> tuple[int, ...]:
         return tuple(k for k in range(1, self.n + 1) if k not in self.classes)
 
     def undersized_classes(self) -> tuple[int, ...]:
-        return tuple(k for k in self.classes
-                     if self.class_size(k) < self.expected_size(k))
+        n = self.n
+        return tuple(k for k, size in self._sizes.items() if size < n - k + 1)
 
     def oversized_classes(self) -> tuple[int, ...]:
-        return tuple(k for k in self.classes
-                     if self.class_size(k) > self.expected_size(k))
+        n = self.n
+        return tuple(k for k, size in self._sizes.items() if size > n - k + 1)
 
     def outweighed_classes(self) -> tuple[int, ...]:
         """Classes k that lose the symmetry comparison w_k < w_{n-k+1}.
@@ -138,18 +156,20 @@ class Readout:
         expected size take part; a skew lowers the weight of the class it
         corrupts, so the lighter side of an unequal pair is the suspect.
         """
-        n = self.n
-        trusted = {k for k in self.classes
-                   if self.class_size(k) == self.expected_size(k)}
-        return tuple(k for k in sorted(trusted)
-                     if n - k + 1 != k and n - k + 1 in trusted
-                     and self.weight(k) < self.weight(n - k + 1))
+        n, full, weights = self.n, self._full_size, self._weights
+        return tuple(k for k in sorted(full)
+                     if n - k + 1 != k and n - k + 1 in full
+                     and weights[k] < weights[n - k + 1])
+
+    @cached_property
+    def _untrusted(self) -> tuple[int, ...]:
+        full, outweighed = self._full_size, self.outweighed_classes()
+        return tuple(k for k in range(1, self.n + 1)
+                     if k not in full or k in outweighed)
 
     def untrusted_classes(self) -> tuple[int, ...]:
         """Classes no decoder may read: missing, mis-sized or outweighed."""
-        return tuple(sorted({
-            *self.missing_classes(), *self.undersized_classes(),
-            *self.oversized_classes(), *self.outweighed_classes()}))
+        return self._untrusted
 
     def is_full(self) -> bool:
         return all(self.present(k) and self.class_size(k) == self.expected_size(k)
@@ -162,7 +182,7 @@ class Readout:
         """Cumulative weight w_k: total count of ones over class k."""
         if k not in self.classes:
             raise MissingClassError(f"class {k} absent from readout")
-        return sum(map(mul, range(k + 1), self.classes[k]))
+        return self._weights[k]
 
     def restrict(self, drop: Iterable[int]) -> "Readout":
         """New readout with the given classes removed entirely."""

@@ -29,6 +29,13 @@ def class_slice_bounds(n: int, k: int) -> tuple[int, int]:
     return start, start + k + 1
 
 
+def kept_ranges(n: int, drop) -> list[tuple[int, int]]:
+    """Signature byte ranges of the classes outside ``drop``, merged."""
+    cuts = [b for k in sorted(drop) for b in class_slice_bounds(n, k)]
+    bounds = [0, *cuts, class_slice_bounds(n, n)[1]]
+    return [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]) if lo < hi]
+
+
 def class_counts(sig: bytes, n: int, k: int) -> tuple[int, ...]:
     """Window-weight counts (w = 0..k) of class k, as a tuple."""
     lo, hi = class_slice_bounds(n, k)

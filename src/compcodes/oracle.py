@@ -106,17 +106,10 @@ def deletion_patterns(model: str, t: int, n: int):
             yield frozenset(k for i in run for k in (i, n - i + 1))
 
 
-def _kept_ranges(n: int, pattern) -> list[tuple[int, int]]:
-    """Signature byte ranges of the classes outside the pattern, merged."""
-    cuts = [b for k in sorted(pattern) for b in kernel.class_slice_bounds(n, k)]
-    bounds = [0, *cuts, kernel.class_slice_bounds(n, n)[1]]
-    return [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]) if lo < hi]
-
-
 def _collision_scan(members, n, patterns) -> ConfusabilityWitness | None:
     sigs = [kernel.full_signature(bits_to_bytes(s)) for s in members]
     for pattern in patterns:
-        ranges = _kept_ranges(n, pattern)
+        ranges = kernel.kept_ranges(n, pattern)
         buckets: dict[bytes, str] = {}
         best: tuple[str, str] | None = None
         for s, sig in zip(members, sigs):

@@ -55,6 +55,20 @@ class _SearchStats:
 _PAIR_OPTIONS = ((("0", "0"),), (("0", "1"), ("1", "0")), (("1", "1"),))
 
 
+def _observed_ranges(n: int, trusted: dict[int, tuple[int, ...]]):
+    """Merged signature byte ranges of the trusted classes, each with the
+    observed bytes a consistent string's signature must carry there.
+
+    A trusted class k has its expected size n-k+1 <= 255, so every count
+    fits in a signature byte.
+    """
+    observed = b"".join(bytes(trusted[k]) if k in trusted else bytes(k + 1)
+                        for k in range(1, n + 1))
+    untrusted = [k for k in range(1, n + 1) if k not in trusted]
+    return [(lo, hi, observed[lo:hi])
+            for lo, hi in kernel.kept_ranges(n, untrusted)]
+
+
 def _first_half_weights(r: Readout, drop: set[int]):
     """Known cumulative weights for k = 1..ceil(n/2), filled via symmetry.
 
@@ -126,13 +140,16 @@ def _sigma_candidates(n: int, known: dict[int, int],
     return found
 
 
-def _search(n: int, trusted: dict[int, tuple[int, ...]],
+def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
             sigma: tuple[int, ...], stats: _SearchStats, results: list[str],
             limit: int | None):
     """Inward pairwise assignment; appends consistent strings to results.
 
     ``trusted`` maps each class the search must match to its observed
-    weight-count vector; every such class has its expected size.
+    weight-count vector; every such class has its expected size.  The
+    walk enforces the classes k >= ceil(n/2); ``finish_ranges`` holds the
+    ``_observed_ranges`` of the rest, which each finished string's
+    signature must match.
     """
     m = (n + 1) // 2
     half = n // 2
@@ -158,10 +175,10 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]],
         center = str(sigma[m - 1]) if n % 2 else ""
         s = "".join(pre_bits) + center + "".join(reversed(suf_bits))
         sig = kernel.full_signature(bits_to_bytes(s))
-        # classes k >= m were already enforced during the inward walk
-        if all(kernel.class_counts(sig, n, k) == counts
-               for k, counts in trusted.items() if k < m):
-            results.append(s)
+        for lo, hi, part in finish_ranges:
+            if sig[lo:hi] != part:
+                return
+        results.append(s)
 
     def rec(i: int):
         if limit is not None and len(results) >= limit:
@@ -201,10 +218,13 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]],
 def _consistent_strings(r: Readout, drop: set[int],
                         sigma_candidates, stats: _SearchStats,
                         limit: int | None = None) -> list[str]:
+    n, m = r.n, (r.n + 1) // 2
     trusted = {k: v for k, v in r.classes.items() if k not in drop}
+    finish_ranges = _observed_ranges(
+        n, {k: v for k, v in trusted.items() if k < m})
     results: list[str] = []
     for sigma in sigma_candidates:
-        _search(r.n, trusted, sigma, stats, results, limit)
+        _search(n, trusted, finish_ranges, sigma, stats, results, limit)
         if limit is not None and len(results) >= limit:
             break
     return results
@@ -377,10 +397,11 @@ def decode_skewed(r: Readout, spec: CodebookSpec) -> DecodeReport:
 
 
 @lru_cache(maxsize=32)
-def _member_signatures(spec: CodebookSpec):
-    members = enumerate_codebook(spec)
-    return members, {s: kernel.full_signature(bits_to_bytes(s))
-                     for s in members}
+def _member_signatures(key: tuple) -> tuple[tuple[str, ...], list[bytes]]:
+    # keyed by spec.key(): a dataclass key would run Python-level
+    # __hash__ and __eq__ on every cross-check
+    members = enumerate_codebook(CodebookSpec(*key))
+    return members, [kernel.full_signature(bits_to_bytes(s)) for s in members]
 
 
 def brute_force_decode(r: Readout, spec: CodebookSpec) -> DecodeReport:
@@ -388,25 +409,27 @@ def brute_force_decode(r: Readout, spec: CodebookSpec) -> DecodeReport:
 
     The classes of ``r.untrusted_classes()`` are ignored (for odd n, the
     center too when nothing else matches); the rest must match exactly.
-    Always returns a report; ambiguity is an expected outcome whenever
-    the corruption exceeds the family guarantee.
+    The scan compares signature byte ranges: the observed bytes of each
+    merged range of kept classes are built once, and the members are
+    narrowed range by range.  Always returns a report; ambiguity is an
+    expected outcome whenever the corruption exceeds the family guarantee.
     """
     _check_length(r, spec)
     n = r.n
     dropped = set(r.untrusted_classes())
-    obs = {k: v for k, v in sorted(r.classes.items()) if k not in dropped}
+    members, sigs = _member_signatures(spec.key())
 
-    members, sigs = _member_signatures(spec)
+    def consistent(drop: set[int]) -> tuple[str, ...]:
+        kept = {k: v for k, v in r.classes.items() if k not in drop}
+        found = range(len(members))
+        for lo, hi, part in _observed_ranges(n, kept):
+            found = [i for i in found if sigs[i][lo:hi] == part]
+        return tuple(members[i] for i in found)
 
-    def consistent(keep):
-        return tuple(s for s in members
-                     if all(kernel.class_counts(sigs[s], n, k) == obs[k]
-                            for k in keep))
-
-    found = consistent(obs)
+    found = consistent(dropped)
     center = (n + 1) // 2
-    if not found and n % 2 and center in obs:
-        retry = consistent([k for k in obs if k != center])
+    if not found and n % 2 and center not in dropped:
+        retry = consistent(dropped | {center})
         if retry:
             found = retry
             dropped.add(center)
