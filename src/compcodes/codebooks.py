@@ -257,8 +257,17 @@ def unrank(spec: CodebookSpec, index: int) -> str:
 
 
 def redundancy_bound(spec: CodebookSpec) -> float:
-    """Published upper bound on n - log2(codebook size) for the family."""
+    """Published upper bound on n - log2(codebook size) for the family.
+
+    The SCA1, SDS2 and SDA bounds take log2(n - 2) or log2(n - 2t), so
+    they are stated from n = 3 or n = 2t + 1 on; shorter specs raise
+    ValueError.
+    """
     n, t = spec.n, spec.t
+    least = {"SCA1": 3, "SDS2": 3, "SDA": 2 * t + 1}.get(spec.family, 2)
+    if n < least:
+        raise ValueError(f"the {spec.family} redundancy bound is stated "
+                         f"for n >= {least}, got n={n}")
     if spec.family == "SR":
         return 0.5 * math.log2(n) + 5
     if spec.family == "SCA1":

@@ -101,6 +101,15 @@ def test_bounds_command():
     assert payload["size"] >= payload["size_lower_bound"]
 
 
+def test_bounds_below_stated_length_exit_two():
+    for spec, least in (("SCA1:2", 3), ("SDS2:2", 3), ("SDA:4,t=2", 5),
+                        ("SDA:3,t=2", 5)):
+        rc, _, err = run("bounds", "--spec", spec)
+        assert rc == 2, err
+        assert f"{spec.split(':')[0]} redundancy bound" in err
+        assert f"n >= {least}" in err and "Traceback" not in err
+
+
 def test_classes_command():
     rc, out, _ = run("classes", "--n", "6")
     assert rc == 0
