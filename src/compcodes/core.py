@@ -172,11 +172,10 @@ class Readout:
         return self._untrusted
 
     def is_full(self) -> bool:
-        return all(self.present(k) and self.class_size(k) == self.expected_size(k)
-                   for k in range(1, self.n + 1))
+        return len(self._full_size) == self.n
 
     def total_entries(self) -> int:
-        return sum(self.class_size(k) for k in self.classes)
+        return sum(self._sizes.values())
 
     def weight(self, k: int) -> int:
         """Cumulative weight w_k: total count of ones over class k."""

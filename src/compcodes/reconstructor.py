@@ -55,18 +55,17 @@ class _SearchStats:
 _PAIR_OPTIONS = ((("0", "0"),), (("0", "1"), ("1", "0")), (("1", "1"),))
 
 
-def _observed_ranges(n: int, trusted: dict[int, tuple[int, ...]]):
-    """Merged signature byte ranges of the trusted classes, each with the
-    observed bytes a consistent string's signature must carry there.
+def _observed_ranges(r: Readout, drop) -> list[tuple[int, int, bytes]]:
+    """Merged signature byte ranges of the classes outside ``drop``, each
+    with the bytes a string's signature must carry there to match ``r``.
 
-    A trusted class k has its expected size n-k+1 <= 255, so every count
-    fits in a signature byte.
+    ``drop`` holds every class not present at its expected size n-k+1,
+    which is at most 255, so every kept count fits in a signature byte.
     """
-    observed = b"".join(bytes(trusted[k]) if k in trusted else bytes(k + 1)
+    n = r.n
+    observed = b"".join(bytes(k + 1) if k in drop else bytes(r.classes[k])
                         for k in range(1, n + 1))
-    untrusted = [k for k in range(1, n + 1) if k not in trusted]
-    return [(lo, hi, observed[lo:hi])
-            for lo, hi in kernel.kept_ranges(n, untrusted)]
+    return [(lo, hi, observed[lo:hi]) for lo, hi in kernel.kept_ranges(n, drop)]
 
 
 def _first_half_weights(r: Readout, drop: set[int]):
@@ -218,10 +217,9 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
 def _consistent_strings(r: Readout, drop: set[int],
                         sigma_candidates, stats: _SearchStats,
                         limit: int | None = None) -> list[str]:
-    n, m = r.n, (r.n + 1) // 2
+    n = r.n
     trusted = {k: v for k, v in r.classes.items() if k not in drop}
-    finish_ranges = _observed_ranges(
-        n, {k: v for k, v in trusted.items() if k < m})
+    finish_ranges = _observed_ranges(r, drop.union(range((n + 1) // 2, n + 1)))
     results: list[str] = []
     for sigma in sigma_candidates:
         _search(n, trusted, finish_ranges, sigma, stats, results, limit)
@@ -420,9 +418,8 @@ def brute_force_decode(r: Readout, spec: CodebookSpec) -> DecodeReport:
     members, sigs = _member_signatures(spec.key())
 
     def consistent(drop: set[int]) -> tuple[str, ...]:
-        kept = {k: v for k, v in r.classes.items() if k not in drop}
         found = range(len(members))
-        for lo, hi, part in _observed_ranges(n, kept):
+        for lo, hi, part in _observed_ranges(r, drop):
             found = [i for i in found if sigs[i][lo:hi] == part]
         return tuple(members[i] for i in found)
 
