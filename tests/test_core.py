@@ -9,6 +9,7 @@ from compcodes.core import (
     Composition,
     PolyTerm,
     Readout,
+    bits_to_bytes,
     bivariate_poly,
     complement,
     composition_of,
@@ -24,6 +25,18 @@ from compcodes.errors import (
 from conftest import EXAMPLE_S, EXAMPLE_SIGMA, EXAMPLE_WEIGHTS
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=14)
+
+
+def test_bits_to_bytes_matches_generator_form():
+    # reference: one byte per character, 1 for '1' and 0 for anything else
+    def reference(s):
+        return bytes(c == "1" for c in s)
+
+    strings = [format(x, f"0{n}b") for n in range(1, 11) for x in range(2 ** n)]
+    strings += ["", "2", "01a1", " 1\t0\n", "1\x00\xff1", "\xb91",
+                "1\u20ac0", "\U0001f6001", "1\ud8000", "".join(map(chr, range(256)))]
+    for s in strings:
+        assert bits_to_bytes(s) == reference(s), repr(s)
 
 
 def test_composition_of_worked_example():

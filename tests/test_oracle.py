@@ -5,9 +5,9 @@ import itertools
 
 import pytest
 
-from compcodes import oracle
+from compcodes import kernel, oracle
 from compcodes.codebooks import CodebookSpec, enumerate_codebook
-from compcodes.core import full_readout, sigma_of_string
+from compcodes.core import full_readout, sigma_of_string, signature_of
 from compcodes.errors import ResourceCapError
 from compcodes.oracle import (
     ConfusabilityWitness,
@@ -76,6 +76,17 @@ def test_count_classes_representatives_cover_everything():
         seen.add(rep)
         seen.add(rep[::-1])
     assert len(seen ^ {format(x, "05b") for x in range(32)}) == 0
+
+
+def test_count_classes_matches_plain_loop():
+    # reference: every string in lexicographic order, first one seen per
+    # readout kept as the class representative
+    for n in range(1, 13):
+        reps = {}
+        for x in range(2 ** n):
+            s = format(x, f"0{n}b")
+            reps.setdefault(signature_of(s), s)
+        assert count_classes(n) == (len(reps), sorted(reps.values())), n
 
 
 def test_count_classes_cap():
@@ -206,3 +217,38 @@ def test_collision_scan_matches_pairwise_reference(monkeypatch):
         assert got == _pairwise_first_witness(spec, model, t), (spec, model, t)
         outcomes.add(got is None)
     assert outcomes == {True, False}  # both witnesses and clean sweeps
+
+
+def _joined_key_first_witness(spec, model, t):
+    """Reference scan: bucket members by the joined bytes of their kept
+    classes, keeping the smallest colliding pair of the first pattern."""
+    members = enumerate_codebook(spec)
+    sigs = [signature_of(s) for s in members]
+    for pattern in deletion_patterns(model, t, spec.n):
+        ranges = kernel.kept_ranges(spec.n, pattern)
+        buckets = {}
+        pairs = []
+        for s, sig in zip(members, sigs):
+            key = b"".join(sig[lo:hi] for lo, hi in ranges)
+            if key in buckets:
+                pairs.append(tuple(sorted((buckets[key], s))))
+            else:
+                buckets[key] = s
+        if pairs:
+            return ConfusabilityWitness(*min(pairs), frozenset(pattern))
+    return None
+
+
+def test_collision_scan_matches_joined_key_scan():
+    cases = [(CodebookSpec("SR", n), model, t)
+             for n in (11, 12, 13) for model, t in (("sym_pair_delete", 2),
+                                                    ("asym_delete", 1))]
+    cases += [(CodebookSpec("SDSprime", 12, t=2, a=a), model, 2)
+              for a in (0, 1, 2) for model in ("consecutive_sym_pair_delete",
+                                                "asym_delete")]
+    outcomes = set()
+    for spec, model, t in cases:
+        got = verify_code_property(spec, model, t)
+        assert got == _joined_key_first_witness(spec, model, t), (spec, model, t)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}  # first witnesses and clean sweeps
