@@ -36,6 +36,19 @@ def kept_ranges(n: int, drop) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]) if lo < hi]
 
 
+def kept_mask(n: int, drop) -> int:
+    """Integer with 0xFF over every byte of ``kept_ranges(n, drop)``.
+
+    ANDed with ``int.from_bytes(signature, "big")`` it zeroes the dropped
+    classes' counts, so two masked signatures are equal iff their kept
+    classes are: every count fits in its byte.
+    """
+    mask = bytearray(class_slice_bounds(n, n)[1])
+    for lo, hi in kept_ranges(n, drop):
+        mask[lo:hi] = b"\xff" * (hi - lo)
+    return int.from_bytes(mask, "big")
+
+
 def class_counts(sig: bytes, n: int, k: int) -> tuple[int, ...]:
     """Window-weight counts (w = 0..k) of class k, as a tuple."""
     lo, hi = class_slice_bounds(n, k)

@@ -64,6 +64,36 @@ def test_signature_layout():
     assert kernel.class_slice_bounds(2, 2) == (2, 5)
 
 
+def test_kept_mask_matches_joined_kept_ranges():
+    # a masked signature must equal another exactly when the joined bytes
+    # of their kept classes do; random bytes cover every count value
+    rng = random.Random(13)
+    for n in [*range(1, 21), 255]:
+        size = kernel.class_slice_bounds(n, n)[1]
+        for _ in range(6):
+            drop = set(rng.sample(range(1, n + 1), rng.randint(0, min(n, 4))))
+            ranges = kernel.kept_ranges(n, drop)
+            kept = bytearray(size)
+            for lo, hi in ranges:
+                kept[lo:hi] = b"\x01" * (hi - lo)
+            mask = kernel.kept_mask(n, drop)
+            sig = rng.randbytes(size)
+            # agrees with sig on every kept byte: the pair is a witness
+            twin = bytes(b if keep else rng.randrange(256)
+                         for b, keep in zip(sig, kept))
+            # differs from sig in one kept byte: no collision
+            other = bytearray(sig)
+            if ranges:
+                i = rng.randrange(*rng.choice(ranges))
+                other[i] = (other[i] + rng.randrange(1, 256)) % 256
+            for a, b in ((sig, twin), (sig, bytes(other)), (twin, bytes(other))):
+                joined = [b"".join(x[lo:hi] for lo, hi in ranges) for x in (a, b)]
+                masked = [mask & int.from_bytes(x, "big") for x in (a, b)]
+                assert (masked[0] == masked[1]) == (joined[0] == joined[1]), (n, drop)
+            assert (mask & int.from_bytes(sig, "big")).to_bytes(size, "big") == \
+                bytes(b if keep else 0 for b, keep in zip(sig, kept))
+
+
 def test_backends_agree_exhaustively(ckernel):
     assert (ckernel.BACKEND, ckernel.MAX_N) == ("compiled", _pykernel.MAX_N)
     for n in range(1, 11):
