@@ -69,8 +69,13 @@ def check_bits(s: str) -> str:
     return s
 
 
+_BIT_VALUES = bytes(b == ord("1") for b in range(256))
+
+
 def bits_to_bytes(s: str) -> bytes:
-    return bytes(c == "1" for c in s)
+    """One byte per character of s: 1 for '1', 0 for anything else."""
+    # a character outside Latin-1 encodes as one '?', so it too becomes 0
+    return s.encode("latin-1", "replace").translate(_BIT_VALUES)
 
 
 def signature_of(s: str) -> bytes:

@@ -1,11 +1,14 @@
 """Brute-force ground truth: equicomposability, class counts, code
 property verification and confusable-pair search.
 
-Verification buckets codewords by the signature bytes of their surviving
-classes for every deletion pattern, so an exhaustive sweep over a
-codebook is linear in its size per pattern.  Search order is fixed
-(patterns ascending, strings lexicographic) so the first witness is
-deterministic.
+Verification reads each codeword's signature once, as a big-endian
+integer.  Per deletion pattern it ANDs every signature with
+``kernel.kept_mask``, which zeroes the deleted classes' bytes, and a set
+of the masked integers shows whether any two codewords collide: the sweep
+is linear in the codebook's size per pattern.  Only the first colliding
+pattern is bucketed, to pick its lexicographically smallest pair.  Search
+order is fixed (patterns ascending, strings lexicographic) so the first
+witness is deterministic.
 """
 
 from __future__ import annotations
@@ -61,12 +64,12 @@ def count_classes(n: int, cap: int = DEFAULT_CAP) -> tuple[int, list[str]]:
     lexicographically smallest representative of each class."""
     if n > cap:
         raise ResourceCapError(f"count_classes capped at n <= {cap}")
-    reps: dict[bytes, str] = {}
-    for x in range(2 ** n):
-        s = format(x, f"0{n}b")
-        sig = kernel.full_signature(bits_to_bytes(s))
-        if sig not in reps:
-            reps[sig] = s
+    # a string and its reversal share a readout, so a class's smallest
+    # member is never larger than its reversal: skip the strings that are
+    strings = [s for s in map(f"{{:0{n}b}}".format, range(2 ** n)) if s <= s[::-1]]
+    strings.reverse()
+    # scanning downward, each readout's last (kept) string is its smallest
+    reps = dict(zip(map(kernel.full_signature, map(bits_to_bytes, strings)), strings))
     return len(reps), sorted(reps.values())
 
 
@@ -107,13 +110,16 @@ def deletion_patterns(model: str, t: int, n: int):
 
 
 def _collision_scan(members, n, patterns) -> ConfusabilityWitness | None:
-    sigs = [kernel.full_signature(bits_to_bytes(s)) for s in members]
+    sigs = [int.from_bytes(kernel.full_signature(bits_to_bytes(s)), "big")
+            for s in members]
     for pattern in patterns:
-        ranges = kernel.kept_ranges(n, pattern)
-        buckets: dict[bytes, str] = {}
+        mask = kernel.kept_mask(n, pattern)
+        if len(set(map(mask.__and__, sigs))) == len(sigs):
+            continue
+        buckets: dict[int, str] = {}
         best: tuple[str, str] | None = None
         for s, sig in zip(members, sigs):
-            key = b"".join([sig[lo:hi] for lo, hi in ranges])
+            key = sig & mask
             other = buckets.get(key)
             if other is not None:
                 pair = (other, s) if other < s else (s, other)
@@ -121,8 +127,7 @@ def _collision_scan(members, n, patterns) -> ConfusabilityWitness | None:
                     best = pair
             else:
                 buckets[key] = s
-        if best is not None:
-            return ConfusabilityWitness(best[0], best[1], frozenset(pattern))
+        return ConfusabilityWitness(best[0], best[1], frozenset(pattern))
     return None
 
 
