@@ -62,6 +62,8 @@ def max_code_bound(n: int) -> int:
 def count_classes(n: int, cap: int = DEFAULT_CAP) -> tuple[int, list[str]]:
     """Partition {0,1}^n by readout; returns the class count and the
     lexicographically smallest representative of each class."""
+    if n < 1:
+        raise ValueError(f"count_classes needs n >= 1, got n={n}")
     if n > cap:
         raise ResourceCapError(f"count_classes capped at n <= {cap}")
     # a string and its reversal share a readout, so a class's smallest
@@ -85,6 +87,8 @@ def deletion_patterns(model: str, t: int, n: int):
     """
     if model not in PROPERTY_MODELS:
         raise ValueError(f"unknown model {model!r}")
+    if t < 1:
+        raise ValueError(f"deletion patterns need t >= 1, got t={t}")
     yield frozenset()
     if model in ("asym_delete", "skew"):
         center = (n + 1) // 2 if n % 2 else None

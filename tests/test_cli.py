@@ -117,6 +117,21 @@ def test_classes_command():
     assert payload["classes"] == 36 and payload["achieves_bound"]
 
 
+def test_classes_below_length_one_exit_two():
+    for n in ("0", "-3"):
+        rc, out, err = run("classes", "--n", n)
+        assert rc == 2 and out == "", err
+        assert f"n={n}" in err and "Traceback" not in err
+
+
+def test_verify_t_below_one_exit_two():
+    for t in ("0", "-1"):
+        rc, out, err = run("verify", "--spec", "SR:8", "--model", "asym_delete",
+                           "--t", t)
+        assert rc == 2 and out == "", err
+        assert f"t={t}" in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_two():
     rc, _, _ = run("decode", "--spec", "nonsense:9", inp='{"n":1,"classes":{}}')
     assert rc == 2

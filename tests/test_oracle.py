@@ -94,6 +94,12 @@ def test_count_classes_cap():
         count_classes(17)
 
 
+def test_count_classes_rejects_lengths_below_one():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            count_classes(n)
+
+
 def test_max_code_bound_values():
     assert max_code_bound(6) == 36
     assert max_code_bound(9) == 272
@@ -113,6 +119,15 @@ def test_deletion_patterns_are_deterministic_and_valid():
     consec = list(deletion_patterns("consecutive_sym_pair_delete", 2, 10))
     assert frozenset({2, 9, 3, 8}) in consec
     assert frozenset({2, 9, 4, 7}) not in consec
+
+
+def test_deletion_patterns_reject_t_below_one():
+    for model in oracle.PROPERTY_MODELS:
+        for t in (0, -1):
+            with pytest.raises(ValueError, match=f"t={t}"):
+                list(deletion_patterns(model, t, 8))
+            with pytest.raises(ValueError, match=f"t={t}"):
+                verify_code_property(CodebookSpec("SR", 8), model, t)
 
 
 def test_single_error_guarantees_midrange():
