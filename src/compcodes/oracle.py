@@ -70,7 +70,7 @@ def count_classes(n: int, cap: int = DEFAULT_CAP) -> tuple[int, list[str]]:
     # member is never larger than its reversal: skip the strings that are
     strings = [s for s in map(f"{{:0{n}b}}".format, range(2 ** n)) if s <= s[::-1]]
     strings.reverse()
-    # scanning downward, each readout's last (kept) string is its smallest
+    # dict() keeps each key's last value: scanning downward, the smallest
     reps = dict(zip(map(kernel.full_signature, map(bits_to_bytes, strings)), strings))
     return len(reps), sorted(reps.values())
 
