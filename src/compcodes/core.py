@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -108,11 +109,25 @@ class Readout:
     classes: dict[int, tuple[int, ...]]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_LENGTH:
-            raise ValueError(f"n must be in [1, {MAX_LENGTH}]")
-        for k, counts in self.classes.items():
-            if not 1 <= k <= self.n:
-                raise ValueError(f"class {k} outside [1, {self.n}]")
+        n, classes = self.n, self.classes
+        if type(n) is not int or not 1 <= n <= MAX_LENGTH:
+            raise ValueError(f"n must be an int in [1, {MAX_LENGTH}], "
+                             f"got {n!r}")
+        # every key and vector checked at once with builtins; the loop
+        # below runs only to name the first fault
+        vectors = classes.values()
+        if (set(map(type, classes)) <= {int}
+                and (not classes or 1 <= min(classes) and max(classes) <= n)
+                and set(map(type, vectors)) <= {tuple}
+                and list(map(len, vectors)) == [k + 1 for k in classes]
+                and set(map(type, chain.from_iterable(vectors))) <= {int}
+                and min(chain.from_iterable(vectors), default=0) >= 0):
+            return
+        for k, counts in classes.items():
+            if type(k) is not int:
+                raise ValueError(f"class key {k!r} is not an int")
+            if not 1 <= k <= n:
+                raise ValueError(f"class {k} outside [1, {n}]")
             if (type(counts) is not tuple or len(counts) != k + 1
                     or not set(map(type, counts)) <= {int}
                     or min(counts) < 0):
@@ -240,14 +255,17 @@ def sigma_from_weights(weights: Sequence[int], n: int) -> tuple[int, ...]:
     sigma: list[int] = []
     w1 = w[0]
     # w_k = k*w_1 - sum_{j<k} (k-j) sigma_j pins sigma_{k-1} once
-    # sigma_1..sigma_{k-2} are known.
+    # sigma_1..sigma_{k-2} are known; over those, the sum is k*s - t with
+    # s = sum(sigma_j) and t = sum(j*sigma_j), both kept running.
+    s = t = 0
     for k in range(2, m + 1):
-        val = k * w1 - w[k - 1] - sum((k - j) * sigma[j - 1]
-                                      for j in range(1, k - 1))
+        val = k * (w1 - s) + t - w[k - 1]
         if val not in (0, 1, 2):
             fail(k - 1, val)
         sigma.append(val)
-    last = w1 - sum(sigma)
+        s += val
+        t += (k - 1) * val
+    last = w1 - s
     limit = 1 if n % 2 else 2
     if not 0 <= last <= limit:
         fail(m, last)

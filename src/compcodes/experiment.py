@@ -16,7 +16,7 @@ from . import channel, reconstructor
 from .codebooks import CodebookSpec, enumerate_codebook
 from .core import full_readout
 from .errors import CompCodesError
-from .formats import config_hash, emit_error_spec, emit_spec
+from .formats import config_hash, emit_spec, error_spec_to_dict
 
 DEFAULT_CROSS_CHECK_CAP = 12
 
@@ -66,7 +66,7 @@ def run_experiment(cfg: ExperimentConfig):
         corrupted = channel.apply(readout, resolved)
         record = {"trial": trial, "config_hash": cfg_hash, "rank": rank_idx,
                   "codeword": codeword,
-                  "error": json.loads(emit_error_spec(resolved))}
+                  "error": error_spec_to_dict(resolved)}
         start = time.perf_counter()
         try:
             rep = decoder(corrupted, cfg.spec)

@@ -8,11 +8,13 @@ meaningful.
 The readout wire path does Python-level work per class and per occupied
 weight, not per entry.  ``emit_readout`` writes the canonical text
 directly, one ``[z,w]`` string per occupied weight repeated by its count.
-``parse_readout`` validates each class column-wise with builtins over the
-whole entry list and counts its weights with a ``Counter``; a per-entry
-loop runs only on the error path, to name the first bad entry.  Integers
-on the wire must be exact ints (JSON ``true`` is not 1), and a key may
-not repeat in an object or, for class keys, after ``int()``.
+``parse_readout`` tallies each class's entries with a ``Counter`` and
+checks only the distinct entries; a per-entry loop runs only on the error
+path, to name the first bad entry.  Integers on the wire must be exact
+ints (JSON ``true`` is not 1, nor is ``1.0``); as those equal an int and
+could hide in its tally, a text holding one has every value's type
+checked.  A key may not repeat in an object or, for class keys, after
+``int()``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from itertools import compress
-from operator import add
+from itertools import chain, compress
 
 from .channel import ErrorSpec
 from .codebooks import FAMILIES, CodebookSpec
@@ -62,10 +63,21 @@ def _class_text(k: int, counts: tuple[int, ...]) -> str:
 
 
 def parse_readout(text: str) -> Readout:
+    floats: list[str] = []
+
+    def parse_float(s: str) -> float:
+        floats.append(s)
+        return float(s)
+
     try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys)
+        obj = json.loads(text, object_pairs_hook=_unique_keys,
+                         parse_float=parse_float)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    # JSON true, false and floats such as 1.0 equal ints, so a tally of
+    # entries could fold one into an int entry; only a text that holds one
+    # pays for a type check of every value
+    exact = not floats and "true" not in text and "false" not in text
     if not isinstance(obj, dict) or "n" not in obj or "classes" not in obj:
         raise ParseError("readout JSON needs 'n' and 'classes'")
     n = obj["n"]
@@ -85,26 +97,32 @@ def parse_readout(text: str) -> Readout:
             raise ParseError(f"class {k} repeats (key {key!r})")
         if not isinstance(entries, list):
             raise ParseError(f"class {k} must be a list of entries")
-        classes[k] = _class_counts(k, entries)
+        classes[k] = _class_counts(k, entries, exact)
     return Readout(n, classes)
 
 
-def _class_counts(k: int, entries: list) -> tuple[int, ...]:
-    """Weight-count vector of class k, its entries checked column-wise:
-    each a list of two exact non-negative ints z, w with z + w = k."""
-    if not entries:
-        return (0,) * (k + 1)
-    if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
-        zs, ws = zip(*entries)
-        if ({*map(type, zs), *map(type, ws)} == {int}
-                and set(map(add, zs, ws)) == {k}):
-            weights = Counter(ws)
-            # z = k - w, so both columns are non-negative iff 0 <= w <= k
-            if min(weights) >= 0 and max(weights) <= k:
-                counts = [0] * (k + 1)
-                for w, m in weights.items():
-                    counts[w] = m
-                return tuple(counts)
+def _class_counts(k: int, entries: list, exact: bool) -> tuple[int, ...]:
+    """Weight-count vector of class k.  The entries are tallied, and each
+    distinct entry is checked: two exact ints z, w >= 0 with z + w = k.
+    Unless ``exact`` (no true, false or float in the text), every value's
+    type is checked as well."""
+    try:
+        tally = Counter(map(tuple, entries))
+    except TypeError:  # an entry that is not a list, or holds a list
+        raise ParseError(_bad_entry_message(k, entries)) from None
+    counts = [0] * (k + 1)
+    if exact or {*map(type, chain.from_iterable(entries))} <= {int}:
+        for entry, m in tally.items():
+            if len(entry) != 2:
+                break
+            z, w = entry
+            # z = k - w, so both are non-negative iff 0 <= w <= k
+            if type(z) is not int or type(w) is not int \
+                    or not 0 <= w <= k or z != k - w:
+                break
+            counts[w] = m
+        else:
+            return tuple(counts)
     raise ParseError(_bad_entry_message(k, entries))
 
 
@@ -157,8 +175,13 @@ def parse_spec(text: str) -> CodebookSpec:
 
 
 def emit_error_spec(e: ErrorSpec) -> str:
+    return _compact(error_spec_to_dict(e))
+
+
+def error_spec_to_dict(e: ErrorSpec) -> dict:
+    """The JSON object ``emit_error_spec`` writes, as Python values."""
     if e.is_seeded():
-        return _compact({"model": e.model, "count": e.count, "seed": e.seed})
+        return {"model": e.model, "count": e.count, "seed": e.seed}
     if e.model == "asym_delete":
         targets = list(e.targets)
     elif e.model == "sym_pair_delete":
@@ -168,7 +191,7 @@ def emit_error_spec(e: ErrorSpec) -> str:
     else:
         targets = [[k, [old.z, old.w], [new.z, new.w]]
                    for k, old, new in e.targets]
-    return _compact({"model": e.model, "targets": targets})
+    return {"model": e.model, "targets": targets}
 
 
 def parse_error_spec(text: str) -> ErrorSpec:

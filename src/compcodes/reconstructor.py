@@ -11,6 +11,11 @@ leave a few pairwise weights undetermined; those are enumerated under the
 linear equations the surviving weights impose, optionally pre-filtered by
 the family's weight-sum residue.
 
+The walk checks the classes k >= ceil(n/2); the classes below are checked
+on each finished string's signature (the finish filter).  A string and its
+reversal share a readout, and the walk reaches both under the same sigma,
+so one signature decides the pair: the second leaf reuses the verdict.
+
 Every decoder reads only the classes a readout can vouch for: one body
 drops exactly ``Readout.untrusted_classes()`` (missing, undersized,
 oversized and outweighed classes) and decodes from the rest, and
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import kernel
 from .codebooks import CodebookSpec, enumerate_codebook, is_member
@@ -86,56 +92,47 @@ def _first_half_weights(r: Readout, drop: set[int]):
     return known
 
 
-def _derived_weights(sigma: tuple[int, ...], w1: int, m: int) -> list[int]:
-    return [k * w1 - sum((k - j) * sigma[j - 1] for j in range(1, k))
-            for k in range(1, m + 1)]
-
-
 def _sigma_candidates(n: int, known: dict[int, int],
                       modulus: int | None = None, residue: int = 0):
     """All pairwise-weight sequences consistent with the known cumulative
-    weights (and, when given, with the weight-sum residue)."""
-    m = (n + 1) // 2
-    center_cap = 1 if n % 2 else 2
-    w1_options = [known[1]] if 1 in known else list(range(n + 1))
-    found: list[tuple[int, ...]] = []
-    for w1 in w1_options:
-        sigma: list[int] = []
+    weights (and, when given, with the weight-sum residue), by ascending
+    w1 = sum(sigma) and then lexicographically.
 
-        def rec(partial_sum: int):
-            depth = len(sigma)
-            if depth == m:
-                if partial_sum != w1:
-                    return
-                cand = tuple(sigma)
-                if modulus is not None:
-                    weights = _derived_weights(cand, w1, m)
-                    for k, w in known.items():
-                        weights[k - 1] = w
-                    if sum(weights) % modulus != residue:
-                        return
-                found.append(cand)
-                return
-            cap = center_cap if depth == m - 1 else 2
-            rest = m - depth - 1
-            max_rest = 2 * rest - (1 if n % 2 and rest >= 1 else 0)
-            for v in range(cap + 1):
-                ps = partial_sum + v
-                if ps > w1:
-                    break
-                if ps + max_rest < w1:
-                    continue
+    Class k's weight is w_k = k*w1 - sum_{j<k} (k-j)*sigma_j, so with
+    s = sum(sigma_j) and t = sum(j*sigma_j) over j < k its equation reads
+    k*w1 - w_k = k*s - t.  The recursion carries s and t, which makes
+    each node O(1); a leaf's first-half weight sum is one O(m) pass.
+    """
+    m = (n + 1) // 2
+    caps = [2] * (m - 1) + [1 if n % 2 else 2]
+    # the most weight the values after depth d can still carry
+    room = [sum(caps[d + 1:]) for d in range(m)]
+    # sum_{k<=m} w_k = w1*m(m+1)/2 - sum_j sigma_j * (m-j)(m-j+1)/2
+    spread = [(m - j) * (m - j + 1) // 2 for j in range(1, m + 1)]
+    triangle = m * (m + 1) // 2
+    w1_options = [known[1]] if 1 in known else range(n + 1)
+    found: list[tuple[int, ...]] = []
+    sigma: list[int] = []
+
+    def rec(depth: int, s: int, t: int):
+        if depth == m:
+            if modulus is None or (w1 * triangle - sum(
+                    map(mul, spread, sigma))) % modulus == residue:
+                found.append(tuple(sigma))
+            return
+        k, rhs, j = depth + 2, target[depth], depth + 1
+        for v in range(max(0, w1 - s - room[depth]),
+                       min(caps[depth], w1 - s) + 1):
+            if rhs is None or k * (s + v) - t - j * v == rhs:
                 sigma.append(v)
-                k = depth + 2  # equation index using sigma_1..sigma_{k-1}
-                ok = True
-                if k <= m and k in known:
-                    lhs = sum((k - j) * sigma[j - 1] for j in range(1, k))
-                    ok = lhs == k * w1 - known[k]
-                if ok:
-                    rec(ps)
+                rec(depth + 1, s + v, t + j * v)
                 sigma.pop()
 
-        rec(0)
+    for w1 in w1_options:
+        # k*w1 - w_k for the known class k = depth+2 <= m, by depth
+        target = [k * w1 - known[k] if k in known and k <= m else None
+                  for k in range(2, m + 2)]
+        rec(0, 0, 0)
     return found
 
 
@@ -170,14 +167,20 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
             pred[total_w - pre_w[j - 1] - suf_w[i - j + 1]] += 1
         return tuple(pred) == trusted[k]
 
+    # a string and its reversal share a readout, and the walk reaches
+    # both under the same sigma: the first one's verdict decides the pair
+    verdicts: dict[str, bool] = {}
+
     def finish():
         center = str(sigma[m - 1]) if n % 2 else ""
         s = "".join(pre_bits) + center + "".join(reversed(suf_bits))
-        sig = kernel.full_signature(bits_to_bytes(s))
-        for lo, hi, part in finish_ranges:
-            if sig[lo:hi] != part:
-                return
-        results.append(s)
+        ok = verdicts.get(s[::-1])
+        if ok is None:
+            sig = kernel.full_signature(bits_to_bytes(s))
+            ok = verdicts[s] = all(sig[lo:hi] == part
+                                   for lo, hi, part in finish_ranges)
+        if ok:
+            results.append(s)
 
     def rec(i: int):
         if limit is not None and len(results) >= limit:

@@ -78,9 +78,79 @@ def test_readout_rejects_malformed_classes():
                     {2: (0, 1)},  # vector of the wrong length
                     {1: (2, -1)},  # negative count
                     {1: [1, 1]},  # not a tuple
-                    {1: (1.0, 1)}):  # not an int
+                    {1: (1.0, 1)},  # not an int
+                    {1.0: (1, 1)},  # a float key
+                    {True: (1, 1)},  # a bool key
+                    {"1": (1, 1)}):  # a string key
         with pytest.raises(ValueError):
             Readout(2, classes)
+    for key in (1.0, True, "1"):
+        with pytest.raises(ValueError, match=f"class key {key!r} "):
+            Readout(2, {key: (1, 1)})
+    for n in (2.0, True, "2", None):  # n too must be an exact int
+        with pytest.raises(ValueError, match="n must be an int"):
+            Readout(n, {1: (1, 1)})
+
+
+def _reference_readout_check(n, classes):
+    # the per-class loop that validated every readout before the bulk
+    # check, with the exact-int key rule
+    if type(n) is not int or not 1 <= n <= 255:
+        raise ValueError(f"n must be an int in [1, 255], got {n!r}")
+    for k, counts in classes.items():
+        if type(k) is not int:
+            raise ValueError(f"class key {k!r} is not an int")
+        if not 1 <= k <= n:
+            raise ValueError(f"class {k} outside [1, {n}]")
+        if (type(counts) is not tuple or len(counts) != k + 1
+                or not set(map(type, counts)) <= {int} or min(counts) < 0):
+            raise ValueError(f"class {k} needs a tuple of {k + 1} "
+                             f"non-negative ints, got {counts!r}")
+
+
+def _check_outcome(check, n, classes):
+    try:
+        check(n, classes)
+    except Exception as exc:  # the type is part of the outcome
+        return type(exc), str(exc)
+    return None
+
+
+def test_readout_bulk_check_matches_per_class_loop():
+    rng = SplitMix64(61)
+    bad_keys = (0, -1, 1.0, True, False, "1", None, (1,))
+    bad_values = (-1, 1.5, True, "1", None, 2 ** 70)
+    rejected = 0
+    for trial in range(600):
+        n = rng.below(12) + 1
+        s = format(rng.below(2 ** n), f"0{n}b")
+        full = full_readout(s).classes
+        classes = dict(full)
+        for _ in range(rng.below(3)):
+            classes.pop(rng.below(n) + 1, None)
+        for _ in range(rng.below(3)):
+            k = rng.below(n) + 1
+            what = rng.below(6)
+            counts = classes.pop(k, full[k])
+            counts = list(counts if type(counts) is tuple else full[k])
+            if what == 0:
+                classes[rng.choice(bad_keys + (n + 1, n + 5))] = tuple(counts)
+            elif what == 1:
+                counts[rng.below(len(counts))] = rng.choice(bad_values)
+                classes[k] = tuple(counts)
+            elif what == 2:
+                classes[k] = tuple(counts[:-1]) if rng.below(2) else \
+                    tuple(counts + [0])
+            elif what == 3:
+                classes[k] = rng.choice((counts, None, 3, b"\x00" * (k + 1)))
+            else:  # a valid change: skewed counts or an oversized class
+                counts[rng.below(len(counts))] += rng.below(3)
+                classes[k] = tuple(counts)
+        m = rng.choice((n, n, n, n, 0, 256, float(n), True, str(n)))
+        expected = _check_outcome(_reference_readout_check, m, classes)
+        assert _check_outcome(Readout, m, classes) == expected, (m, classes)
+        rejected += expected is not None
+    assert 200 < rejected < 550
 
 
 def _losers_brute_force_loop(r):
@@ -242,6 +312,51 @@ def test_sigma_from_weights_detects_out_of_range():
     # impossible first-half weights: sigma_1 = 2*w_1 - w_2 escapes {0,1,2}
     with pytest.raises(InconsistentReadoutError):
         sigma_from_weights((5, 2, 12, 13, 14), 9)
+
+
+def _sigma_from_weights_reference(w, n):
+    # the quadratic form: each sigma_{k-1} from the full sum over j < k-1
+    m = (n + 1) // 2
+    for k in range(m, len(w)):
+        if w[k] != w[n - (k + 1)]:
+            raise InconsistentReadoutError(
+                f"w_{k + 1}={w[k]} != w_{n - k}={w[n - (k + 1)]} "
+                "violates symmetry")
+    sigma = []
+    for k in range(2, m + 1):
+        val = k * w[0] - w[k - 1] - sum((k - j) * sigma[j - 1]
+                                        for j in range(1, k - 1))
+        if val not in (0, 1, 2):
+            raise InconsistentReadoutError(
+                f"sigma_{k - 1} = {val} outside its range; "
+                "weights are inconsistent")
+        sigma.append(val)
+    last = w[0] - sum(sigma)
+    if not 0 <= last <= (1 if n % 2 else 2):
+        raise InconsistentReadoutError(
+            f"sigma_{m} = {last} outside its range; weights are inconsistent")
+    return tuple(sigma + [last])
+
+
+def test_sigma_from_weights_matches_quadratic_reference():
+    rng = SplitMix64(33)
+    failures = 0
+    for _ in range(400):
+        n = rng.below(40) + 1
+        s = format(rng.below(2 ** n), f"0{n}b")
+        r = full_readout(s)
+        w = [r.weight(k) for k in range(1, n + 1)][:rng.choice(((n + 1) // 2, n))]
+        if rng.below(2):
+            w[rng.below(len(w))] += rng.choice((-2, -1, 1, 2))
+        outcomes = []
+        for f in (sigma_from_weights, _sigma_from_weights_reference):
+            try:
+                outcomes.append(f(w, n))
+            except InconsistentReadoutError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (n, w)
+        failures += isinstance(outcomes[0], str)
+    assert 100 < failures < 300
 
 
 def test_complement_worked_example():

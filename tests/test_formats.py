@@ -17,6 +17,7 @@ from compcodes.formats import (
     emit_readout,
     emit_report,
     emit_spec,
+    error_spec_to_dict,
     parse_error_spec,
     parse_readout,
     parse_spec,
@@ -97,6 +98,23 @@ def test_parse_errors():
         assert "class 1" in str(info.value) and bad in str(info.value)
 
 
+def test_parse_rejects_floats_and_bools_after_an_equal_int_entry():
+    # true == 1 and 1.0 == 1, so these entries equal the valid entry
+    # before them; each must still be named as the bad entry
+    for entries, bad in (('[[1,0],[1.0,0]]', "[1.0, 0]"),
+                         ('[[0,1],[0,1e0]]', "[0, 1.0]"),
+                         ('[[0,1],[-0.0,1]]', "[-0.0, 1]"),
+                         ('[[1,0],[true,0]]', "[True, 0]"),
+                         ('[[0,1],[false,1]]', "[False, 1]")):
+        with pytest.raises(ParseError, match="class 1") as info:
+            parse_readout('{"n":2,"classes":{"1":%s}}' % entries)
+        assert bad in str(info.value)
+    # a true or a float outside the classes leaves a valid readout valid
+    for extra in ('"note":true', '"note":false', '"x":1.5'):
+        r = parse_readout('{"n":1,"classes":{"1":[[0,1]]},%s}' % extra)
+        assert r == Readout(1, {1: (0, 1)})
+
+
 def test_spec_roundtrip_and_compact_form():
     spec = CodebookSpec("SDA", 12, t=2)
     assert emit_spec(spec) == '{"family":"SDA","n":12,"t":2,"a":0}'
@@ -122,6 +140,7 @@ def test_error_spec_roundtrips():
     ]
     for e in specs:
         assert parse_error_spec(emit_error_spec(e)) == e
+        assert error_spec_to_dict(e) == json.loads(emit_error_spec(e))
 
 
 def test_parse_error_spec_needs_exact_ints():

@@ -6,13 +6,18 @@ from functools import lru_cache
 
 import pytest
 
+from compcodes import kernel
 from compcodes.channel import ErrorSpec, SplitMix64, apply, random_error, resolve
 from compcodes.codebooks import CodebookSpec, enumerate_codebook
-from compcodes.core import Composition, full_readout
+from compcodes.core import Composition, full_readout, sigma_of_string
 from compcodes.errors import CapabilityError, CompCodesError, UndecodableError
 from compcodes.oracle import find_confusable_pair
 from compcodes.reconstructor import (
     DecodeReport,
+    _consistent_strings,
+    _first_half_weights,
+    _SearchStats,
+    _sigma_candidates,
     brute_force_decode,
     decode_deletions,
     decode_insertions,
@@ -434,3 +439,105 @@ def test_brute_force_center_retry_matches_reference(spec):
         assert brute_force_decode(r, spec) == ref, (s, r.classes)
         retries += center in ref.dropped_classes
     assert retries > 0
+
+
+def _sigma_candidates_reference(n, known, modulus=None, residue=0):
+    # every sequence over {0,1,2}^m (the centre of odd n at most 1), its
+    # first-half weights derived in full from the definition; ordered as
+    # the search emits them: by w1 = sum(sigma), then lexicographically
+    m = (n + 1) // 2
+    caps = [2] * (m - 1) + [1 if n % 2 else 2]
+    found = []
+    for sigma in itertools.product(range(3), repeat=m):
+        w1 = sum(sigma)
+        if any(v > cap for v, cap in zip(sigma, caps)):
+            continue
+        weights = [k * w1 - sum((k - j) * sigma[j - 1] for j in range(1, k))
+                   for k in range(1, m + 1)]
+        if any(weights[k - 1] != w for k, w in known.items()):
+            continue
+        if modulus is not None and sum(weights) % modulus != residue:
+            continue
+        found.append(sigma)
+    return sorted(found, key=sum)
+
+
+def test_sigma_candidates_match_brute_force():
+    rng = SplitMix64(77)
+    nonempty = 0
+    for n in range(1, 15):  # m = ceil(n/2) <= 7
+        m = (n + 1) // 2
+        for _ in range(8):
+            s = format(rng.below(2 ** n), f"0{n}b")
+            weights = [full_readout(s).weight(k) for k in range(1, m + 1)]
+            known = {k: weights[k - 1] for k in range(1, m + 1)
+                     if rng.below(2)}
+            if known and rng.below(4) == 0:  # a tampered weight
+                k = rng.choice(sorted(known))
+                known[k] += rng.choice((-1, 1))
+            for modulus in (None, 3, 5, 7):
+                residue = 0 if modulus is None else rng.below(modulus)
+                got = _sigma_candidates(n, known, modulus, residue)
+                assert got == _sigma_candidates_reference(
+                    n, known, modulus, residue), (n, known, modulus, residue)
+                nonempty += bool(got)
+    assert nonempty > 150
+
+
+@lru_cache(maxsize=None)
+def _all_string_classes(n):
+    return [(s, full_readout(s).classes)
+            for s in (format(x, f"0{n}b") for x in range(2 ** n))]
+
+
+def test_consistent_strings_match_full_scan(monkeypatch):
+    # every string of length n that matches each kept class and whose
+    # sigma is a candidate, in the search's order (by candidate, then by
+    # the first half); the finish filter signs one string per reversal
+    # pair of the leaves the inward walk reaches
+    calls = []
+    real_signature = kernel.full_signature
+
+    def counting_signature(bits):
+        calls.append(bits)
+        return real_signature(bits)
+
+    rng = SplitMix64(12)
+    found_total = skipped = 0
+    for n in (2, 3, 5, 8, 11, 12):
+        codewords = [s for s, _ in _all_string_classes(n)]
+        for model in ("asym_delete", "sym_pair_delete", "insert", "skew",
+                      "mixed"):
+            for _ in range(6):
+                s = codewords[rng.below(len(codewords))]
+                r = full_readout(s)
+                if n >= 5:
+                    r = _seeded_corruption(r, model, rng)
+                drop = set(r.untrusted_classes())
+                kept = [k for k in r.classes if k not in drop]
+                candidates = _sigma_candidates(
+                    n, _first_half_weights(r, drop),
+                    rng.choice((None, 3, 5)), rng.below(3))
+                order = {sigma: i for i, sigma in enumerate(candidates)}
+                walk_classes = [k for k in kept if 2 * k >= n]
+                leaves, expected = [], []
+                for x, classes in _all_string_classes(n):
+                    if sigma_of_string(x) not in order or any(
+                            classes[k] != r.classes[k] for k in walk_classes):
+                        continue
+                    leaves.append(x)
+                    if all(classes[k] == r.classes[k] for k in kept):
+                        expected.append(x)
+                expected.sort(key=lambda x: (order[sigma_of_string(x)],
+                                             x[:n // 2]))
+                calls.clear()
+                monkeypatch.setattr(kernel, "full_signature",
+                                    counting_signature)
+                got = _consistent_strings(r, drop, candidates, _SearchStats())
+                monkeypatch.setattr(kernel, "full_signature", real_signature)
+                assert got == expected, (s, model, r.classes)
+                pairs = {min(x, x[::-1]) for x in leaves}
+                assert len(calls) == len(pairs), (s, model, r.classes)
+                found_total += len(got)
+                skipped += len(leaves) - len(pairs)
+    assert found_total > 100 and skipped > 50
