@@ -286,7 +286,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:  # OSError: an unreadable -i or --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceCapError as exc:

@@ -37,6 +37,10 @@ class ExperimentConfig:
     seed: int
     cross_check_cap: int = DEFAULT_CROSS_CHECK_CAP
 
+    def __post_init__(self):
+        if self.trials < 0:
+            raise ValueError(f"trials must be >= 0, got {self.trials}")
+
     def payload(self) -> dict:
         return {"spec": json.loads(emit_spec(self.spec)), "model": self.model,
                 "errors": self.errors, "trials": self.trials, "seed": self.seed,

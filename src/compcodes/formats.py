@@ -8,25 +8,35 @@ meaningful.
 The readout wire path does Python-level work per class and per occupied
 weight, not per entry.  ``emit_readout`` writes the canonical text
 directly, one ``[z,w]`` string per occupied weight repeated by its count.
-``parse_readout`` tallies each class's entries with a ``Counter`` and
-checks only the distinct entries; a per-entry loop runs only on the error
-path, to name the first bad entry.  Integers on the wire must be exact
-ints (JSON ``true`` is not 1, nor is ``1.0``); as those equal an int and
-could hide in its tally, a text holding one has every value's type
-checked.  A key may not repeat in an object or, for class keys, after
-``int()``.
+``parse_readout`` has two paths, and the text alone picks one:
+
+* the canonical reader splits the text on ``"`` into class keys and
+  bodies and counts each class's runs of equal entries with one regular
+  expression.  It keeps its result only if ``emit_readout`` of that
+  result gives back the text exactly (less JSON whitespace around it), so
+  it accepts only what ``emit_readout`` writes, and on such a text the
+  JSON path would build the same readout;
+* every other text (shuffled, pretty-printed, hand-written or malformed)
+  goes to the JSON path, which is also the reference for the errors.  It
+  tallies each class's entries with a ``Counter`` and checks only the
+  distinct entries; a per-entry loop runs only on the error path, to name
+  the first bad entry.  Integers on the wire must be exact ints (JSON
+  ``true`` is not 1, nor is ``1.0``); as those equal an int and could
+  hide in its tally, a text holding one has every value's type checked.
+  A key may not repeat in an object or, for class keys, after ``int()``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections import Counter
 from itertools import chain, compress
 
 from .channel import ErrorSpec
 from .codebooks import FAMILIES, CodebookSpec
-from .core import Composition, Readout
+from .core import MAX_LENGTH, Composition, Readout
 from .errors import CompCodesError, ParseError
 from .reconstructor import DecodeReport
 
@@ -62,7 +72,42 @@ def _class_text(k: int, counts: tuple[int, ...]) -> str:
                    for w in compress(range(k + 1), counts))[:-1]
 
 
+_JSON_SPACE = " \t\n\r"
+# a run of equal entries, ASCII digits only: (the run, z, w)
+_RUN = re.compile(r"(\[([0-9]+),([0-9]+)\](?:,\[\2,\3\])*)")
+
+
+def _canonical_readout(text: str) -> Readout | None:
+    """The readout whose ``emit_readout`` is ``text`` less the JSON
+    whitespace around it, or None if there is no such readout."""
+    if not isinstance(text, str):  # json.loads also reads bytes
+        return None
+    text = text.strip(_JSON_SPACE)
+    parts = text.split('"')  # '{', 'n', ':N,', 'classes', ':{', key, body, ...
+    try:
+        n = int(parts[2][1:-1])
+        if not 1 <= n <= MAX_LENGTH:
+            return None
+        classes = {}
+        for key, body in zip(parts[5::2], parts[6::2]):
+            k = int(key)
+            if not 1 <= k <= n:  # before the vector is allocated
+                return None
+            counts = [0] * (k + 1)
+            for run, z, w in _RUN.findall(body):
+                # m entries "[z,w]" joined by "," are m*(len(z)+len(w)+4)-1 chars
+                counts[int(w)] = (len(run) + 1) // (len(z) + len(w) + 4)
+            classes[k] = tuple(counts)
+        r = Readout(n, classes)
+    except (ValueError, IndexError):
+        return None
+    return r if emit_readout(r) == text else None
+
+
 def parse_readout(text: str) -> Readout:
+    r = _canonical_readout(text)
+    if r is not None:
+        return r
     floats: list[str] = []
 
     def parse_float(s: str) -> float:

@@ -146,6 +146,27 @@ def test_malformed_readout_exits_two():
         assert "Traceback" not in err
 
 
+def test_file_errors_exit_two(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    for args in (("decode", "--spec", "SR:9", "-i", missing),
+                 ("compose", "0101", "--out", str(tmp_path)),
+                 ("experiment", "--spec", "SR:9", "--model", "skew",
+                  "--trials", "1", "--seed", "1", "--out", str(tmp_path))):
+        rc, out, err = run(*args)
+        assert rc == 2 and out == "", err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_experiment_negative_trials_exit_two():
+    rc, out, err = run("experiment", "--spec", "SR:9", "--model", "skew",
+                       "--trials", "-3", "--seed", "1")
+    assert rc == 2 and out == "", err
+    assert "-3" in err and "Traceback" not in err
+    rc, out, err = run("experiment", "--spec", "SR:9", "--model", "skew",
+                       "--trials", "0", "--seed", "1")
+    assert rc == 0 and out == "" and "trials=0 failures=0" in err
+
+
 def test_experiment_jsonl_replay(tmp_path):
     args = ("experiment", "--spec", "SR:9", "--model", "asym_delete",
             "--t", "1", "--trials", "10", "--seed", "11")

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import random
+import re
+import tracemalloc
 from itertools import compress
 
 import pytest
@@ -12,6 +14,7 @@ from compcodes.codebooks import CodebookSpec
 from compcodes.core import Composition, Readout, full_readout
 from compcodes.errors import ParseError
 from compcodes.formats import (
+    _canonical_readout,
     config_hash,
     emit_error_spec,
     emit_readout,
@@ -204,7 +207,7 @@ def _reference_parse_readout(text: str) -> Readout:
     if not isinstance(obj, dict) or "n" not in obj or "classes" not in obj:
         raise ParseError("readout JSON needs 'n' and 'classes'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # JSON true is not 1
         raise ParseError(f"invalid n: {n!r}")
     if not isinstance(obj["classes"], dict):
         raise ParseError("'classes' must be an object of class lists")
@@ -221,7 +224,7 @@ def _reference_parse_readout(text: str) -> Readout:
         counts = [0] * (k + 1)
         for entry in entries:
             if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                    or not all(isinstance(x, int) for x in entry)):
+                    or not all(type(x) is int for x in entry)):
                 raise ParseError(f"bad entry {entry!r} in class {k}")
             z, w = entry
             if z < 0 or w < 0:
@@ -295,7 +298,7 @@ _MALFORMED = (
     '{"n":3,"classes":{"1":[[100000000000000000000,-99999999999999999999]]}}',
 )
 
-_BAD_SCALARS = (-1, 1.5, "1", None, [1], {"z": 1}, 2 ** 70)
+_BAD_SCALARS = (-1, 1.5, "1", None, [1], {"z": 1}, 2 ** 70, True, False, 1.0)
 
 
 def _fuzzed_texts(rng: random.Random, count: int) -> list[str]:
@@ -342,13 +345,46 @@ def test_emit_readout_matches_reference():
         assert emit_readout(r) == _reference_emit_readout(r)
 
 
+# JSON whitespace, then three characters str.strip() removes and JSON does not
+_PADDINGS = (" \t\n\r", "\x0b", "\x1c", "\xa0")
+_KEY_ALIASES = ("01", "+1", " 1", "\u0661")  # int() reads each as 1
+
+
+def _near_canonical_texts(text: str) -> list[str]:
+    """Texts one step from the canonical ``text``: a class key written
+    another way, an entry or value swapped for ``true`` or a float, two
+    runs of a class reordered, and an n or class key far out of range."""
+    out = [text.replace('"1":', f'"{alias}":') for alias in _KEY_ALIASES]
+    out.append(text.replace('"10":', '"1_0":'))
+    entry = re.search(r"\[(\d+),(\d+)\]", text)
+    if entry:
+        z, w = entry.groups()
+        for swap in ("true", "1.0", f"[true,{w}]", f"[{z},{w}.0]",
+                     f"[{z}.0,{w}]", f"[{z},false]"):
+            out.append(text[:entry.start()] + swap + text[entry.end():])
+    pair = next((m for m in re.finditer(r"(\[\d+,\d+\]),(\[\d+,\d+\])", text)
+                 if m[1] != m[2]), None)
+    if pair:
+        out.append(text[:pair.start()] + f"{pair[2]},{pair[1]}"
+                   + text[pair.end():])
+    n = re.match(r'\{"n":(\d+),', text)[1]
+    out.append(text.replace(f'"n":{n},', '"n":1e9,', 1))
+    out.append(text.replace(f'"n":{n},', '"n":1000000000,', 1))
+    out.append(text.replace('"classes":{"', '"classes":{"99999999999":[],"', 1))
+    return out
+
+
 def test_parse_readout_matches_reference():
     rng = random.Random(7)
     texts = list(_MALFORMED) + _fuzzed_texts(rng, 600)
     for r in _wire_readouts():
-        texts += [_reference_emit_readout(r), _shuffled_text(r, rng)]
-        assert parse_readout(texts[-2]) == r
-    accepted = rejected = 0
+        text = _reference_emit_readout(r)
+        texts += [text, _shuffled_text(r, rng)]
+        texts += [pad + text + pad for pad in _PADDINGS]
+        if r.n <= 64:  # each n = 255 variant takes about 0.1 s to check
+            texts += _near_canonical_texts(text)
+        assert parse_readout(text) == r
+    accepted = rejected = canonical = 0
     for text in texts:
         expected = _outcome(_reference_parse_readout, text)
         assert _outcome(parse_readout, text) == expected, text
@@ -356,7 +392,42 @@ def test_parse_readout_matches_reference():
             accepted += 1
         else:
             rejected += 1
-    assert accepted > 100 and rejected > 300
+        # the canonical reader answers only for what emit_readout writes;
+        # every other text is left to the JSON path
+        direct = _canonical_readout(text)
+        stripped = text.strip(" \t\n\r")
+        if isinstance(expected, Readout) and emit_readout(expected) == stripped:
+            assert direct == expected, text
+            canonical += 1
+        else:
+            assert direct is None, text
+    assert accepted > 100 and rejected > 300 and canonical > 100
+
+
+def test_canonical_text_never_reaches_json_loads(monkeypatch):
+    readouts = _wire_readouts()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called on a canonical text")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    for r in readouts:
+        assert parse_readout(emit_readout(r) + "\n") == r
+
+
+def test_canonical_reader_bounds_before_allocating():
+    # a class key or n far out of range is refused before any vector of
+    # that size exists
+    text = '{"n":255,"classes":{"99999999999":[]}}'
+    big_n = '{"n":99999999999,"classes":{"99999999998":[]}}'
+    tracemalloc.start()
+    try:
+        assert _canonical_readout(text) is None
+        assert _canonical_readout(big_n) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_emit_readout_golden_digest_corrupted_n255():
