@@ -10,39 +10,34 @@
 /* window counts are stored in single bytes */
 #define MAX_N 255
 
-static PyObject *
-full_signature(PyObject *Py_UNUSED(module), PyObject *arg)
+static int
+check_length(Py_ssize_t n)
 {
-    Py_buffer view;
+    if (n < 1 || n > MAX_N) {
+        PyErr_Format(PyExc_ValueError,
+                     "length must be in [1, %d], got %zd", MAX_N, n);
+        return -1;
+    }
+    return 0;
+}
+
+/* Write the n(n+3)/2 signature bytes of the n bits at bits to out;
+ * -1 with ValueError set if a byte is not 0 or 1. */
+static int
+sign(const unsigned char *bits, Py_ssize_t n, unsigned char *out)
+{
     int pref[MAX_N + 1]; /* pref[i]: ones among the first i bits */
 
-    if (PyObject_GetBuffer(arg, &view, PyBUF_SIMPLE) < 0)
-        return NULL;
-    const unsigned char *bits = view.buf;
-    Py_ssize_t n = view.len;
-    if (n < 1 || n > MAX_N) {
-        PyBuffer_Release(&view);
-        return PyErr_Format(PyExc_ValueError,
-                            "length must be in [1, %d], got %zd", MAX_N, n);
-    }
     pref[0] = 0;
     for (Py_ssize_t i = 0; i < n; i++) {
         if (bits[i] > 1) {
-            PyBuffer_Release(&view);
             PyErr_SetString(PyExc_ValueError,
                             "bits must contain only 0 and 1 byte values");
-            return NULL;
+            return -1;
         }
         pref[i + 1] = pref[i] + bits[i];
     }
-    PyBuffer_Release(&view);
-
-    Py_ssize_t out_len = n * (n + 3) / 2;
-    PyObject *sig = PyBytes_FromStringAndSize(NULL, out_len);
-    if (sig == NULL)
-        return NULL;
-    unsigned char *out = (unsigned char *)PyBytes_AS_STRING(sig);
-    memset(out, 0, out_len);
+    memset(out, 0, n * (n + 3) / 2);
     /* class k occupies k+1 bytes, one per window weight w = 0..k */
     Py_ssize_t base = 0;
     for (Py_ssize_t k = 1; k <= n; k++) {
@@ -50,12 +45,71 @@ full_signature(PyObject *Py_UNUSED(module), PyObject *arg)
             out[base + pref[j + k] - pref[j]]++;
         base += k + 1;
     }
+    return 0;
+}
+
+static PyObject *
+full_signature(PyObject *Py_UNUSED(module), PyObject *arg)
+{
+    Py_buffer view;
+    PyObject *sig = NULL;
+
+    if (PyObject_GetBuffer(arg, &view, PyBUF_SIMPLE) < 0)
+        return NULL;
+    Py_ssize_t n = view.len;
+    if (check_length(n) == 0)
+        sig = PyBytes_FromStringAndSize(NULL, n * (n + 3) / 2);
+    if (sig != NULL
+        && sign(view.buf, n, (unsigned char *)PyBytes_AS_STRING(sig)) < 0)
+        Py_CLEAR(sig);
+    PyBuffer_Release(&view);
     return sig;
+}
+
+static PyObject *
+signatures(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    Py_buffer view;
+    Py_ssize_t n;
+    PyObject *sigs = NULL;
+
+    if (!PyArg_ParseTuple(args, "y*n:signatures", &view, &n))
+        return NULL;
+    if (check_length(n) < 0)
+        goto done;
+    if (view.len % n) {
+        PyErr_Format(PyExc_ValueError,
+                     "buffer of %zd bytes is not a whole number of rows "
+                     "of length %zd", view.len, n);
+        goto done;
+    }
+    Py_ssize_t rows = view.len / n;
+    sigs = PyList_New(rows);
+    if (sigs == NULL)
+        goto done;
+    const unsigned char *bits = view.buf;
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        PyObject *sig = PyBytes_FromStringAndSize(NULL, n * (n + 3) / 2);
+        if (sig == NULL) {
+            Py_CLEAR(sigs);
+            goto done;
+        }
+        PyList_SET_ITEM(sigs, r, sig);
+        if (sign(bits + r * n, n, (unsigned char *)PyBytes_AS_STRING(sig)) < 0) {
+            Py_CLEAR(sigs);
+            goto done;
+        }
+    }
+done:
+    PyBuffer_Release(&view);
+    return sigs;
 }
 
 static PyMethodDef methods[] = {
     {"full_signature", full_signature, METH_O,
      "Signature of a 0/1 byte string; counts of window weights per length."},
+    {"signatures", signatures, METH_VARARGS,
+     "full_signature of each length-n row of one concatenated 0/1 buffer."},
     {NULL, NULL, 0, NULL},
 };
 

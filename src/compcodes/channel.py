@@ -86,13 +86,27 @@ def _sym_partner(k: int, n: int) -> int:
     return n - k + 1
 
 
+def _exact_int(value, what: str) -> int:
+    """value if it is an int; 2.9, True and "3" are errors, not 2, 1, 3."""
+    if type(value) is not int:
+        raise InvalidErrorSpecError(f"{what} must be an int, got {value!r}")
+    return value
+
+
+def _composition(fields) -> Composition:
+    comp = Composition(*fields)
+    for value in comp:
+        _exact_int(value, "a composition's zero and one counts")
+    return comp.validate()
+
+
 # One validator per model.  With n=None (at ErrorSpec construction) they
 # check everything that does not depend on the readout length; apply()
 # calls them again with n to add the range and partner checks.  Each
 # returns the targets in normalised form.
 
 def _asym_targets(targets, n=None) -> tuple[int, ...]:
-    classes = tuple(int(k) for k in targets)
+    classes = tuple(_exact_int(k, "class index") for k in targets)
     seen = set(classes)
     if len(seen) != len(classes):
         raise InvalidErrorSpecError("duplicate deletion targets")
@@ -113,7 +127,8 @@ def _asym_targets(targets, n=None) -> tuple[int, ...]:
 def _pair_targets(targets, n=None) -> tuple[tuple[int, int], ...]:
     pairs = []
     for item in targets:
-        i, j = sorted((int(item[0]), int(item[1])))
+        i, j = sorted((_exact_int(item[0], "class index"),
+                       _exact_int(item[1], "class index")))
         if i == j or i < 1 or (n is not None and j != _sym_partner(i, n)):
             raise InvalidErrorSpecError(f"({i}, {j}) is not a symmetric pair")
         if (i, j) in pairs:
@@ -125,8 +140,8 @@ def _pair_targets(targets, n=None) -> tuple[tuple[int, int], ...]:
 def _insert_targets(targets, n=None) -> tuple[tuple[int, Composition], ...]:
     out = []
     for item in targets:
-        k = int(item[0])
-        comp = Composition(*item[1]).validate()
+        k = _exact_int(item[0], "class index")
+        comp = _composition(item[1])
         if comp.length != k or (n is not None and k > n):
             raise InvalidErrorSpecError(
                 f"inserted entry {comp} does not fit class {k}")
@@ -138,9 +153,9 @@ def _skew_targets(targets, n=None):
     out = []
     seen = set()
     for item in targets:
-        k = int(item[0])
-        old = Composition(*item[1]).validate()
-        new = Composition(*item[2]).validate()
+        k = _exact_int(item[0], "class index")
+        old = _composition(item[1])
+        new = _composition(item[2])
         if old.length != k or (n is not None and k > n):
             raise InvalidErrorSpecError(f"entry {old} does not fit class {k}")
         if new.length != old.length:

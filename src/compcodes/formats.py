@@ -126,8 +126,8 @@ def parse_readout(text: str) -> Readout:
     if not isinstance(obj, dict) or "n" not in obj or "classes" not in obj:
         raise ParseError("readout JSON needs 'n' and 'classes'")
     n = obj["n"]
-    if type(n) is not int or n < 1:
-        raise ParseError(f"invalid n: {n!r}")
+    if type(n) is not int or not 1 <= n <= MAX_LENGTH:
+        raise ParseError(f"invalid n: {n!r}, not an int in [1, {MAX_LENGTH}]")
     if not isinstance(obj["classes"], dict):
         raise ParseError("'classes' must be an object of class lists")
     classes: dict[int, tuple[int, ...]] = {}

@@ -4,23 +4,28 @@ Imports the compiled signature kernel, which setup.py builds from
 ``_ckernel.c`` when a C compiler is available, otherwise the pure-Python
 twin.  Set COMPCODES_PURE=1 to force the fallback (used by the
 benchmark's gated runs).
+
+``full_signature`` signs one string.  ``signatures`` signs a batch of
+strings of one length, passed as one concatenated buffer; the oracle's
+sweeps sign whole codebooks that way.  The pure kernel bit-slices such a
+batch across rows, which pays once it holds more than about n^2/8 rows,
+and otherwise signs row by row.
 """
 
 import os
 
-from compcodes import _pykernel
+from compcodes._pykernel import MAX_N
 
 if os.environ.get("COMPCODES_PURE"):
-    _impl = _pykernel
+    from compcodes._pykernel import BACKEND, full_signature, signatures
 else:
     try:
-        from compcodes import _ckernel as _impl  # type: ignore[no-redef]
+        # an extension built before a name was added lacks it, and then
+        # the whole pure kernel is used
+        from compcodes._ckernel import (  # type: ignore[no-redef]
+            BACKEND, full_signature, signatures)
     except ImportError:
-        _impl = _pykernel
-
-BACKEND = _impl.BACKEND
-MAX_N = _pykernel.MAX_N
-full_signature = _impl.full_signature
+        from compcodes._pykernel import BACKEND, full_signature, signatures
 
 
 def class_slice_bounds(n: int, k: int) -> tuple[int, int]:

@@ -1,14 +1,18 @@
 """Brute-force ground truth: equicomposability, class counts, code
 property verification and confusable-pair search.
 
-Verification reads each codeword's signature once, as a big-endian
-integer.  Per deletion pattern it ANDs every signature with
+Verification signs the whole codebook in one ``kernel.signatures`` call
+on its concatenated strings, and reads each signature once, as a
+big-endian integer.  Per deletion pattern it ANDs every signature with
 ``kernel.kept_mask``, which zeroes the deleted classes' bytes, and a set
 of the masked integers shows whether any two codewords collide: the sweep
 is linear in the codebook's size per pattern.  Only the first colliding
-pattern is bucketed, to pick its lexicographically smallest pair.  Search
-order is fixed (patterns ascending, strings lexicographic) so the first
-witness is deterministic.
+pattern is bucketed, to pick its lexicographically smallest pair, and
+that witness is checked again with ``ConfusabilityWitness.verify``, which
+signs its two strings one at a time with ``kernel.full_signature``.
+Search order is fixed (patterns ascending, strings lexicographic) so the
+first witness is deterministic.  ``count_classes`` likewise signs all its
+strings in one batch.
 """
 
 from __future__ import annotations
@@ -71,7 +75,8 @@ def count_classes(n: int, cap: int = DEFAULT_CAP) -> tuple[int, list[str]]:
     strings = [s for s in map(f"{{:0{n}b}}".format, range(2 ** n)) if s <= s[::-1]]
     strings.reverse()
     # dict() keeps each key's last value: scanning downward, the smallest
-    reps = dict(zip(map(kernel.full_signature, map(bits_to_bytes, strings)), strings))
+    sigs = kernel.signatures(bits_to_bytes("".join(strings)), n)
+    reps = dict(zip(sigs, strings))
     return len(reps), sorted(reps.values())
 
 
@@ -114,8 +119,8 @@ def deletion_patterns(model: str, t: int, n: int):
 
 
 def _collision_scan(members, n, patterns) -> ConfusabilityWitness | None:
-    sigs = [int.from_bytes(kernel.full_signature(bits_to_bytes(s)), "big")
-            for s in members]
+    sigs = [int.from_bytes(sig, "big")
+            for sig in kernel.signatures(bits_to_bytes("".join(members)), n)]
     for pattern in patterns:
         mask = kernel.kept_mask(n, pattern)
         if len(set(map(mask.__and__, sigs))) == len(sigs):
@@ -131,7 +136,13 @@ def _collision_scan(members, n, patterns) -> ConfusabilityWitness | None:
                     best = pair
             else:
                 buckets[key] = s
-        return ConfusabilityWitness(best[0], best[1], frozenset(pattern))
+        witness = ConfusabilityWitness(best[0], best[1], frozenset(pattern))
+        # verify() signs the pair again with full_signature: a fault in
+        # the batch kernel must not pass as a finding
+        if not witness.verify():
+            raise RuntimeError(f"batch signatures disagree with "
+                               f"full_signature on {witness}")
+        return witness
     return None
 
 

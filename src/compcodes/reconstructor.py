@@ -401,8 +401,9 @@ def decode_skewed(r: Readout, spec: CodebookSpec) -> DecodeReport:
 def _member_signatures(key: tuple) -> tuple[tuple[str, ...], list[bytes]]:
     # keyed by spec.key(): a dataclass key would run Python-level
     # __hash__ and __eq__ on every cross-check
-    members = enumerate_codebook(CodebookSpec(*key))
-    return members, [kernel.full_signature(bits_to_bytes(s)) for s in members]
+    spec = CodebookSpec(*key)
+    members = enumerate_codebook(spec)
+    return members, kernel.signatures(bits_to_bytes("".join(members)), spec.n)
 
 
 def brute_force_decode(r: Readout, spec: CodebookSpec) -> DecodeReport:

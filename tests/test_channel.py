@@ -87,6 +87,31 @@ def test_invalid_error_specs(example_readout):
         ErrorSpec("skew", targets=((7, (2, 5), (3, 4)), (7, (3, 4), (4, 3))))
 
 
+def test_targets_need_exact_ints(example_readout):
+    # int() would read 2.9 as class 2, True as 1 and "3" as 3
+    for bad in (2.9, True, "3"):
+        with pytest.raises(InvalidErrorSpecError, match="must be an int"):
+            ErrorSpec("asym_delete", targets=(bad,))
+        with pytest.raises(InvalidErrorSpecError, match="must be an int"):
+            ErrorSpec("sym_pair_delete", targets=((bad, 7),))
+        with pytest.raises(InvalidErrorSpecError, match="must be an int"):
+            ErrorSpec("insert", targets=((bad, (1, 2)),))
+        with pytest.raises(InvalidErrorSpecError, match="must be an int"):
+            ErrorSpec("skew", targets=((bad, (1, 2), (2, 1)),))
+    # a float composition used to reach apply() and fail there with TypeError
+    for comp in ((1.5, 1.5), (1, 2.0), (True, 2)):
+        with pytest.raises(InvalidErrorSpecError, match="must be an int"):
+            ErrorSpec("insert", targets=((3, comp),))
+        with pytest.raises(InvalidErrorSpecError, match="must be an int"):
+            ErrorSpec("skew", targets=((3, comp, (2, 1)),))
+        with pytest.raises(InvalidErrorSpecError, match="must be an int"):
+            ErrorSpec("skew", targets=((3, (0, 3), comp),))
+    # exact ints, and Compositions, still pass and apply
+    corrupted = apply(example_readout, ErrorSpec(
+        "insert", targets=((3, Composition(1, 2)),)))
+    assert corrupted.classes[3][2] == example_readout.classes[3][2] + 1
+
+
 def test_random_error_capacity():
     with pytest.raises(InvalidErrorSpecError):
         random_error("asym_delete", 7, seed=1, n=12)

@@ -140,7 +140,8 @@ def test_usage_errors_exit_two():
 
 
 def test_malformed_readout_exits_two():
-    for text in ('{"n":3,"classes":[1]}', '{"n":3,"classes":{"1":5}}', "[" * 5000):
+    for text in ('{"n":3,"classes":[1]}', '{"n":3,"classes":{"1":5}}', "[" * 5000,
+                 '{"n":256,"classes":{}}', '{"n":1000000000,"classes":{}}'):
         rc, _, err = run("decode", "--spec", "SR:3", inp=text)
         assert rc == 2, err
         assert "Traceback" not in err

@@ -85,6 +85,9 @@ def test_parse_errors():
         parse_readout("[" * 5000)  # nesting deeper than the JSON decoder recurses
     with pytest.raises(ParseError, match="invalid n"):
         parse_readout('{"n":true,"classes":{}}')  # JSON true is not 1
+    for big in (256, 10 ** 9):  # beyond MAX_LENGTH: a ParseError, not Readout's
+        with pytest.raises(ParseError, match="invalid n"):
+            parse_readout('{"n":%d,"classes":{}}' % big)
     with pytest.raises(ParseError, match="class 1"):
         parse_readout('{"n":2,"classes":{"1":[[false,true]]}}')
     with pytest.raises(ParseError, match="class 1 repeats"):
@@ -207,7 +210,7 @@ def _reference_parse_readout(text: str) -> Readout:
     if not isinstance(obj, dict) or "n" not in obj or "classes" not in obj:
         raise ParseError("readout JSON needs 'n' and 'classes'")
     n = obj["n"]
-    if type(n) is not int or n < 1:  # JSON true is not 1
+    if type(n) is not int or not 1 <= n <= 255:  # JSON true is not 1
         raise ParseError(f"invalid n: {n!r}")
     if not isinstance(obj["classes"], dict):
         raise ParseError("'classes' must be an object of class lists")

@@ -7,6 +7,7 @@ import random
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -116,3 +117,81 @@ def test_backends_reject_bad_input_alike(ckernel):
         with pytest.raises(ValueError) as compiled:
             ckernel.full_signature(bad)
         assert str(compiled.value) == str(pure.value)
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def backend(request):
+    if request.param == "pure":
+        return _pykernel
+    return request.getfixturevalue("ckernel")
+
+
+_LOW_BIT = bytes(b & 1 for b in range(256))
+
+
+def _row_by_row(rows: bytes, n: int) -> list[bytes]:
+    return [_pykernel.full_signature(rows[i:i + n]) for i in range(0, len(rows), n)]
+
+
+def test_signatures_of_every_row_at_once(backend):
+    for n in range(1, 11):
+        rows = b"".join(bytes(int(b) for b in format(x, f"0{n}b"))
+                        for x in range(2 ** n))
+        assert backend.signatures(rows, n) == _row_by_row(rows, n), n
+
+
+def test_signatures_of_random_batches(backend):
+    rng = random.Random(17)
+    for n in range(11, _pykernel.MAX_N + 1):
+        for count in (0, 1):
+            rows = rng.randbytes(n * count).translate(_LOW_BIT)
+            assert backend.signatures(rows, n) == _row_by_row(rows, n), (n, count)
+    # past one chunk, and on both sides of the pure kernel's switch from
+    # row by row to bit-sliced at n^2/8 rows
+    for n, count in ((11, _pykernel._CHUNK_ROWS + 1), (16, _pykernel._CHUNK_ROWS + 1),
+                     (24, 71), (24, 72), (40, 199), (40, 200)):
+        rows = rng.randbytes(n * count).translate(_LOW_BIT)
+        assert backend.signatures(rows, n) == _row_by_row(rows, n), (n, count)
+
+
+def test_signatures_of_constant_rows(backend):
+    # all-zero and all-one rows give the largest counts: n - k + 1 windows
+    # of class k share one weight, up to 255 at n = 255
+    for n, count in ((16, 64), (40, 200), (255, 2)):
+        rows = (bytes(n) + bytes([1]) * n) * (count // 2)
+        assert backend.signatures(rows, n) == _row_by_row(rows, n), n
+    assert max(backend.signatures(bytes(255), 255)[0]) == 255
+
+
+def test_signatures_reject_bad_input_alike(ckernel):
+    bad_inputs = ((b"", 0), (b"", 256), (bytes(3), -1), (bytes(5), 2),
+                  (bytes(300), 255), (bytes([0, 2]), 2), (bytes([0, 1, 0, 3]), 2),
+                  (bytes([1, 0]) * 200 + bytes([7, 0]), 2))
+    for rows, n in bad_inputs:
+        with pytest.raises(ValueError) as pure:
+            _pykernel.signatures(rows, n)
+        with pytest.raises(ValueError) as compiled:
+            ckernel.signatures(rows, n)
+        assert str(compiled.value) == str(pure.value), (rows, n)
+    assert _pykernel.signatures(b"", 7) == ckernel.signatures(b"", 7) == []
+
+
+def test_stale_extension_falls_back_to_pure_kernel():
+    # an extension built before signatures() existed: the import must not
+    # break, and the pure kernel must serve both functions
+    code = (
+        "import sys, types\n"
+        "stale = types.ModuleType('compcodes._ckernel')\n"
+        "stale.BACKEND = 'compiled'\n"
+        "stale.full_signature = bytes\n"
+        "sys.modules['compcodes._ckernel'] = stale\n"
+        "from compcodes import _pykernel, kernel\n"
+        "assert kernel.BACKEND == 'pure', kernel.BACKEND\n"
+        "assert kernel.full_signature is _pykernel.full_signature\n"
+        "assert kernel.signatures is _pykernel.signatures\n")
+    env = {k: v for k, v in os.environ.items() if k != "COMPCODES_PURE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(Path(_pykernel.__file__).parents[1]), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -81,7 +81,7 @@ def test_count_classes_representatives_cover_everything():
 def test_count_classes_matches_plain_loop():
     # reference: every string in lexicographic order, first one seen per
     # readout kept as the class representative
-    for n in range(1, 13):
+    for n in range(1, 15):
         reps = {}
         for x in range(2 ** n):
             s = format(x, f"0{n}b")
@@ -193,6 +193,23 @@ def test_insertion_deletion_equivalence_on_witness():
     for k in range(1, 13):
         if k not in w.deleted_classes:
             assert left.classes[k] == full_readout(w.s).classes[k]
+
+
+def test_verify_empty_codebook():
+    # SCA1 has no member at n = 3: an empty batch signs to no signature
+    spec = CodebookSpec("SCA1", 3)
+    assert enumerate_codebook(spec) == ()
+    for model in oracle.PROPERTY_MODELS:
+        assert verify_code_property(spec, model, 1) is None
+
+
+def test_collision_scan_rechecks_its_witness(monkeypatch):
+    # a batch kernel that signs every member alike makes a pair that
+    # verify(), signing one string at a time, rejects
+    monkeypatch.setattr(kernel, "signatures",
+                        lambda rows, n: [bytes(n * (n + 3) // 2)] * (len(rows) // n))
+    with pytest.raises(RuntimeError, match="disagree"):
+        verify_code_property(CodebookSpec("SR", 8), "asym_delete", 1)
 
 
 def test_verification_cap():
