@@ -158,6 +158,71 @@ def test_enumeration_golden_digests():
             (family, n, t, a)
 
 
+
+# Digests past the set above: odd-n SDS2 (the centre bit's residue term),
+# t = 3 and n = 22, computed with the SR-list-filtered construction.
+GOLDEN_RESIDUE_ENUMERATIONS = {
+    ("SDS2", 19, 1, 0):
+        "e1b18492c2ded152ceb41c2cf20743c8f522d14e265d7de4682be96db3dca5c9",
+    ("SDS2", 19, 1, 1):
+        "f7f490b175991b9b031915b645276185b63e8ecc9701e84c97d2bcf4809c4ef2",
+    ("SDS2", 19, 1, 2):
+        "b1a4faae3f4b39dab90f3d2dd28007bb7ffc32c189bb2fe930dfa1bb30b7149f",
+    ("SDS2", 19, 1, 3):
+        "98614db258f2c398344f2fbe97b83426ddd20d74e86ba4b7fcdc76a4f76dd7df",
+    ("SDS2", 19, 1, 4):
+        "0893f978c20d2084268c5ae559d425e21013c0f2fbb6068a054f74ab5132ecdc",
+    ("SDS2", 19, 1, 5):
+        "122a470a1b04d758ee4d618a8360c0899c3b849d8d5382bbdcf984591ce17689",
+    ("SDS2", 19, 1, 6):
+        "fb16e83f80069c72cbb7c29b43e9b0408a60b2f5dfc54b596ffcefa029f7e69a",
+    ("SDSprime", 20, 3, 0):
+        "f3827c03109a9d83b3c448b5b3289601c1e7bd22223c352b7cf141f4925d6afb",
+    ("SDSprime", 20, 3, 1):
+        "570ebd6cae1b0e04a4c6cbadf5e3b586d253145215130a54bf29de4bbb7f43ce",
+    ("SDSprime", 20, 3, 30):
+        "3ee1987022a0249a077461dfb7f26990d54103587eabb5a6aa45ed465fa156c5",
+    ("SDS2", 22, 1, 0):
+        "610cc937beb44596f2e1c65b2563043da115cb0f99576eacc7c72c18cc55ba7d",
+}
+
+
+def test_residue_enumeration_golden_digests():
+    for (family, n, t, a), digest in GOLDEN_RESIDUE_ENUMERATIONS.items():
+        members = enumerate_codebook(CodebookSpec(family, n, t=t, a=a))
+        assert hashlib.sha256("\n".join(members).encode()).hexdigest() == digest, \
+            (family, n, t, a)
+
+
+def _reference_shards(n, modulus):
+    """SR(n) split by weight-sum residue: the residue families' old
+    construction, every SR member filtered by ``weight_sum_mod``."""
+    shards = [[] for _ in range(modulus)]
+    for s in enumerate_codebook(CodebookSpec("SR", n)):
+        shards[weight_sum_mod(s, modulus)].append(s)
+    return [tuple(shard) for shard in shards]
+
+
+@pytest.mark.parametrize("n", range(4, 19))
+def test_residue_enumeration_matches_filtered_reconstruction_code(n):
+    for a, expected in enumerate(_reference_shards(n, 7)):
+        assert enumerate_codebook(CodebookSpec("SDS2", n, a=a)) == expected, a
+    for t in (2, 3):
+        if n < 2 * t + 4:
+            continue
+        for a, expected in enumerate(_reference_shards(n, modulus_A(t))):
+            assert enumerate_codebook(
+                CodebookSpec("SDSprime", n, t=t, a=a)) == expected, (t, a)
+
+
+@pytest.mark.parametrize("n", range(4, 19))
+def test_sda_enumeration_matches_filtered_reconstruction_code(n):
+    sr = enumerate_codebook(CodebookSpec("SR", n))
+    for t in (2, 3):
+        spec = CodebookSpec("SDA", n, t=t)
+        assert enumerate_codebook(spec) == tuple(
+            s for s in sr if is_member(spec, s)), t
+
 def test_endpoints_fixed_on_all_members():
     specs = [CodebookSpec("SR", n) for n in range(6, 15)]
     specs += [CodebookSpec("SDA", n, t=2) for n in (8, 10, 12, 14)]
