@@ -20,6 +20,10 @@ of the selected bits and the least number of selected pairs, decide and
 list these shapes: SR is (1, 0), SDA is (t, t).  SCA1 lifts two bits out
 of an SR core.  The residue is a linear form, sum_i s_i c_i, whose
 per-length coefficients count the first-half windows covering each bit.
+The walk carries that sum from pair to pair, so SDS2 and SDSprime are
+listed by one walk that keeps the leaves with the wanted residue; SR(n)
+is never listed for them.  SCA1 filters its lifted SR core by parity and
+residue.
 
 Encoding is enumerative: rank/unrank index the lexicographic member list.
 """
@@ -60,6 +64,10 @@ class CodebookSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for field in ("n", "t", "a"):
+            value = getattr(self, field)
+            if type(value) is not int:  # 12.5, 2.0 and True are errors
+                raise ValueError(f"{field} must be an int, got {value!r}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.family in ("SR", "SCA1", "SDS2") and self.t != 1:
@@ -138,29 +146,42 @@ def _is_sr_shaped(s: str, depth: int, least: int) -> bool:
     return len(idx) >= least and is_t_dominated("".join(s[i - 1] for i in idx), depth)
 
 
-def _sr_shaped_strings(n: int, depth: int, least: int) -> list[str]:
-    """Every length-n string that ``_is_sr_shaped`` accepts, unordered.
+def _sr_shaped_strings(n: int, depth: int, least: int,
+                       modulus: int, residue: int) -> list[str]:
+    """Every length-n string that ``_is_sr_shaped`` accepts and whose
+    weight-sum residue ``sum_i s_i c_i mod modulus`` is ``residue``,
+    unordered.  Modulus 1 keeps every shape (SR, SDA).
 
     Walks the mirror pairs i = 2..n//2.  A pair is equal (00 or 11) or
-    selected (s_i != s_{n+1-i}); the state is the number of selected pairs
-    and the ballot excess (zeros minus ones) of the selected bits so far.
+    selected (s_i != s_{n+1-i}); the state is the number of selected pairs,
+    the ballot excess (zeros minus ones) of the selected bits so far, and
+    the running sum r of c_i over the 1 bits placed: the ends start it at
+    c_n, a 11 pair adds c_i + c_{n+1-i}, a selected pair the coefficient
+    of its 1 bit, and the centre bit of odd n c_{(n+1)/2}.
     """
     half = n // 2
-    centres = ("0", "1") if n % 2 else ("",)
+    c = _residue_coefficients(n)
+    centres = (("0", 0), ("1", c[half])) if n % 2 else (("", 0),)
     out: list[str] = []
+    append = out.append
 
-    def walk(i: int, head: str, tail: str, selected: int, excess: int):
+    def walk(i: int, head: str, tail: str, selected: int, excess: int, r: int):
         if i > half:
             if selected >= least:
-                out.extend(head + c + tail for c in centres)
+                for bit, w in centres:
+                    if (r + w) % modulus == residue:
+                        append(head + bit + tail)
             return
-        walk(i + 1, head + "0", "0" + tail, selected, excess)
-        walk(i + 1, head + "1", "1" + tail, selected, excess)
-        for bit, mirror, step in (("0", "1", 1), ("1", "0", -1)):
-            if selected + 1 < depth or excess + step >= depth:
-                walk(i + 1, head + bit, mirror + tail, selected + 1, excess + step)
+        ci, cj = c[i - 1], c[n - i]
+        i += 1
+        walk(i, head + "0", "0" + tail, selected, excess, r)
+        walk(i, head + "1", "1" + tail, selected, excess, r + ci + cj)
+        if selected + 1 < depth or excess + 1 >= depth:
+            walk(i, head + "0", "1" + tail, selected + 1, excess + 1, r + cj)
+        if selected + 1 < depth or excess - 1 >= depth:
+            walk(i, head + "1", "0" + tail, selected + 1, excess - 1, r + ci)
 
-    walk(2, "0", "1", 0, 0)
+    walk(2, "0", "1", 0, 0, c[n - 1])
     return out
 
 
@@ -214,12 +235,9 @@ def _members(key: tuple) -> tuple[str, ...]:
             for inner in _members(("SR", n - 2, 1, 0))
             for star1, star2 in ("00", "01", "11")
             if (inner + star1 + star2).count("1") % 2 == 0]
-    elif spec.family in ("SDS2", "SDSprime"):
-        raw = _members(("SR", n, 1, 0))
-    else:
-        raw = _sr_shaped_strings(n, *_shape(spec))
-    if spec.modulus is not None:
         raw = [s for s in raw if weight_sum_mod(s, spec.modulus) == spec.a]
+    else:
+        raw = _sr_shaped_strings(n, *_shape(spec), spec.modulus or 1, spec.a)
     return tuple(sorted(raw))
 
 

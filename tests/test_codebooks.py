@@ -3,10 +3,12 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from compcodes import codebooks
 from compcodes.codebooks import (
     CodebookSpec,
     antisymmetric_index_set,
@@ -223,6 +225,19 @@ def test_sda_enumeration_matches_filtered_reconstruction_code(n):
         assert enumerate_codebook(spec) == tuple(
             s for s in sr if is_member(spec, s)), t
 
+def test_residue_family_enumeration_lists_no_reconstruction_code():
+    # SR(20) alone peaks near 4.5 MiB; the residue walk keeps only SDS2's
+    # 7 524 members
+    codebooks._members.cache_clear()
+    tracemalloc.start()
+    try:
+        assert size(CodebookSpec("SDS2", 20)) == 7524
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
+
+
 def test_endpoints_fixed_on_all_members():
     specs = [CodebookSpec("SR", n) for n in range(6, 15)]
     specs += [CodebookSpec("SDA", n, t=2) for n in (8, 10, 12, 14)]
@@ -363,6 +378,14 @@ def test_spec_validation():
         CodebookSpec("SDS2", 10, a=7)
     with pytest.raises(ValueError):
         CodebookSpec("SR", 10, t=2)
+    # exact ints only: 12.5 would enumerate 13-character strings
+    for kwargs, field in (({"n": 12.5}, "n"), ({"n": True}, "n"),
+                          ({"n": 12, "a": 2.0}, "a"), ({"n": 12, "a": True}, "a"),
+                          ({"n": 12, "t": 1.0}, "t")):
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            CodebookSpec("SDS2", **kwargs)
+    with pytest.raises(ValueError, match="^t must be an int"):
+        CodebookSpec("SDA", 12, t=2.0)
 
 
 def test_enumeration_cap():
