@@ -92,6 +92,22 @@ def test_verify_exit_codes():
     assert not payload["ok"] and payload["reverified"]
 
 
+def test_verify_output_lines():
+    # the exact payloads, with and without a witness
+    rc, out, _ = run("verify", "--spec", "SDS2:10,a=0",
+                     "--model", "sym_pair_delete", "--t", "2")
+    assert rc == 0 and out == (
+        '{"spec":{"family":"SDS2","n":10,"t":1,"a":0},'
+        '"model":"sym_pair_delete","t":2,"ok":true}')
+    rc, out, _ = run("verify", "--spec", "SR:10",
+                     "--model", "sym_pair_delete", "--t", "2")
+    assert rc == 1 and out == (
+        '{"spec":{"family":"SR","n":10,"t":1,"a":0},'
+        '"model":"sym_pair_delete","t":2,"ok":false,'
+        '"witness":{"s":"0001001011","v":"0010001101",'
+        '"deleted_classes":[3,4,7,8]},"reverified":true}')
+
+
 def test_bounds_command():
     rc, out, _ = run("bounds", "--spec", "SDA:12,t=2")
     assert rc == 0
@@ -99,6 +115,19 @@ def test_bounds_command():
     assert payload["size"] == 143
     assert payload["measured_redundancy"] <= payload["redundancy_bound"]
     assert payload["size"] >= payload["size_lower_bound"]
+
+
+def test_bounds_output_lines():
+    # the exact payloads; an empty codebook has no measured redundancy
+    rc, out, _ = run("bounds", "--spec", "SDA:12,t=2")
+    assert rc == 0 and out == (
+        '{"spec":{"family":"SDA","n":12,"t":2,"a":0},"size":143,'
+        '"measured_redundancy":4.840129,"redundancy_bound":8.5,'
+        '"size_lower_bound":98.0}')
+    rc, out, _ = run("bounds", "--spec", "SCA1:3")
+    assert rc == 0 and out == (
+        '{"spec":{"family":"SCA1","n":3,"t":1,"a":0},"size":0,'
+        '"measured_redundancy":null,"redundancy_bound":8.0}')
 
 
 def test_bounds_below_stated_length_exit_two():

@@ -174,6 +174,23 @@ def test_parse_error_spec_wraps_every_malformed_input():
             parse_error_spec(bad)
 
 
+def test_explicit_error_spec_texts_round_trip_byte_for_byte():
+    # pairs keep their order, a repeated insert entry stays repeated
+    for text in ('{"model":"asym_delete","targets":[3]}',
+                 '{"model":"asym_delete","targets":[7,2,4]}',
+                 '{"model":"sym_pair_delete","targets":[[3,7]]}',
+                 '{"model":"sym_pair_delete","targets":[[7,3]]}',
+                 '{"model":"sym_pair_delete","targets":[[4,6],[1,9]]}',
+                 '{"model":"insert","targets":[[7,[1,6]]]}',
+                 '{"model":"insert","targets":[[7,[1,6]],[7,[1,6]]]}',
+                 '{"model":"insert","targets":[[9,[0,9]],[1,[1,0]]]}',
+                 '{"model":"skew","targets":[[7,[2,5],[3,4]]]}',
+                 '{"model":"skew","targets":[[7,[2,5],[3,4]],[6,[2,4],[4,2]]]}',
+                 '{"model":"skew","count":2,"seed":7}',
+                 '{"model":"asym_delete","targets":[]}'):
+        assert emit_error_spec(parse_error_spec(text)) == text
+
+
 def test_report_emission():
     rep = DecodeReport("01", dropped_classes=(2,), backtracks=1,
                        max_backtrack_span=1)
