@@ -15,22 +15,11 @@ from .codebooks import (
     size_lower_bound,
     unrank,
 )
-from .core import (
-    Composition,
-    PolyTerm,
-    Readout,
-    bivariate_poly,
-    complement,
-    composition_of,
-    full_readout,
-    sigma_from_weights,
-    sigma_of_string,
-)
+from .core import Readout, full_readout, sigma_from_weights
 from .kernel import BACKEND
 from .oracle import (
     ConfusabilityWitness,
     count_classes,
-    equicomposable,
     find_confusable_pair,
     max_code_bound,
     verify_code_property,

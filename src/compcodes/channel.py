@@ -5,6 +5,11 @@ constants 0x9E3779B97F4A7C15 / 0xBF58476D1CE4E5B9 / 0x94D049BB133111EB)
 so that a seed reproduces the same corruption on every platform and
 Python version.  Explicit targets pin down worked
 examples exactly; seeded specs resolve lazily against the readout they corrupt.
+
+An entry of class k is named by its wire pair (z, w), z zeros and w ones
+with z + w = k; only its weight w decides where it lands in the readout.
+``ErrorSpec`` holds the one validator of every spec, wherever it comes
+from: ``formats.parse_error_spec`` hands it the decoded JSON unchanged.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Composition, Readout
+from .core import Readout
 from .errors import InvalidErrorSpecError, InvalidSkewError
 
 MODELS = ("asym_delete", "sym_pair_delete", "insert", "skew")
@@ -51,11 +56,16 @@ class SplitMix64:
 class ErrorSpec:
     """One corruption event: either explicit targets or a seeded draw.
 
-    Target shapes by model:
+    Target shapes by model, with each entry as its wire pair (z, w):
       asym_delete      (k, ...) class indices
-      sym_pair_delete  ((i, n-i+1), ...) index pairs
-      insert           ((k, Composition), ...) added entries
-      skew             ((k, old Composition, new Composition), ...)
+      sym_pair_delete  ((i, n-i+1), ...) index pairs, in either order
+      insert           ((k, (z, w)), ...) added entries
+      skew             ((k, (z, w), (z', w')), ...) an entry and its
+                       lighter reading, w' < w
+
+    Lists are accepted wherever a tuple is; the spec keeps the targets as
+    nested tuples in the order given, so it is hashable.  Seeded specs
+    need exact ints for count (at least 1) and seed.
     """
 
     model: str
@@ -71,12 +81,15 @@ class ErrorSpec:
         if explicit == seeded:
             raise InvalidErrorSpecError(
                 "exactly one of explicit targets or count+seed is required")
-        if seeded and (self.count is None or self.seed is None):
-            raise InvalidErrorSpecError("seeded specs need both count and seed")
-        if seeded and self.count < 1:
-            raise InvalidErrorSpecError("count must be >= 1")
         if explicit:
-            _TARGET_CHECKS[self.model](self.targets)
+            object.__setattr__(self, "targets",
+                               _TARGET_CHECKS[self.model](self.targets))
+            return
+        if self.count is None or self.seed is None:
+            raise InvalidErrorSpecError("seeded specs need both count and seed")
+        if _exact_int(self.count, "count") < 1:
+            raise InvalidErrorSpecError("count must be >= 1")
+        _exact_int(self.seed, "seed")
 
     def is_seeded(self) -> bool:
         return self.targets is None
@@ -89,24 +102,38 @@ def _sym_partner(k: int, n: int) -> int:
 def _exact_int(value, what: str) -> int:
     """value if it is an int; 2.9, True and "3" are errors, not 2, 1, 3."""
     if type(value) is not int:
-        raise InvalidErrorSpecError(f"{what} must be an int, got {value!r}")
+        raise InvalidErrorSpecError(
+            f"{what} must be an integer, got {value!r}")
     return value
 
 
-def _composition(fields) -> Composition:
-    comp = Composition(*fields)
-    for value in comp:
-        _exact_int(value, "a composition's zero and one counts")
-    return comp.validate()
+def _items(value, what: str, arity: int | None = None) -> tuple:
+    """value as a tuple: a list or tuple, of exactly ``arity`` items if
+    given.  Anything else, a string or a dict included, is an error."""
+    if not isinstance(value, (list, tuple)) or arity not in (None, len(value)):
+        size = "" if arity is None else f" of {arity} items"
+        raise InvalidErrorSpecError(f"{what} must be a list{size}, "
+                                    f"got {value!r}")
+    return tuple(value)
+
+
+def _entry(value) -> tuple[int, int]:
+    """An entry's wire pair (z, w): exact ints z, w >= 0, z + w >= 1."""
+    z, w = (_exact_int(x, "an entry's zero and one counts")
+            for x in _items(value, "an entry", 2))
+    if z < 0 or w < 0 or z + w < 1:
+        raise InvalidErrorSpecError(f"invalid entry {value!r}")
+    return z, w
 
 
 # One validator per model.  With n=None (at ErrorSpec construction) they
 # check everything that does not depend on the readout length; apply()
 # calls them again with n to add the range and partner checks.  Each
-# returns the targets in normalised form.
+# returns the targets as nested tuples, in the order given.
 
 def _asym_targets(targets, n=None) -> tuple[int, ...]:
-    classes = tuple(_exact_int(k, "class index") for k in targets)
+    classes = tuple(_exact_int(k, "class index")
+                    for k in _items(targets, "targets"))
     seen = set(classes)
     if len(seen) != len(classes):
         raise InvalidErrorSpecError("duplicate deletion targets")
@@ -126,41 +153,43 @@ def _asym_targets(targets, n=None) -> tuple[int, ...]:
 
 def _pair_targets(targets, n=None) -> tuple[tuple[int, int], ...]:
     pairs = []
-    for item in targets:
-        i, j = sorted((_exact_int(item[0], "class index"),
-                       _exact_int(item[1], "class index")))
+    seen = set()
+    for item in _items(targets, "targets"):
+        pair = tuple(_exact_int(k, "class index")
+                     for k in _items(item, "a class pair", 2))
+        i, j = sorted(pair)
         if i == j or i < 1 or (n is not None and j != _sym_partner(i, n)):
             raise InvalidErrorSpecError(f"({i}, {j}) is not a symmetric pair")
-        if (i, j) in pairs:
+        if (i, j) in seen:
             raise InvalidErrorSpecError(f"duplicate pair ({i}, {j})")
-        pairs.append((i, j))
+        seen.add((i, j))
+        pairs.append(pair)
     return tuple(pairs)
 
 
-def _insert_targets(targets, n=None) -> tuple[tuple[int, Composition], ...]:
+def _insert_targets(targets, n=None) -> tuple[tuple[int, tuple], ...]:
     out = []
-    for item in targets:
-        k = _exact_int(item[0], "class index")
-        comp = _composition(item[1])
-        if comp.length != k or (n is not None and k > n):
+    for item in _items(targets, "targets"):
+        k, entry = _items(item, "an insert target", 2)
+        k, entry = _exact_int(k, "class index"), _entry(entry)
+        if sum(entry) != k or (n is not None and k > n):
             raise InvalidErrorSpecError(
-                f"inserted entry {comp} does not fit class {k}")
-        out.append((k, comp))
+                f"inserted entry {entry} does not fit class {k}")
+        out.append((k, entry))
     return tuple(out)
 
 
-def _skew_targets(targets, n=None):
+def _skew_targets(targets, n=None) -> tuple[tuple[int, tuple, tuple], ...]:
     out = []
     seen = set()
-    for item in targets:
-        k = _exact_int(item[0], "class index")
-        old = _composition(item[1])
-        new = _composition(item[2])
-        if old.length != k or (n is not None and k > n):
+    for item in _items(targets, "targets"):
+        k, old, new = _items(item, "a skew target", 3)
+        k, old, new = _exact_int(k, "class index"), _entry(old), _entry(new)
+        if sum(old) != k or (n is not None and k > n):
             raise InvalidErrorSpecError(f"entry {old} does not fit class {k}")
-        if new.length != old.length:
+        if sum(new) != k:
             raise InvalidSkewError("skew must preserve fragment length")
-        if new.w >= old.w:
+        if new[1] >= old[1]:
             raise InvalidSkewError(
                 "skew must strictly lower the weight (mass under-read)")
         if k in seen:
@@ -220,7 +249,7 @@ def _draw_targets(r: Readout, e: ErrorSpec) -> tuple:
         for _ in range(e.count):
             k = rng.below(n) + 1
             w = rng.below(k + 1)
-            out.append((k, Composition(k - w, w)))
+            out.append((k, (k - w, w)))
         return tuple(out)
     # skew: distinct classes, no two mutually symmetric, resampling
     # classes that offer no weight to shed
@@ -249,8 +278,7 @@ def _draw_targets(r: Readout, e: ErrorSpec) -> tuple:
                 break
             pick -= counts[old_w]
         new_w = rng.below(old_w)
-        out.append((k, Composition(k - old_w, old_w),
-                    Composition(k - new_w, new_w)))
+        out.append((k, (k - old_w, old_w), (k - new_w, new_w)))
     return tuple(out)
 
 
@@ -275,16 +303,17 @@ def apply(r: Readout, e: ErrorSpec) -> Readout:
         return r.restrict(targets)
     classes = dict(r.classes)
     if e.model == "insert":
-        for k, comp in targets:
+        for k, (_, w) in targets:
             counts = list(classes.get(k, (0,) * (k + 1)))
-            counts[comp.w] += 1
+            counts[w] += 1
             classes[k] = tuple(counts)
         return Readout(n, classes)
     for k, old, new in targets:
-        if not r.present(k) or classes[k][old.w] < 1:
+        old_w, new_w = old[1], new[1]
+        if not r.present(k) or classes[k][old_w] < 1:
             raise InvalidErrorSpecError(f"no entry {old} in class {k}")
         counts = list(classes[k])
-        counts[old.w] -= 1
-        counts[new.w] += 1
+        counts[old_w] -= 1
+        counts[new_w] += 1
         classes[k] = tuple(counts)
     return Readout(n, classes)

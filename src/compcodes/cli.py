@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import channel, codebooks, experiment, formats, oracle, reconstructor
@@ -120,18 +119,14 @@ def cmd_verify(args) -> int:
     spec = formats.parse_spec(args.spec)
     witness = oracle.verify_code_property(spec, args.model, args.t,
                                           cap=args.cap)
-    if witness is None:
-        payload = {"spec": json.loads(formats.emit_spec(spec)),
-                   "model": args.model, "t": args.t, "ok": True}
-        _write_output(args, json.dumps(payload, separators=(",", ":")))
-        return EXIT_OK
     payload = {"spec": json.loads(formats.emit_spec(spec)),
-               "model": args.model, "t": args.t, "ok": False,
-               "witness": {"s": witness.s, "v": witness.v,
-                           "deleted_classes": sorted(witness.deleted_classes)},
-               "reverified": witness.verify()}
+               "model": args.model, "t": args.t, "ok": witness is None}
+    if witness is not None:
+        payload["witness"] = {"s": witness.s, "v": witness.v,
+                              "deleted_classes": sorted(witness.deleted_classes)}
+        payload["reverified"] = witness.verify()
     _write_output(args, json.dumps(payload, separators=(",", ":")))
-    return EXIT_WITNESS
+    return EXIT_OK if witness is None else EXIT_WITNESS
 
 
 def cmd_bounds(args) -> int:
@@ -140,8 +135,9 @@ def cmd_bounds(args) -> int:
     payload = {
         "spec": json.loads(formats.emit_spec(spec)),
         "size": count,
-        "measured_redundancy": (None if count == 0
-                                else round(spec.n - math.log2(count), 6)),
+        # JSON has no infinity: an empty codebook's redundancy is null
+        "measured_redundancy": (None if count == 0 else round(
+            codebooks.measured_redundancy(spec), 6)),
         "redundancy_bound": round(codebooks.redundancy_bound(spec), 6),
     }
     if spec.family == "SDA" and spec.n % 2 == 0:

@@ -178,7 +178,9 @@ def _sr_shaped_strings(n: int, depth: int, least: int,
         walk(i, head + "1", "1" + tail, selected, excess, r + ci + cj)
         if selected + 1 < depth or excess + 1 >= depth:
             walk(i, head + "0", "1" + tail, selected + 1, excess + 1, r + cj)
-        if selected + 1 < depth or excess - 1 >= depth:
+        # the first depth selected bits must all be 0, and while they are
+        # placed excess = selected < depth, so this also keeps out a 1 there
+        if excess - 1 >= depth:
             walk(i, head + "1", "0" + tail, selected + 1, excess - 1, r + ci)
 
     walk(2, "0", "1", 0, 0, c[n - 1])

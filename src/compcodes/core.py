@@ -1,13 +1,13 @@
-"""Compositions, readouts and pairwise-weight sequences.
+"""Readouts, signatures and pairwise-weight sequences.
 
 Strings are plain ``str`` over the alphabet ``{'0','1'}``.  Substring
 positions are 1-based and inclusive, matching the usual coding-theory
-convention.  A composition is the (zeros, ones) count pair of a fragment.
-A length-k composition is fixed by its weight, so the readout stores each
-class k (the multiset of compositions of all length-k fragments) as its
-weight-count vector: ``counts[w]`` windows of weight w, w = 0..k, in the
-layout of ``kernel.class_counts``.  All operations are pure and all values
-are treated as immutable.
+convention.  A composition is the (zeros, ones) count pair of a fragment;
+on the wire it is the pair [z, w].  A length-k composition is fixed by its
+weight, so the readout stores each class k (the multiset of compositions
+of all length-k fragments) as its weight-count vector: ``counts[w]``
+windows of weight w, w = 0..k, in the layout of ``kernel.class_counts``.
+All operations are pure and all values are treated as immutable.
 """
 
 from __future__ import annotations
@@ -16,47 +16,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from . import kernel
-from .errors import (
-    InconsistentReadoutError,
-    InvalidComplementError,
-    MissingClassError,
-)
+from .errors import InconsistentReadoutError, MissingClassError
 
 MAX_LENGTH = kernel.MAX_N
-
-
-class Composition(NamedTuple):
-    """Unordered content of a fragment: z zeros and w ones."""
-
-    z: int
-    w: int
-
-    @property
-    def length(self) -> int:
-        return self.z + self.w
-
-    def validate(self) -> "Composition":
-        if self.z < 0 or self.w < 0 or self.z + self.w < 1:
-            raise ValueError(f"invalid composition {self!r}")
-        return self
-
-    def __str__(self) -> str:
-        parts = []
-        if self.z:
-            parts.append(f"0^{self.z}" if self.z > 1 else "0")
-        if self.w:
-            parts.append(f"1^{self.w}" if self.w > 1 else "1")
-        return "".join(parts) or "-"
-
-
-class PolyTerm(NamedTuple):
-    """One term of the bivariate prefix-walk polynomial: x^xdeg * y^ydeg."""
-
-    xdeg: int
-    ydeg: int
 
 
 def check_bits(s: str) -> str:
@@ -82,15 +47,6 @@ def bits_to_bytes(s: str) -> bytes:
 def signature_of(s: str) -> bytes:
     """Canonical byte signature of the full composition multiset of s."""
     return kernel.full_signature(bits_to_bytes(check_bits(s)))
-
-
-def composition_of(s: str, i: int, j: int) -> Composition:
-    """Composition of the substring s_i..s_j (1-based, inclusive)."""
-    check_bits(s)
-    if not 1 <= i <= j <= len(s):
-        raise ValueError(f"need 1 <= i <= j <= {len(s)}, got i={i}, j={j}")
-    ones = s.count("1", i - 1, j)
-    return Composition(j - i + 1 - ones, ones)
 
 
 @dataclass
@@ -218,16 +174,6 @@ def full_readout(s: str) -> Readout:
                        for k in range(1, n + 1)})
 
 
-def sigma_of_string(s: str) -> tuple[int, ...]:
-    """Pairwise mirror weights: wt(s_i s_{n-i+1}), center bit alone if n odd."""
-    check_bits(s)
-    n = len(s)
-    vals = [int(s[i]) + int(s[n - 1 - i]) for i in range(n // 2)]
-    if n % 2:
-        vals.append(int(s[n // 2]))
-    return tuple(vals)
-
-
 def sigma_from_weights(weights: Sequence[int], n: int) -> tuple[int, ...]:
     """Recover the pairwise-weight sequence from cumulative weights.
 
@@ -271,27 +217,3 @@ def sigma_from_weights(weights: Sequence[int], n: int) -> tuple[int, ...]:
         fail(m, last)
     sigma.append(last)
     return tuple(sigma)
-
-
-def complement(whole: Composition, part: Composition) -> Composition:
-    """Componentwise difference; the contribution of the rest of a fragment."""
-    z, w = whole.z - part.z, whole.w - part.w
-    if z < 0 or w < 0:
-        raise InvalidComplementError(f"{part} does not fit inside {whole}")
-    if z + w < 1:
-        raise InvalidComplementError("complement would be empty")
-    return Composition(z, w)
-
-
-def bivariate_poly(s: str) -> tuple[PolyTerm, ...]:
-    """Prefix-walk polynomial terms: start at (0,0), step x per 1, y per 0."""
-    check_bits(s)
-    terms = [PolyTerm(0, 0)]
-    x = y = 0
-    for c in s:
-        if c == "1":
-            x += 1
-        else:
-            y += 1
-        terms.append(PolyTerm(x, y))
-    return tuple(terms)

@@ -16,10 +16,6 @@ class InconsistentReadoutError(CompCodesError):
     """
 
 
-class InvalidComplementError(CompCodesError):
-    """Componentwise difference of compositions would be negative or empty."""
-
-
 class UndecodableError(CompCodesError):
     """No codeword, or more than one, is consistent with the evidence."""
 

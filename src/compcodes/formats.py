@@ -24,6 +24,11 @@ directly, one ``[z,w]`` string per occupied weight repeated by its count.
   ``true`` is not 1, nor is ``1.0``); as those equal an int and could
   hide in its tally, a text holding one has every value's type checked.
   A key may not repeat in an object or, for class keys, after ``int()``.
+
+An error spec's JSON carries the ``ErrorSpec`` fields, its targets as
+nested lists of wire pairs.  ``parse_error_spec`` hands the decoded fields
+to ``ErrorSpec`` unchanged, so the wire and the Python API accept the same
+specs, and ``error_spec_to_dict`` turns the spec's tuples back into lists.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from itertools import chain, compress
 
 from .channel import ErrorSpec
 from .codebooks import FAMILIES, CodebookSpec
-from .core import MAX_LENGTH, Composition, Readout
+from .core import MAX_LENGTH, Readout
 from .errors import CompCodesError, ParseError
 from .reconstructor import DecodeReport
 
@@ -223,54 +228,28 @@ def emit_error_spec(e: ErrorSpec) -> str:
     return _compact(error_spec_to_dict(e))
 
 
+def _lists(value):
+    """value with every tuple in it, at any depth, turned into a list."""
+    return [_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
 def error_spec_to_dict(e: ErrorSpec) -> dict:
     """The JSON object ``emit_error_spec`` writes, as Python values."""
     if e.is_seeded():
         return {"model": e.model, "count": e.count, "seed": e.seed}
-    if e.model == "asym_delete":
-        targets = list(e.targets)
-    elif e.model == "sym_pair_delete":
-        targets = [list(p) for p in e.targets]
-    elif e.model == "insert":
-        targets = [[k, [c.z, c.w]] for k, c in e.targets]
-    else:
-        targets = [[k, [old.z, old.w], [new.z, new.w]]
-                   for k, old, new in e.targets]
-    return {"model": e.model, "targets": targets}
+    return {"model": e.model, "targets": _lists(e.targets)}
 
 
 def parse_error_spec(text: str) -> ErrorSpec:
+    """The spec a JSON object names; ``ErrorSpec`` validates its fields,
+    and a JSON null counts as an absent field."""
     try:
         obj = json.loads(text)
-        model = obj["model"]
-        if "targets" in obj:
-            raw = obj["targets"]
-            if model == "asym_delete":
-                targets = tuple(_exact_int(k, "class") for k in raw)
-            elif model == "sym_pair_delete":
-                targets = tuple((_exact_int(i, "class"), _exact_int(j, "class"))
-                                for i, j in raw)
-            elif model == "insert":
-                targets = tuple((_exact_int(k, "class"), _composition(comp))
-                                for k, comp in raw)
-            elif model == "skew":
-                targets = tuple((_exact_int(k, "class"), _composition(old),
-                                 _composition(new)) for k, old, new in raw)
-            else:
-                raise ParseError(f"unknown model {model!r}")
-            return ErrorSpec(model, targets=targets)
-        return ErrorSpec(model, count=_exact_int(obj["count"], "count"),
-                         seed=_exact_int(obj["seed"], "seed"))
-    except ParseError:
-        raise
+        return ErrorSpec(obj["model"], obj.get("targets"), obj.get("count"),
+                         obj.get("seed"))
     except (KeyError, TypeError, ValueError, RecursionError,
             CompCodesError) as exc:
         raise ParseError(f"invalid error spec: {exc}") from None
-
-
-def _composition(pair) -> Composition:
-    z, w = pair
-    return Composition(_exact_int(z, "zero count"), _exact_int(w, "one count"))
 
 
 def report_to_dict(rep: DecodeReport) -> dict:

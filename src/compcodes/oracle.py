@@ -1,5 +1,6 @@
-"""Brute-force ground truth: equicomposability, class counts, code
-property verification and confusable-pair search.
+"""Brute-force ground truth: class counts, code property verification
+and confusable-pair search.  Two strings share their full composition
+multiset exactly when their ``core.signature_of`` bytes are equal.
 
 Verification signs the whole codebook in one ``kernel.signatures`` call
 on its concatenated strings, and reads each signature once, as a
@@ -22,7 +23,7 @@ from itertools import combinations
 
 from . import kernel
 from .codebooks import CodebookSpec, enumerate_codebook
-from .core import Readout, bits_to_bytes, check_bits, full_readout, signature_of
+from .core import Readout, bits_to_bytes, full_readout, signature_of
 from .errors import ResourceCapError
 
 PROPERTY_MODELS = ("asym_delete", "sym_pair_delete",
@@ -47,15 +48,6 @@ class ConfusabilityWitness:
         sig_s, sig_v = signature_of(self.s), signature_of(self.v)
         return all(kernel.class_counts(sig_s, n, k) == kernel.class_counts(sig_v, n, k)
                    for k in range(1, n + 1) if k not in self.deleted_classes)
-
-
-def equicomposable(s: str, v: str) -> bool:
-    """True iff the two strings share their full composition multiset."""
-    check_bits(s)
-    check_bits(v)
-    if len(s) != len(v):
-        raise ValueError("strings must have equal length")
-    return signature_of(s) == signature_of(v)
 
 
 def max_code_bound(n: int) -> int:

@@ -2,8 +2,8 @@
 deletion, insertion and skew decoders layered on top of it.
 
 The search assigns mirror bit pairs inward.  With prefix and suffix of
-length i fixed, every window of class n-i is the complement of a known
-prefix/suffix piece, so that class is compared against the observation as
+length i fixed, every window of class n-i is the whole string less a
+known prefix/suffix piece, so that class is compared against the observation as
 soon as the pair is placed; a wrong branch at a weight-1 pair contradicts
 a surviving class within a bounded number of further steps.  Classes
 whose cumulative weight is unknown (both symmetric partners deleted)

@@ -26,6 +26,16 @@ EXAMPLE_SIGMA = (1, 1, 2, 0, 1)
 EXAMPLE_WEIGHTS = (5, 9, 12, 13, 14, 13, 12, 9, 5)
 
 
+def sigma_of_string(s: str) -> tuple[int, ...]:
+    """Pairwise mirror weights wt(s_i s_{n-i+1}), the centre bit alone if
+    n is odd: the reference the weight-based decoders must agree with."""
+    n = len(s)
+    vals = [int(s[i]) + int(s[n - 1 - i]) for i in range(n // 2)]
+    if n % 2:
+        vals.append(int(s[n // 2]))
+    return tuple(vals)
+
+
 def readout_from_table(table: dict, n: int) -> Readout:
     """Readout whose class k counts the table's (z, w) entries by weight."""
     classes = {}

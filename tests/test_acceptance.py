@@ -26,7 +26,7 @@ from compcodes.codebooks import (
     size_lower_bound,
     weight_sum_mod,
 )
-from compcodes.core import Composition, full_readout, sigma_of_string
+from compcodes.core import full_readout
 from compcodes.oracle import (
     count_classes,
     find_confusable_pair,
@@ -40,7 +40,7 @@ from compcodes.reconstructor import (
     decode_skewed,
     reconstruct,
 )
-from conftest import EXAMPLE_S, EXAMPLE_SIGMA
+from conftest import EXAMPLE_S, EXAMPLE_SIGMA, sigma_of_string
 
 
 class Timer:
@@ -206,8 +206,8 @@ def test_criterion_7_skewed_substitutions():
                     for w1 in [w for w, m in enumerate(r.classes[k]) if m]:
                         for w2 in range(w1):
                             bad = apply(r, ErrorSpec("skew", targets=(
-                                (k, Composition(k - w1, w1),
-                                 Composition(k - w2, w2)),)))
+                                (k, (k - w1, w1),
+                                 (k - w2, w2)),)))
                             if decode_skewed(bad, spec).result != s:
                                 ok = False
         spec12 = CodebookSpec("SDA", 12, t=2)
@@ -238,7 +238,7 @@ def test_criterion_8_insertion_deletion_equivalence():
             targets = []
             for _ in range(rng.below(3) + 1):
                 w = rng.below(k + 1)
-                targets.append((k, Composition(k - w, w)))
+                targets.append((k, (k - w, w)))
             corrupted = apply(r, ErrorSpec("insert", targets=tuple(targets)))
             rep_ins = decode_insertions(corrupted, spec)
             rep_del = decode_deletions(r.restrict({k}), spec)

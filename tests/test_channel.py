@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compcodes.channel import ErrorSpec, SplitMix64, apply, random_error, resolve
-from compcodes.core import Composition, full_readout
+from compcodes.core import full_readout
 from compcodes.errors import InvalidErrorSpecError, InvalidSkewError
 from compcodes.formats import emit_error_spec
 from conftest import EXAMPLE_MULTISET, EXAMPLE_S, readout_from_table
@@ -29,7 +29,7 @@ def test_sym_pair_delete_matches_reference_listing(example_readout):
 
 def test_insert_matches_worked_example(example_readout):
     corrupted = apply(example_readout,
-                      ErrorSpec("insert", targets=((7, Composition(1, 6)),)))
+                      ErrorSpec("insert", targets=((7, (1, 6)),)))
     # class 7 held weights 3, 4, 5 once each; the inserted 0 1^6 adds weight 6
     assert corrupted.classes[7] == (0, 0, 0, 1, 1, 1, 1, 0)
     assert corrupted.oversized_classes() == (7,)
@@ -37,17 +37,17 @@ def test_insert_matches_worked_example(example_readout):
 
 def test_skew_semantics():
     # corrupting 0^2 1^4 may read as 0^3 1^3 or 0^4 1^2, never 0^1 1^5
-    old = Composition(2, 4)
-    for new in (Composition(3, 3), Composition(4, 2)):
+    old = (2, 4)
+    for new in ((3, 3), (4, 2)):
         ErrorSpec("skew", targets=((6, old, new),))
     with pytest.raises(InvalidSkewError):
-        ErrorSpec("skew", targets=((6, old, Composition(1, 5)),))
+        ErrorSpec("skew", targets=((6, old, (1, 5)),))
     with pytest.raises(InvalidSkewError):
-        ErrorSpec("skew", targets=((6, old, Composition(1, 4)),))
+        ErrorSpec("skew", targets=((6, old, (1, 4)),))
 
 
 def test_skew_preserves_size_and_lowers_weight(example_readout):
-    err = ErrorSpec("skew", targets=((7, Composition(2, 5), Composition(3, 4)),))
+    err = ErrorSpec("skew", targets=((7, (2, 5), (3, 4)),))
     corrupted = apply(example_readout, err)
     assert corrupted.class_size(7) == example_readout.class_size(7)
     assert corrupted.weight(7) == example_readout.weight(7) - 1
@@ -106,10 +106,47 @@ def test_targets_need_exact_ints(example_readout):
             ErrorSpec("skew", targets=((3, comp, (2, 1)),))
         with pytest.raises(InvalidErrorSpecError, match="must be an int"):
             ErrorSpec("skew", targets=((3, (0, 3), comp),))
-    # exact ints, and Compositions, still pass and apply
+    # exact ints still pass and apply
     corrupted = apply(example_readout, ErrorSpec(
-        "insert", targets=((3, Composition(1, 2)),)))
+        "insert", targets=((3, (1, 2)),)))
     assert corrupted.classes[3][2] == example_readout.classes[3][2] + 1
+
+
+def test_targets_need_their_exact_shape():
+    # an extra field used to be ignored: this deleted classes 1 and 9
+    with pytest.raises(InvalidErrorSpecError, match="2 items"):
+        ErrorSpec("sym_pair_delete", targets=((1, 9, 99),))
+    with pytest.raises(InvalidErrorSpecError, match="3 items"):
+        ErrorSpec("skew", targets=((7, (2, 5), (3, 4), 1),))
+    # a bare TypeError and an IndexError before
+    with pytest.raises(InvalidErrorSpecError, match="targets must be a list"):
+        ErrorSpec("asym_delete", targets=5)
+    with pytest.raises(InvalidErrorSpecError, match="2 items"):
+        ErrorSpec("insert", targets=((7,),))
+    # a ValueError before
+    with pytest.raises(InvalidErrorSpecError, match="invalid entry"):
+        ErrorSpec("insert", targets=((1, (-1, 2)),))
+
+
+def test_seeded_fields_need_exact_ints():
+    # each of these used to construct, then fail inside apply()
+    for count, seed in ((True, 1.9), (2.0, 1), (1, 1.0), (1, "1")):
+        with pytest.raises(InvalidErrorSpecError, match="must be an int"):
+            ErrorSpec("skew", count=count, seed=seed)
+    with pytest.raises(InvalidErrorSpecError, match="count must be an int"):
+        random_error("skew", 1.5, 3, 9)
+
+
+def test_list_targets_make_a_hashable_spec(example_readout):
+    listed = ErrorSpec("asym_delete", targets=[3])
+    assert listed == ErrorSpec("asym_delete", targets=(3,))
+    skew = ErrorSpec("skew", targets=[[7, [2, 5], [3, 4]]])
+    assert skew.targets == ((7, (2, 5), (3, 4)),)
+    assert len({listed, skew, ErrorSpec("asym_delete", targets=(3,))}) == 2
+    # pairs keep the order they were given in
+    assert ErrorSpec("sym_pair_delete", targets=[[7, 3]]).targets == ((7, 3),)
+    assert apply(example_readout, skew) == apply(
+        example_readout, ErrorSpec("skew", targets=((7, (2, 5), (3, 4)),)))
 
 
 def test_random_error_capacity():
@@ -172,9 +209,9 @@ def test_seeded_skew_draws_are_valid(example_readout):
         assert len(set(ks)) == 2
         assert not any(n - k + 1 in ks and n - k + 1 != k for k in ks)
         for k, old, new in err.targets:
-            assert old.length == new.length == k
-            assert new.w < old.w
-            assert example_readout.classes[k][old.w] >= 1
+            assert sum(old) == sum(new) == k
+            assert new[1] < old[1]
+            assert example_readout.classes[k][old[1]] >= 1
 
 
 def test_skew_resamples_weightless_classes():
@@ -184,7 +221,7 @@ def test_skew_resamples_weightless_classes():
     for seed in range(20):
         err = resolve(r, random_error("skew", 1, seed, 4))
         (k, old, new), = err.targets
-        assert old.w >= 1
+        assert old[1] >= 1
 
 
 def test_splitmix_reference_values():

@@ -1,28 +1,14 @@
-"""Composition algebra: worked-example values and structural invariants."""
+"""Readouts and pairwise weights: worked-example values and structural
+invariants."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compcodes.channel import SplitMix64, apply, random_error
-from compcodes.core import (
-    Composition,
-    PolyTerm,
-    Readout,
-    bits_to_bytes,
-    bivariate_poly,
-    complement,
-    composition_of,
-    full_readout,
-    sigma_from_weights,
-    sigma_of_string,
-)
-from compcodes.errors import (
-    InconsistentReadoutError,
-    InvalidComplementError,
-    MissingClassError,
-)
-from conftest import EXAMPLE_S, EXAMPLE_SIGMA, EXAMPLE_WEIGHTS
+from compcodes.core import Readout, bits_to_bytes, full_readout, sigma_from_weights
+from compcodes.errors import InconsistentReadoutError, MissingClassError
+from conftest import EXAMPLE_S, EXAMPLE_SIGMA, EXAMPLE_WEIGHTS, sigma_of_string
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=14)
 
@@ -37,18 +23,6 @@ def test_bits_to_bytes_matches_generator_form():
                 "1\u20ac0", "\U0001f6001", "1\ud8000", "".join(map(chr, range(256)))]
     for s in strings:
         assert bits_to_bytes(s) == reference(s), repr(s)
-
-
-def test_composition_of_worked_example():
-    assert composition_of(EXAMPLE_S, 1, 7) == Composition(4, 3)
-    assert composition_of(EXAMPLE_S, 5, 5) == Composition(0, 1)
-    assert composition_of(EXAMPLE_S, 1, 9) == Composition(4, 5)
-
-
-def test_composition_of_rejects_bad_range():
-    for i, j in ((0, 3), (3, 2), (1, 10)):
-        with pytest.raises(ValueError):
-            composition_of(EXAMPLE_S, i, j)
 
 
 def test_length_class_worked_example():
@@ -357,25 +331,6 @@ def test_sigma_from_weights_matches_quadratic_reference():
         assert outcomes[0] == outcomes[1], (n, w)
         failures += isinstance(outcomes[0], str)
     assert 100 < failures < 300
-
-
-def test_complement_worked_example():
-    whole = Composition(4, 5)
-    assert complement(whole, Composition(4, 3)) == Composition(0, 2)
-    assert complement(whole, Composition(2, 5)) == Composition(2, 0)
-    with pytest.raises(InvalidComplementError):
-        complement(whole, whole)
-    with pytest.raises(InvalidComplementError):
-        complement(Composition(1, 1), Composition(0, 2))
-
-
-def test_bivariate_poly_worked_example():
-    # 1 + y + y^2 + xy^2 + xy^3 + x^2y^3 + x^2y^4 + x^3y^4 + x^4y^4 + x^5y^4
-    expected = [(0, 0), (0, 1), (0, 2), (1, 2), (1, 3),
-                (2, 3), (2, 4), (3, 4), (4, 4), (5, 4)]
-    assert bivariate_poly(EXAMPLE_S) == tuple(PolyTerm(*t) for t in expected)
-    assert bivariate_poly("1") == (PolyTerm(0, 0), PolyTerm(1, 0))
-    assert bivariate_poly("0") == (PolyTerm(0, 0), PolyTerm(0, 1))
 
 
 def exhaustive_strings(lengths):

@@ -11,8 +11,8 @@ import pytest
 
 from compcodes.channel import MODELS, ErrorSpec, apply
 from compcodes.codebooks import CodebookSpec
-from compcodes.core import Composition, Readout, full_readout
-from compcodes.errors import ParseError
+from compcodes.core import Readout, full_readout
+from compcodes.errors import InvalidErrorSpecError, ParseError
 from compcodes.formats import (
     _canonical_readout,
     config_hash,
@@ -140,8 +140,8 @@ def test_error_spec_roundtrips():
     specs = [
         ErrorSpec("asym_delete", targets=(3,)),
         ErrorSpec("sym_pair_delete", targets=((3, 7),)),
-        ErrorSpec("insert", targets=((7, Composition(1, 6)),)),
-        ErrorSpec("skew", targets=((7, Composition(2, 5), Composition(3, 4)),)),
+        ErrorSpec("insert", targets=((7, (1, 6)),)),
+        ErrorSpec("skew", targets=((7, (2, 5), (3, 4)),)),
         ErrorSpec("asym_delete", count=2, seed=7),
     ]
     for e in specs:
@@ -172,6 +172,85 @@ def test_parse_error_spec_wraps_every_malformed_input():
                 "[" * 100000):
         with pytest.raises(ParseError, match="error spec|unknown model"):
             parse_error_spec(bad)
+
+
+# Error specs that are malformed whatever readout they meet, as ErrorSpec
+# keyword arguments; json.dumps of one is the same spec on the wire.  They
+# gather the malformed specs of test_channel (test_invalid_error_specs,
+# test_targets_need_exact_ints) and of the test_parse_error_spec_* tests
+# above, plus wrong arities, non-sequence shapes and non-int seeded fields.
+# Specs that are wrong only for some n (a class beyond n, a pair that is
+# not symmetric at n) are left to apply().
+_BAD_INTS = (2.9, True, "3", 3.0, None)
+_BAD_PAIRS = ((1.5, 1.5), (1, 2.0), (True, 2), (1, "2"))
+MALFORMED_ERROR_SPECS = (
+    # model and the targets / count+seed choice
+    {"model": "bogus", "targets": (1,)},
+    {"model": "nope", "targets": []},
+    {"model": "nope", "count": 1, "seed": 1},
+    {"model": "asym_delete"},
+    {"model": "insert"},
+    {"model": "asym_delete", "targets": (3,), "count": 1, "seed": 1},
+    {"model": "asym_delete", "targets": (3,), "count": 1},
+    {"model": "insert", "count": 1},
+    {"model": "insert", "seed": 1},
+    # seeded fields are exact ints, and count is at least 1
+    {"model": "insert", "count": 0, "seed": 1},
+    {"model": "insert", "count": True, "seed": 1.9},
+    {"model": "insert", "count": 1, "seed": "1"},
+    {"model": "skew", "count": 2.0, "seed": 1},
+    {"model": "skew", "count": 1.5, "seed": 3},
+    {"model": "asym_delete", "count": 1, "seed": 1.0},
+    # the target list itself
+    {"model": "asym_delete", "targets": 5},
+    {"model": "asym_delete", "targets": "3"},
+    {"model": "asym_delete", "targets": {"3": 1}},
+    {"model": "asym_delete", "targets": (3, 3)},
+    {"model": "asym_delete", "targets": (0,)},
+    {"model": "asym_delete", "targets": ((3,),)},
+    {"model": "sym_pair_delete", "targets": (3,)},
+    {"model": "sym_pair_delete", "targets": ((1, 9, 99),)},
+    {"model": "sym_pair_delete", "targets": ((1, 2, 3),)},
+    {"model": "sym_pair_delete", "targets": ((7,),)},
+    {"model": "sym_pair_delete", "targets": ((4, 4),)},
+    {"model": "sym_pair_delete", "targets": ((0, 10),)},
+    {"model": "sym_pair_delete", "targets": ((3, 7), (7, 3))},
+    {"model": "insert", "targets": ((7, (1, 5)),)},
+    {"model": "insert", "targets": ((7, (1,)),)},
+    {"model": "insert", "targets": ((7,),)},
+    {"model": "insert", "targets": ((7, (1, 6), 0),)},
+    {"model": "insert", "targets": ((7, (1, 6, 0)),)},
+    {"model": "insert", "targets": ((1, (-1, 2)),)},
+    {"model": "insert", "targets": ((0, (0, 0)),)},
+    {"model": "insert", "targets": (7,)},
+    {"model": "skew", "targets": ((7, (2, 5), (3, 4)), (7, (3, 4), (4, 3)))},
+    {"model": "skew", "targets": ((7, (2, 5), (1, 6)),)},
+    {"model": "skew", "targets": ((6, (2, 4), (1, 4)),)},
+    {"model": "skew", "targets": ((6, (2, 4), (2, 4)),)},
+    {"model": "skew", "targets": ((7, (2, 5)),)},
+    {"model": "skew", "targets": ((7, (2, 5), (3, 4), 1),)},
+    {"model": "skew", "targets": ((7, (1, 5), (2, 4)),)},
+    {"model": "skew", "targets": ((2, (0, 2), (3, -1)),)},
+    *({"model": "asym_delete", "targets": (bad,)} for bad in _BAD_INTS),
+    *({"model": "sym_pair_delete", "targets": ((bad, 7),)}
+      for bad in _BAD_INTS),
+    *({"model": "insert", "targets": ((bad, (1, 2)),)} for bad in _BAD_INTS),
+    *({"model": "skew", "targets": ((bad, (1, 2), (2, 1)),)}
+      for bad in _BAD_INTS),
+    *({"model": "insert", "targets": ((3, pair),)} for pair in _BAD_PAIRS),
+    *({"model": "skew", "targets": ((3, pair, (2, 1)),)}
+      for pair in _BAD_PAIRS),
+    *({"model": "skew", "targets": ((3, (0, 3), pair),)}
+      for pair in _BAD_PAIRS),
+)
+
+
+def test_malformed_error_specs_fail_alike_in_python_and_on_the_wire():
+    for kwargs in MALFORMED_ERROR_SPECS:
+        with pytest.raises(InvalidErrorSpecError):
+            ErrorSpec(**kwargs)
+        with pytest.raises(ParseError):
+            parse_error_spec(json.dumps(kwargs))
 
 
 def test_explicit_error_spec_texts_round_trip_byte_for_byte():

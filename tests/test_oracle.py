@@ -7,34 +7,31 @@ import pytest
 
 from compcodes import kernel, oracle
 from compcodes.codebooks import CodebookSpec, enumerate_codebook
-from compcodes.core import full_readout, sigma_of_string, signature_of
+from compcodes.core import full_readout, signature_of
 from compcodes.errors import ResourceCapError
 from compcodes.oracle import (
     ConfusabilityWitness,
     count_classes,
     deletion_patterns,
-    equicomposable,
     find_confusable_pair,
     insertion_witness_readouts,
     max_code_bound,
     verify_code_property,
 )
-from conftest import EXAMPLE_S
+from conftest import EXAMPLE_S, sigma_of_string
 
 
 def test_equicomposable_examples():
-    assert equicomposable(EXAMPLE_S, EXAMPLE_S[::-1])
-    assert equicomposable(EXAMPLE_S, EXAMPLE_S)
-    assert not equicomposable("0011", "0101")
-    with pytest.raises(ValueError):
-        equicomposable("01", "011")
+    # equicomposable strings are those with equal full signatures
+    assert signature_of(EXAMPLE_S) == signature_of(EXAMPLE_S[::-1])
+    assert signature_of("0011") != signature_of("0101")
 
 
 def test_reversal_always_equicomposable():
     for n in (5, 8):
         for x in range(2 ** n):
             s = format(x, f"0{n}b")
-            assert equicomposable(s, s[::-1])
+            assert signature_of(s) == signature_of(s[::-1])
 
 
 def test_same_sigma_strings_differ_in_adjacent_classes():

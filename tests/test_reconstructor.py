@@ -9,7 +9,7 @@ import pytest
 from compcodes import kernel
 from compcodes.channel import ErrorSpec, SplitMix64, apply, random_error, resolve
 from compcodes.codebooks import CodebookSpec, enumerate_codebook
-from compcodes.core import Composition, full_readout, sigma_of_string
+from compcodes.core import full_readout
 from compcodes.errors import CapabilityError, CompCodesError, UndecodableError
 from compcodes.oracle import find_confusable_pair
 from compcodes.reconstructor import (
@@ -24,7 +24,7 @@ from compcodes.reconstructor import (
     decode_skewed,
     reconstruct,
 )
-from conftest import EXAMPLE_S
+from conftest import EXAMPLE_S, sigma_of_string
 
 SR9 = CodebookSpec("SR", 9)
 
@@ -180,7 +180,7 @@ def test_sdsprime_nonconsecutive_needs_experimental_flag():
 
 def test_insertion_worked_example(example_readout):
     corrupted = apply(example_readout,
-                      ErrorSpec("insert", targets=((7, Composition(1, 6)),)))
+                      ErrorSpec("insert", targets=((7, (1, 6)),)))
     rep = decode_insertions(corrupted, SR9)
     assert rep.result == EXAMPLE_S
     assert rep.dropped_classes == (7,)
@@ -202,7 +202,7 @@ def test_insertion_equals_deletion_on_induced_pattern():
         targets = []
         for _ in range(extra):
             w = rng.below(k + 1)
-            targets.append((k, Composition(k - w, w)))
+            targets.append((k, (k - w, w)))
         corrupted = apply(r, ErrorSpec("insert", targets=tuple(targets)))
         rep_ins = decode_insertions(corrupted, spec)
         rep_del = decode_deletions(r.restrict({k}), spec)
@@ -224,7 +224,7 @@ def test_multi_insertion_two_classes_sda():
         for k in (k1, k2):
             for _ in range(3):
                 w = rng.below(k + 1)
-                targets.append((k, Composition(k - w, w)))
+                targets.append((k, (k - w, w)))
         corrupted = apply(r, ErrorSpec("insert", targets=tuple(targets)))
         rep = decode_insertions(corrupted, spec)
         assert rep.result == s
@@ -232,7 +232,7 @@ def test_multi_insertion_two_classes_sda():
 
 
 def test_skew_detection_and_decode(example_readout):
-    err = ErrorSpec("skew", targets=((7, Composition(2, 5), Composition(3, 4)),))
+    err = ErrorSpec("skew", targets=((7, (2, 5), (3, 4)),))
     corrupted = apply(example_readout, err)
     assert corrupted.weight(7) == 11 < corrupted.weight(3)
     rep = decode_skewed(corrupted, SR9)
@@ -249,7 +249,7 @@ def test_skew_exhaustive_small():
                 for w1 in [w for w, m in enumerate(r.classes[k]) if m]:
                     for w2 in range(w1):
                         bad = apply(r, ErrorSpec("skew", targets=(
-                            (k, Composition(k - w1, w1), Composition(k - w2, w2)),)))
+                            (k, (k - w1, w1), (k - w2, w2)),)))
                         assert decode_skewed(bad, spec).result == s
 
 
@@ -280,7 +280,7 @@ def test_mixed_pattern_is_rejected(example_readout):
 
 def test_oversized_class_routes_to_insertions(example_readout):
     corrupted = apply(example_readout,
-                      ErrorSpec("insert", targets=((7, Composition(1, 6)),)))
+                      ErrorSpec("insert", targets=((7, (1, 6)),)))
     with pytest.raises(CapabilityError):
         decode_deletions(corrupted, SR9)
 
@@ -309,7 +309,7 @@ def test_brute_force_on_single_deletion(example_readout):
 
 
 def test_brute_force_agrees_with_decoders_on_skew(example_readout):
-    err = ErrorSpec("skew", targets=((7, Composition(2, 5), Composition(3, 4)),))
+    err = ErrorSpec("skew", targets=((7, (2, 5), (3, 4)),))
     corrupted = apply(example_readout, err)
     bf = brute_force_decode(corrupted, SR9)
     assert bf.result == EXAMPLE_S
@@ -431,8 +431,8 @@ def test_brute_force_center_retry_matches_reference(spec):
         old = rng.choice([w for w, c in enumerate(r.classes[center]) if w and c])
         new = rng.below(old)
         r = apply(r, ErrorSpec("skew", targets=((
-            center, Composition(center - old, old),
-            Composition(center - new, new)),)))
+            center, (center - old, old),
+            (center - new, new)),)))
         if spec.family == "SDA":  # one more asymmetric loss stays in guarantee
             r = apply(r, ErrorSpec("asym_delete", count=1, seed=rng.next_u64()))
         ref = _brute_force_by_class(r, spec)
