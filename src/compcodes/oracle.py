@@ -7,13 +7,29 @@ on its concatenated strings, and reads each signature once, as a
 big-endian integer.  Per deletion pattern it ANDs every signature with
 ``kernel.kept_mask``, which zeroes the deleted classes' bytes, and a set
 of the masked integers shows whether any two codewords collide: the sweep
-is linear in the codebook's size per pattern.  Only the first colliding
-pattern is bucketed, to pick its lexicographically smallest pair, and
-that witness is checked again with ``ConfusabilityWitness.verify``, which
-signs its two strings one at a time with ``kernel.full_signature``.
-Search order is fixed (patterns ascending, strings lexicographic) so the
-first witness is deterministic.  ``count_classes`` likewise signs all its
-strings in one batch.
+is linear in the codebook's size per pattern.
+
+Deleting more classes never separates two strings, so a pattern
+collides only if every pattern containing it does.  The scan therefore
+masks the maximal patterns first: those of the largest size, plus any
+smaller one that none of them contains (the lone centre class of odd n
+under asym_delete).  If none collides, the codebook is clean.  Otherwise
+it rescans in the fixed order (patterns ascending, strings
+lexicographic), masking only the unchecked patterns that no clean
+maximal one contains, so the first witness is the one a plain in-order
+scan finds.  A clean sweep of SDSprime:16 under two consecutive pairs
+masks 7 of its 16 patterns.  The cost is every maximal pattern that
+lies after the first witness in scan order: SR:16 under three symmetric
+pairs, whose first witness lies under two, masks 57 patterns where an
+in-order scan that stops at the witness masks 37.  When every non-empty
+pattern is maximal (t = 1), checking them first saves at most the empty
+pattern's mask, so that scan runs in order.
+
+Only the first colliding pattern is bucketed, to pick its
+lexicographically smallest pair, and that witness is checked again with
+``ConfusabilityWitness.verify``, which signs its two strings one at a
+time with ``kernel.full_signature``.  ``count_classes`` likewise signs
+all its strings in one batch.
 """
 
 from __future__ import annotations
@@ -113,29 +129,61 @@ def deletion_patterns(model: str, t: int, n: int):
 def _collision_scan(members, n, patterns) -> ConfusabilityWitness | None:
     sigs = [int.from_bytes(sig, "big")
             for sig in kernel.signatures(bits_to_bytes("".join(members)), n)]
-    for pattern in patterns:
+
+    def colliding_mask(pattern) -> int | None:
         mask = kernel.kept_mask(n, pattern)
-        if len(set(map(mask.__and__, sigs))) == len(sigs):
-            continue
-        buckets: dict[int, str] = {}
-        best: tuple[str, str] | None = None
-        for s, sig in zip(members, sigs):
-            key = sig & mask
-            other = buckets.get(key)
-            if other is not None:
-                pair = (other, s) if other < s else (s, other)
-                if best is None or pair < best:
-                    best = pair
+        return mask if len(set(map(mask.__and__, sigs))) < len(sigs) else None
+
+    # a pattern inside a larger one never collides alone: check the
+    # largest patterns and the smaller ones none of them contains first
+    patterns = list(patterns)
+    top = max(map(len, patterns))
+    largest = [p for p in patterns if len(p) == top]
+    checked = {p for p in patterns
+               if len(p) == top or not any(p <= q for q in largest)}
+    hits: dict[frozenset, int] = {}
+    clean: list[frozenset] = []
+    if len(checked) + 1 < len(patterns):
+        for p in checked:
+            mask = colliding_mask(p)
+            if mask is None:
+                clean.append(p)
             else:
-                buckets[key] = s
-        witness = ConfusabilityWitness(best[0], best[1], frozenset(pattern))
-        # verify() signs the pair again with full_signature: a fault in
-        # the batch kernel must not pass as a finding
-        if not witness.verify():
-            raise RuntimeError(f"batch signatures disagree with "
-                               f"full_signature on {witness}")
-        return witness
-    return None
+                hits[p] = mask
+        if not hits:
+            return None
+    else:
+        # every non-empty pattern is maximal (t = 1): checking them first
+        # saves at most the empty pattern's mask, so scan in order
+        checked = set()
+    # in scan order, masking only what no clean pattern contains
+    for pattern in patterns:
+        mask = hits.get(pattern)
+        if mask is None and pattern not in checked and not any(
+                pattern <= q for q in clean):
+            mask = colliding_mask(pattern)
+        if mask is not None:
+            break
+    else:
+        return None
+    buckets: dict[int, str] = {}
+    best: tuple[str, str] | None = None
+    for s, sig in zip(members, sigs):
+        key = sig & mask
+        other = buckets.get(key)
+        if other is not None:
+            pair = (other, s) if other < s else (s, other)
+            if best is None or pair < best:
+                best = pair
+        else:
+            buckets[key] = s
+    witness = ConfusabilityWitness(best[0], best[1], frozenset(pattern))
+    # verify() signs the pair again with full_signature: a fault in
+    # the batch kernel must not pass as a finding
+    if not witness.verify():
+        raise RuntimeError(f"batch signatures disagree with "
+                           f"full_signature on {witness}")
+    return witness
 
 
 def verify_code_property(spec: CodebookSpec, model: str, t: int,

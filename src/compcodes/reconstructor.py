@@ -13,8 +13,13 @@ the family's weight-sum residue.
 
 The walk checks the classes k >= ceil(n/2); the classes below are checked
 on each finished string's signature (the finish filter).  A string and its
-reversal share a readout, and the walk reaches both under the same sigma,
-so one signature decides the pair: the second leaf reuses the verdict.
+reversal share a readout and a sigma, and below the first weight-1 pair
+the walk's (1, 0) subtree is the reversal of its (0, 1) subtree.  So only
+the (0, 1) subtree is walked: its consistent strings, reversed and in
+reverse order, are what the (1, 0) walk would find, and its backtracks
+are counted from the nodes of the walked subtree.  Codewords of the
+SR-shaped families start with 0 and end with 1, so sigma_1 = 1 and the
+search for one of them walks half the tree.
 
 Every decoder reads only the classes a readout can vouch for: one body
 drops exactly ``Readout.untrusted_classes()`` (missing, undersized,
@@ -167,20 +172,36 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
             pred[total_w - pre_w[j - 1] - suf_w[i - j + 1]] += 1
         return tuple(pred) == trusted[k]
 
-    # a string and its reversal share a readout, and the walk reaches
-    # both under the same sigma: the first one's verdict decides the pair
-    verdicts: dict[str, bool] = {}
-
     def finish():
         center = str(sigma[m - 1]) if n % 2 else ""
         s = "".join(pre_bits) + center + "".join(reversed(suf_bits))
-        ok = verdicts.get(s[::-1])
-        if ok is None:
-            sig = kernel.full_signature(bits_to_bytes(s))
-            ok = verdicts[s] = all(sig[lo:hi] == part
-                                   for lo, hi, part in finish_ranges)
-        if ok:
+        sig = kernel.full_signature(bits_to_bytes(s))
+        if all(sig[lo:hi] == part for lo, hi, part in finish_ranges):
             results.append(s)
+
+    # len(results) after each branching node below the first one whose
+    # second option found nothing
+    empty_seconds: list[int] = []
+
+    def mirror(start: int):
+        """Stand in for the walk of the first branching pair's (1, 0)
+        option, the reversal of its (0, 1) subtree just walked.
+
+        That walk finds the reversed strings in reverse order.  Each of
+        its nodes tries the original's second option first, so it
+        backtracks once per ``empty_seconds`` node that it reaches before
+        ``limit`` stops it, and it fails class checks at the original's
+        depths, which leaves ``max_span`` as it is.
+        """
+        end = len(results)
+        found = [s[::-1] for s in reversed(results[start:])]
+        if limit is None:
+            stats.backtracks += len(empty_seconds)
+        else:
+            room = limit - end
+            stats.backtracks += sum(end - e < room for e in empty_seconds)
+            del found[room:]
+        results.extend(found)
 
     def rec(i: int):
         if limit is not None and len(results) >= limit:
@@ -197,6 +218,10 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
                     break
                 if len(results) == results_at_entry:
                     stats.backtracks += 1
+                if not decisions:
+                    mirror(results_at_entry)
+                    break
+                second_at = len(results)
             if branching:
                 decisions.append(i)
             pre_bits.append(a)
@@ -213,6 +238,9 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
             suf_w.pop()
             if branching:
                 decisions.pop()
+        else:
+            if branching and len(results) == second_at:
+                empty_seconds.append(second_at)
 
     rec(1)
 

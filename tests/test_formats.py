@@ -136,6 +136,16 @@ def test_spec_roundtrip_and_compact_form():
             parse_spec(bad)
 
 
+def test_parse_spec_reports_the_codebook_spec_check():
+    # the JSON form's fields go straight to CodebookSpec, whose wording
+    # the ParseError carries
+    for bad, why in (('{"family":"SR","n":true}', "n must be an int, got True"),
+                     ('{"family":"SDA","n":12,"t":2.0}', "t must be an int, got 2.0"),
+                     ('{"family":"SDS2","n":10,"a":"3"}', "a must be an int, got '3'")):
+        with pytest.raises(ParseError, match=re.escape(why)):
+            parse_spec(bad)
+
+
 def test_error_spec_roundtrips():
     specs = [
         ErrorSpec("asym_delete", targets=(3,)),

@@ -240,12 +240,67 @@ def test_collision_scan_matches_pairwise_reference(monkeypatch):
     # here the first colliding member in scan order is not in the
     # lexicographically smallest colliding pair
     cases.append((CodebookSpec("SDSprime", 10, t=2), "sym_pair_delete", 3))
+    # the first witness {3, 4} lies under a pattern that no maximal one
+    # rules out, so the scan finds it only by rescanning in order
+    cases.append((CodebookSpec("SR", 6), "sym_pair_delete", 2))
+    # t = 3: most patterns sit inside a larger one; the lone odd centre
+    # of asym_delete sits inside none
+    cases += [(CodebookSpec("SDSprime", n, t=t), "consecutive_sym_pair_delete", 3)
+              for n in (10, 12) for t in (2, 3)]
+    cases += [(CodebookSpec("SR", n), "asym_delete", 3) for n in range(4, 10)]
     outcomes = set()
     for spec, model, t in cases:
         got = verify_code_property(spec, model, t)
         assert got == _pairwise_first_witness(spec, model, t), (spec, model, t)
         outcomes.add(got is None)
     assert outcomes == {True, False}  # both witnesses and clean sweeps
+
+
+def test_collision_scan_masks_maximal_patterns_first(monkeypatch):
+    # with no collision, only the seven runs of two consecutive pairs are
+    # masked: each of the other nine patterns lies inside one of them
+    calls = []
+    real_mask = kernel.kept_mask
+
+    def counting_mask(n, drop):
+        calls.append(frozenset(drop))
+        return real_mask(n, drop)
+
+    monkeypatch.setattr(kernel, "kept_mask", counting_mask)
+    spec = CodebookSpec("SDSprime", 16, t=2, a=0)
+    assert verify_code_property(spec, "consecutive_sym_pair_delete", 2) is None
+    assert len(calls) == 7 and all(len(p) == 4 for p in calls)
+    # with a witness, the 28 two-pair patterns; each earlier pattern lies
+    # inside a clean one, and the first witness is one of the 28
+    calls.clear()
+    w = find_confusable_pair(16, "sym_pair_delete", 2)
+    assert w.deleted_classes == frozenset({7, 8, 9, 10})
+    assert len(calls) == 28 and all(len(p) == 4 for p in calls)
+
+
+def test_collision_scan_runs_in_order_when_every_pattern_is_maximal(
+        monkeypatch):
+    # at t = 1 checking the maximal patterns first could save only the
+    # empty pattern: the scan masks in order and stops at the witness
+    calls = []
+    real_mask = kernel.kept_mask
+
+    def counting_mask(n, drop):
+        calls.append(frozenset(drop))
+        return real_mask(n, drop)
+
+    monkeypatch.setattr(kernel, "kept_mask", counting_mask)
+    w = verify_code_property(CodebookSpec("SR", 6), "sym_pair_delete", 1)
+    assert w.deleted_classes == frozenset({3, 4})
+    assert calls == list(deletion_patterns("sym_pair_delete", 1, 6))
+
+
+def test_collision_scan_checks_patterns_no_largest_one_contains():
+    # the two strings differ only in the centre class of n = 5, which
+    # asym_delete deletes only alone: no two-class pattern contains it
+    w = oracle._collision_scan(["00010", "00100"], 5,
+                               deletion_patterns("asym_delete", 2, 5))
+    assert w == ConfusabilityWitness("00010", "00100", frozenset({3}))
 
 
 def _joined_key_first_witness(spec, model, t):

@@ -6,13 +6,14 @@ from functools import lru_cache
 
 import pytest
 
-from compcodes import kernel
+from compcodes import kernel, reconstructor
 from compcodes.channel import ErrorSpec, SplitMix64, apply, random_error, resolve
 from compcodes.codebooks import CodebookSpec, enumerate_codebook
-from compcodes.core import full_readout
+from compcodes.core import bits_to_bytes, full_readout
 from compcodes.errors import CapabilityError, CompCodesError, UndecodableError
 from compcodes.oracle import find_confusable_pair
 from compcodes.reconstructor import (
+    _PAIR_OPTIONS,
     DecodeReport,
     _consistent_strings,
     _first_half_weights,
@@ -541,3 +542,109 @@ def test_consistent_strings_match_full_scan(monkeypatch):
                 found_total += len(got)
                 skipped += len(leaves) - len(pairs)
     assert found_total > 100 and skipped > 50
+
+
+def _reference_search(n, trusted, finish_ranges, sigma, stats, results,
+                      limit):
+    """The inward walk with both options of every weight-1 pair walked,
+    the reference ``_search`` must agree with, stats included."""
+    m = (n + 1) // 2
+    half = n // 2
+    total_w = sum(sigma)
+    if n in trusted and not trusted[n][total_w]:
+        return
+    pre_bits: list[str] = []
+    suf_bits: list[str] = []          # suf_bits[0] is s_n
+    pre_w = [0]
+    suf_w = [0]
+    decisions: list[int] = []
+
+    def class_matches(i: int) -> bool:
+        k = n - i
+        if k not in trusted:
+            return True
+        pred = [0] * (k + 1)
+        for j in range(1, i + 2):
+            pred[total_w - pre_w[j - 1] - suf_w[i - j + 1]] += 1
+        return tuple(pred) == trusted[k]
+
+    # a string and its reversal share a readout, and the walk reaches
+    # both under the same sigma: the first one's verdict decides the pair
+    verdicts: dict[str, bool] = {}
+
+    def finish():
+        center = str(sigma[m - 1]) if n % 2 else ""
+        s = "".join(pre_bits) + center + "".join(reversed(suf_bits))
+        ok = verdicts.get(s[::-1])
+        if ok is None:
+            sig = kernel.full_signature(bits_to_bytes(s))
+            ok = verdicts[s] = all(sig[lo:hi] == part
+                                   for lo, hi, part in finish_ranges)
+        if ok:
+            results.append(s)
+
+    def rec(i: int):
+        if limit is not None and len(results) >= limit:
+            return
+        if i > half:
+            finish()
+            return
+        options = _PAIR_OPTIONS[sigma[i - 1]]
+        branching = len(options) == 2
+        results_at_entry = len(results)
+        for oi, (a, b) in enumerate(options):
+            if oi == 1:
+                if limit is not None and len(results) >= limit:
+                    break
+                if len(results) == results_at_entry:
+                    stats.backtracks += 1
+            if branching:
+                decisions.append(i)
+            pre_bits.append(a)
+            pre_w.append(pre_w[-1] + (a == "1"))
+            suf_bits.append(b)
+            suf_w.append(suf_w[-1] + (b == "1"))
+            if class_matches(i):
+                rec(i + 1)
+            elif decisions:
+                stats.max_span = max(stats.max_span, i - decisions[-1])
+            pre_bits.pop()
+            pre_w.pop()
+            suf_bits.pop()
+            suf_w.pop()
+            if branching:
+                decisions.pop()
+
+    rec(1)
+
+
+@pytest.mark.parametrize("limit", [None, 1, 2, 3])
+def test_search_matches_unpruned_walk(monkeypatch, limit):
+    # the (1, 0) subtree of the first weight-1 pair is derived, not
+    # walked: the strings, their order and the stats must not move
+    rng = SplitMix64(15 + (limit or 0))
+    pruned_search = reconstructor._search
+    nonempty = 0
+    for n in range(5, 17):
+        for model in ("none", "asym_delete", "sym_pair_delete", "insert",
+                      "skew", "mixed"):
+            for _ in range(4):
+                # nonzero, so a skew always finds a class to lower
+                s = format(rng.below(2 ** n - 1) + 1, f"0{n}b")
+                r = full_readout(s)
+                if model != "none":
+                    r = _seeded_corruption(r, model, rng)
+                drop = set(r.untrusted_classes())
+                modulus = rng.choice((None, 3, 7))
+                candidates = _sigma_candidates(
+                    n, _first_half_weights(r, drop), modulus,
+                    0 if modulus is None else rng.below(modulus))
+                runs = []
+                for search in (_reference_search, pruned_search):
+                    monkeypatch.setattr(reconstructor, "_search", search)
+                    stats = _SearchStats()
+                    runs.append((_consistent_strings(r, drop, candidates,
+                                                     stats, limit), stats))
+                assert runs[0] == runs[1], (s, model, r.classes, limit)
+                nonempty += bool(runs[0][0])
+    assert nonempty > 100
