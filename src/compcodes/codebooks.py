@@ -26,6 +26,10 @@ is never listed for them.  SCA1 filters its lifted SR core by parity and
 residue.
 
 Encoding is enumerative: rank/unrank index the lexicographic member list.
+A spec keeps that list after its first use, so an op is one attribute load
+plus a bisect (rank) or an index (unrank).  The list is the one shared
+tuple of ``_members``, kept in a slot outside the spec's value: equality,
+hash, repr, ``dataclasses.asdict``, ``vars`` and pickling never see it.
 """
 
 from __future__ import annotations
@@ -52,8 +56,18 @@ def modulus_A(t: int) -> int:
     return -(-num // 12)
 
 
+class _KeepsMembers:
+    """The slot a spec keeps its member tuple in, outside its ``__dict__``."""
+
+    __slots__ = ("_codebook",)
+
+    def __getstate__(self):
+        # pickle only the fields, so a used spec pickles as a fresh one
+        return self.__dict__
+
+
 @dataclass(frozen=True)
-class CodebookSpec:
+class CodebookSpec(_KeepsMembers):
     """Family tag plus parameters; the modulus is always derived."""
 
     family: str
@@ -243,16 +257,23 @@ def _members(key: tuple) -> tuple[str, ...]:
     return tuple(sorted(raw))
 
 
-def _check_cap(spec: CodebookSpec):
+def _keep_codebook(spec: CodebookSpec) -> tuple[str, ...]:
+    """The member tuple, kept on the spec once the cap check passes; a
+    capped spec keeps nothing, so every call on it raises again."""
     if spec.n > ENUMERATION_CAP:
         raise ResourceCapError(
             f"enumeration capped at n <= {ENUMERATION_CAP}, got n={spec.n}")
+    members = _members(spec.key())
+    object.__setattr__(spec, "_codebook", members)  # the spec is frozen
+    return members
 
 
 def enumerate_codebook(spec: CodebookSpec) -> tuple[str, ...]:
     """All members in lexicographic order."""
-    _check_cap(spec)
-    return _members(spec.key())
+    try:
+        return spec._codebook
+    except AttributeError:
+        return _keep_codebook(spec)
 
 
 def size(spec: CodebookSpec) -> int:
@@ -261,7 +282,12 @@ def size(spec: CodebookSpec) -> int:
 
 def rank(spec: CodebookSpec, s: str) -> int:
     """Index of s in the lexicographic member list."""
-    members = enumerate_codebook(spec)
+    try:
+        members = spec._codebook
+    except AttributeError:
+        members = _keep_codebook(spec)
+    if not isinstance(s, str):  # bisect would compare it with str
+        raise TypeError(f"expected str of bits, got {type(s).__name__}")
     pos = bisect_left(members, s)
     if pos == len(members) or members[pos] != s:
         raise ValueError(f"{s} is not a member of {spec}")
@@ -270,7 +296,12 @@ def rank(spec: CodebookSpec, s: str) -> int:
 
 def unrank(spec: CodebookSpec, index: int) -> str:
     """Member at the given lexicographic index."""
-    members = enumerate_codebook(spec)
+    try:
+        members = spec._codebook
+    except AttributeError:
+        members = _keep_codebook(spec)
+    if type(index) is not int:  # True, 1.0 and "1" are errors
+        raise ValueError(f"index must be an int, got {index!r}")
     if not 0 <= index < len(members):
         raise ValueError(f"index {index} outside [0, {len(members)})")
     return members[index]

@@ -1,7 +1,9 @@
 """Codebook predicates, enumeration, rank/unrank and size accounting."""
 
+import dataclasses
 import hashlib
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -299,6 +301,37 @@ def test_rank_unrank_domain_errors():
         rank(spec, "0101")
     with pytest.raises(ValueError):
         unrank(spec, 3)
+    for index in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="^index must be an int, got "):
+            unrank(spec, index)
+    for s, name in ((5, "int"), (b"0011", "bytes")):
+        with pytest.raises(TypeError, match=f"^expected str of bits, got {name}$"):
+            rank(spec, s)
+
+
+_KEPT_SPECS = (
+    [("SR", 14, 1, 0), ("SCA1", 13, 1, 0), ("SDA", 14, 1, 0), ("SDA", 14, 2, 0)]
+    + [("SDS2", 12, 1, a) for a in (0, 3, 6)]
+    + [("SDSprime", 12, 2, a) for a in (0, 2, 4)])
+
+
+@pytest.mark.parametrize("key", _KEPT_SPECS, ids=str)
+def test_kept_member_tuple_is_correct_and_invisible(key):
+    members = codebooks._members(key)
+    used = CodebookSpec(*key)
+    for i, s in enumerate(members):
+        assert unrank(CodebookSpec(*key), i) == s
+        assert rank(CodebookSpec(*key), s) == i
+        assert unrank(used, i) == s
+        assert rank(used, s) == i
+    assert enumerate_codebook(used) is members  # the shared tuple, no copy
+    fresh = CodebookSpec(*key)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert dataclasses.asdict(used) == dataclasses.asdict(fresh)
+    assert vars(used) == vars(fresh)
+    assert pickle.dumps(used) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(used)) == used
 
 
 def test_modulus_values():
@@ -391,6 +424,14 @@ def test_spec_validation():
 def test_enumeration_cap():
     with pytest.raises(ResourceCapError):
         enumerate_codebook(CodebookSpec("SR", 40))
+    spec = CodebookSpec("SR", 27)
+    for _ in range(2):  # a capped spec keeps nothing, so it raises again
+        with pytest.raises(ResourceCapError):
+            enumerate_codebook(spec)
+        with pytest.raises(ResourceCapError):
+            unrank(spec, 0)
+        with pytest.raises(ResourceCapError):
+            rank(spec, "0" * 26 + "1")
 
 
 def test_measured_redundancy_within_bounds():
