@@ -75,11 +75,9 @@ def cmd_decode(args) -> int:
         if mode == "reconstruct":
             rep = reconstructor.reconstruct(r, spec)
         elif mode == "deletions":
-            rep = reconstructor.decode_deletions(
-                r, spec, experimental_nonconsecutive=args.experimental_nonconsecutive)
+            rep = reconstructor.decode_deletions(r, spec)
         elif mode == "insertions":
-            rep = reconstructor.decode_insertions(
-                r, spec, experimental_nonconsecutive=args.experimental_nonconsecutive)
+            rep = reconstructor.decode_insertions(r, spec)
         elif mode == "skew":
             rep = reconstructor.decode_skewed(r, spec)
         else:
@@ -219,9 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fallback-brute-force", action="store_true",
                    help="fall back to the reference decoder on capability "
                         "or decode errors")
-    p.add_argument("--experimental-nonconsecutive", action="store_true",
-                   help="attempt non-consecutive pair deletions for "
-                        "SDSprime (outside the proven guarantee)")
     add_io(p)
     p.set_defaults(func=cmd_decode)
 

@@ -26,7 +26,7 @@ class UndecodableError(CompCodesError):
 
 
 class CapabilityError(CompCodesError):
-    """The corruption pattern exceeds what the codebook guarantees."""
+    """The corruption pattern exceeds what the family's decoder takes on."""
 
 
 class ResourceCapError(CompCodesError):

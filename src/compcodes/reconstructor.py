@@ -25,7 +25,10 @@ Every decoder reads only the classes a readout can vouch for: one body
 drops exactly ``Readout.untrusted_classes()`` (missing, undersized,
 oversized and outweighed classes) and decodes from the rest, and
 ``brute_force_decode`` drops the same set.  Deletion, insertion and
-skew decoding differ only in the guards in front of that body.
+skew decoding differ only in the guards in front of that body.  Which
+drop sets that body takes on is decided in one place, the table
+``_CAPABILITY``: per family, the most asymmetric classes and symmetric
+pairs it may drop.
 """
 
 from __future__ import annotations
@@ -291,71 +294,62 @@ def reconstruct(r: Readout, spec: CodebookSpec | None = None) -> DecodeReport:
                         max_backtrack_span=stats.max_span)
 
 
-def _classify_dropped(dropped: set[int], n: int):
-    """Split dropped classes into symmetric pairs and asymmetric singles."""
+# Per family, by t: the most (asymmetric classes, symmetric pairs) its
+# decoder may drop.  Counts only: the side conditions of the paper's
+# guarantees (SR's n >= 7, SDSprime's consecutive pairs) go unchecked,
+# since the search is exhaustive and answers any pattern with the
+# codeword or an UndecodableError naming the candidates.
+_CAPABILITY = {
+    "SR": lambda t: (1, 1),
+    "SCA1": lambda t: (0, 0),
+    "SDA": lambda t: (t, 1),
+    "SDS2": lambda t: (1, 2),
+    "SDSprime": lambda t: (1, t),
+}
+
+
+def _check_capability(spec: CodebookSpec, dropped: set[int]):
+    """Refuse a drop set beyond the family's row of ``_CAPABILITY``.
+
+    Pairs and single classes never mix; the self-symmetric center class
+    of odd n counts as one asymmetric class.
+    """
+    n = spec.n
     paired = {k for k in dropped if n - k + 1 in dropped and 2 * k != n + 1}
-    return sorted(k for k in paired if 2 * k <= n), sorted(dropped - paired)
-
-
-def _single_cap(spec: CodebookSpec) -> int:
-    """Asymmetric class losses (deletions or skews) the family guarantees."""
-    return spec.t if spec.family == "SDA" else 1
-
-
-def _check_capability(spec: CodebookSpec, pairs: list[int], asym: list[int],
-                      experimental: bool):
-    fam, t = spec.family, spec.t
-    if fam == "SCA1":
-        raise CapabilityError("no deletion decoder is defined for SCA1")
+    pairs = sorted(k for k in paired if 2 * k <= n)
+    asym = sorted(dropped - paired)
     if pairs and asym:
         raise CapabilityError(
             f"mixed pattern (pairs {pairs}, singles {asym}) exceeds every "
-            "family guarantee; rerun with the brute-force fallback")
-    if asym:
-        # the self-symmetric center class of odd n counts as one ordinary
-        # drop: weight comparison cannot flag a center skew, so the center
-        # retry sheds it alongside the detected classes (verified
-        # exhaustively at desk scale for the SDA family)
-        cap = _single_cap(spec)
-        if len(asym) > cap:
+            "family's decoder; rerun with the brute-force fallback")
+    caps = _CAPABILITY[spec.family](spec.t)
+    for kind, drops, cap in zip(("asymmetric classes", "symmetric pairs"),
+                                (asym, pairs), caps):
+        if len(drops) > cap:
             raise CapabilityError(
-                f"{len(asym)} asymmetric deletions exceed the {fam} "
-                f"guarantee of {cap}")
-    if pairs:
-        cap = {"SDS2": 2, "SDSprime": t}.get(fam, 1)
-        if len(pairs) > cap:
-            raise CapabilityError(
-                f"{len(pairs)} symmetric pair deletions exceed the {fam} "
-                f"guarantee of {cap}")
-        if fam == "SDSprime" and len(pairs) > 1:
-            run = all(b - a == 1 for a, b in zip(pairs, pairs[1:]))
-            if not run and not experimental:
-                raise CapabilityError(
-                    "SDSprime guarantees consecutive pair deletions only; "
-                    "pass experimental_nonconsecutive=True to try anyway")
+                f"dropped {kind}: {len(drops)}, where the {spec.family} "
+                f"decoder takes on at most {cap}")
 
 
-def _decode(r: Readout, spec: CodebookSpec,
-            experimental: bool = False) -> DecodeReport:
+def _decode(r: Readout, spec: CodebookSpec) -> DecodeReport:
     """Decode from the trusted classes, dropping ``r.untrusted_classes()``.
 
-    A center skew (odd n) is never outweighed, so a failed pass is retried
-    with the center dropped too, if the guarantee covers that drop set.
+    A center skew (odd n) is never outweighed, so a pass that finds no
+    candidate is retried with the center dropped too, as
+    ``brute_force_decode`` does.  The retry answers to ``_CAPABILITY``
+    like any other drop set.
     """
     try:
-        return _decode_once(r, spec, experimental)
+        return _decode_once(r, spec)
     except (UndecodableError, InconsistentReadoutError) as first:
         center = (r.n + 1) // 2
-        if not r.n % 2 or center in r.untrusted_classes():
+        if (getattr(first, "candidates", ()) or not r.n % 2
+                or center in r.untrusted_classes()):
             raise
-        try:
-            return _decode_once(r.restrict({center}), spec, experimental)
-        except CapabilityError:
-            raise first from None
+        return _decode_once(r.restrict({center}), spec)
 
 
-def _decode_once(r: Readout, spec: CodebookSpec,
-                 experimental: bool) -> DecodeReport:
+def _decode_once(r: Readout, spec: CodebookSpec) -> DecodeReport:
     dropped = set(r.untrusted_classes())
     if not dropped:
         rep = reconstruct(r, spec)
@@ -363,8 +357,7 @@ def _decode_once(r: Readout, spec: CodebookSpec,
             raise UndecodableError(
                 f"{rep.result} reconstructs but is not a {spec.family} member")
         return rep
-    pairs, asym = _classify_dropped(dropped, r.n)
-    _check_capability(spec, pairs, asym, experimental)
+    _check_capability(spec, dropped)
     known = _first_half_weights(r, dropped)
     candidates = _sigma_candidates(r.n, known, spec.modulus, spec.a)
     stats = _SearchStats()
@@ -381,18 +374,16 @@ def _decode_once(r: Readout, spec: CodebookSpec,
                         max_backtrack_span=stats.max_span)
 
 
-def decode_deletions(r: Readout, spec: CodebookSpec, *,
-                     experimental_nonconsecutive: bool = False) -> DecodeReport:
+def decode_deletions(r: Readout, spec: CodebookSpec) -> DecodeReport:
     """Recover the codeword from a readout with whole classes missing."""
     _check_length(r, spec)
     if r.oversized_classes():
         raise CapabilityError(
             "readout has oversized classes; use decode_insertions")
-    return _decode(r, spec, experimental_nonconsecutive)
+    return _decode(r, spec)
 
 
-def decode_insertions(r: Readout, spec: CodebookSpec, *,
-                      experimental_nonconsecutive: bool = False) -> DecodeReport:
+def decode_insertions(r: Readout, spec: CodebookSpec) -> DecodeReport:
     """Recover the codeword from a readout with spurious extra entries.
 
     An oversized class is untrusted like any other and is dropped whole;
@@ -400,7 +391,7 @@ def decode_insertions(r: Readout, spec: CodebookSpec, *,
     their deletion.
     """
     _check_length(r, spec)
-    return _decode(r, spec, experimental_nonconsecutive)
+    return _decode(r, spec)
 
 
 def decode_skewed(r: Readout, spec: CodebookSpec) -> DecodeReport:
@@ -415,13 +406,6 @@ def decode_skewed(r: Readout, spec: CodebookSpec) -> DecodeReport:
     if not r.is_full():
         raise CapabilityError(
             "readout class sizes are off; skew decoding expects full classes")
-    flagged, cap = r.outweighed_classes(), _single_cap(spec)
-    if spec.family == "SCA1":
-        raise CapabilityError("no skew decoder is defined for SCA1")
-    if len(flagged) > cap:
-        raise CapabilityError(
-            f"{len(flagged)} skewed classes exceed the {spec.family} "
-            f"guarantee of {cap}")
     return _decode(r, spec)
 
 

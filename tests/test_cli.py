@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import compcodes
+from compcodes import formats
+from compcodes.core import full_readout
 
 EXAMPLE_S = "001010111"
 
@@ -70,6 +72,36 @@ def test_decode_explicit_targets_skew():
     report = json.loads(out)
     assert report["result"] == EXAMPLE_S
     assert report["dropped_classes"] == [7]
+
+
+def test_decode_nonconsecutive_sdsprime_pairs():
+    # the decoder counts pairs only; pairs 2 and 6 are not consecutive
+    codeword = "00000000001110100011"  # unrank 100
+    readout = formats.emit_readout(full_readout(codeword))
+    targets = json.dumps({"model": "sym_pair_delete",
+                          "targets": [[2, 19], [6, 15]]})
+    _, corrupted, _ = run("corrupt", "--targets", targets, inp=readout)
+    rc, out, _ = run("decode", "--spec", "SDSprime:20,t=2", inp=corrupted)
+    assert rc == 0
+    assert json.loads(out)["result"] == codeword
+    rc, _, err = run("decode", "--spec", "SDSprime:20,t=2",
+                     "--experimental-nonconsecutive", inp=corrupted)
+    assert rc == 2, err
+
+
+def test_decode_fallback_brute_force_reports_consistent_set():
+    # SR:12's two-pair witness (find_confusable_pair(12, "sym_pair_delete",
+    # 2)): over the decoder's cap, and ambiguous for the reference
+    s, v = "001100101101", "010010110011"
+    readout = formats.emit_readout(full_readout(s).restrict({3, 4, 9, 10}))
+    rc, out, _ = run("decode", "--spec", "SR:12", inp=readout)
+    assert rc == 1 and "CapabilityError" in json.loads(out)["reason"]
+    rc, out, _ = run("decode", "--spec", "SR:12", "--fallback-brute-force",
+                     inp=readout)
+    assert rc == 1
+    report = json.loads(out)
+    assert report["result"] is None
+    assert set(report["consistent_set"]) == {s, v}
 
 
 def test_enumerate_rank_unrank():

@@ -93,13 +93,18 @@ def test_hundred_single_deletion_trials_all_succeed():
 
 
 def test_beyond_guarantee_patterns_fail_per_trial_without_aborting():
-    cfg = ExperimentConfig(CodebookSpec("SR", 12), "sym_pair_delete",
-                           errors=2, trials=20, seed=4)
-    records = list(run_experiment(cfg))
-    assert len(records) == 20
-    for rec in records:
-        assert rec["outcome"] == "failed:CapabilityError"
-        assert rec["crosscheck"] == "skipped"
+    # SR:11 under two skews: a center skew that no weight comparison
+    # flags is retried with the center dropped, and that retry's refusal
+    # is the trial's outcome, not a decode error the reference contradicts
+    for spec, model, errors, seed in (("SR:12", "sym_pair_delete", 2, 4),
+                                      ("SR:11", "skew", 2, 7)):
+        cfg = ExperimentConfig(parse_spec(spec), model, errors=errors,
+                               trials=20, seed=seed)
+        records = list(run_experiment(cfg))
+        assert len(records) == 20
+        for rec in records:
+            assert rec["outcome"] == "failed:CapabilityError", rec
+            assert rec["crosscheck"] == "skipped", rec
 
 
 def test_cross_check_cap_skips_brute_force():

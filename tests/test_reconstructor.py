@@ -11,6 +11,7 @@ from compcodes.channel import ErrorSpec, SplitMix64, apply, random_error, resolv
 from compcodes.codebooks import CodebookSpec, enumerate_codebook
 from compcodes.core import bits_to_bytes, full_readout
 from compcodes.errors import CapabilityError, CompCodesError, UndecodableError
+from compcodes.formats import parse_spec
 from compcodes.oracle import find_confusable_pair
 from compcodes.reconstructor import (
     _PAIR_OPTIONS,
@@ -169,14 +170,61 @@ def test_sdsprime_consecutive_pairs_roundtrip():
                 assert decode_deletions(r.restrict(drop), spec).result == s
 
 
-def test_sdsprime_nonconsecutive_needs_experimental_flag():
+def test_sdsprime_nonconsecutive_pairs_agree_with_brute_force():
+    # the capability table counts pairs and does not ask that they be
+    # consecutive; the search over the trusted classes is exhaustive, so
+    # any pattern yields the codeword or the reference's ambiguity
     spec = CodebookSpec("SDSprime", 12, t=2, a=0)
     s = enumerate_codebook(spec)[0]
     r = full_readout(s).restrict({1, 12, 4, 9})  # pairs 1 and 4
-    with pytest.raises(CapabilityError):
+    assert decode_deletions(r, spec).result == s
+    for a in range(5):
+        spec = CodebookSpec("SDSprime", 12, t=2, a=a)
+        for s in enumerate_codebook(spec)[:2]:
+            for i, j in itertools.combinations(range(1, 7), 2):
+                if j - i == 1:
+                    continue
+                r = full_readout(s).restrict({i, 13 - i, j, 13 - j})
+                assert decode_deletions(r, spec).result == s
+                assert brute_force_decode(r, spec).result == s
+    # a t = 3 pattern the residue cannot separate: the decoder's
+    # candidates are the reference's consistent set
+    spec = CodebookSpec("SDSprime", 12, t=3)
+    r = full_readout("000011010111").restrict({4, 5, 6, 7, 8, 9})
+    with pytest.raises(UndecodableError) as exc:
         decode_deletions(r, spec)
-    rep = decode_deletions(r, spec, experimental_nonconsecutive=True)
-    assert rep.result == s
+    bf = brute_force_decode(r, spec)
+    assert bf.result is None and len(bf.consistent_set) > 1
+    assert exc.value.candidates == bf.consistent_set
+
+
+def test_capability_table_rows():
+    # each row's cap + 1, per kind, and a mix of pairs and singles
+    over_cap = [
+        ("SR:12", {2, 3}),
+        ("SR:12", {1, 12, 2, 11}),
+        ("SDA:12,t=2", {2, 3, 5}),
+        ("SDA:12,t=2", {1, 12, 2, 11}),
+        ("SDS2:12", {2, 3}),
+        ("SDS2:12", {1, 12, 2, 11, 3, 10}),
+        ("SDSprime:12,t=2", {2, 3}),
+        ("SDSprime:12,t=2", {1, 12, 2, 11, 3, 10}),
+        ("SCA1:11", {3}),
+        ("SCA1:11", {6}),
+        ("SCA1:11", {1, 11}),
+        ("SDS2:12", {1, 12, 3}),
+    ]
+    for text, drop in over_cap:
+        spec = parse_spec(text)
+        r = full_readout(enumerate_codebook(spec)[0]).restrict(drop)
+        for decode in (decode_deletions, decode_insertions):
+            with pytest.raises(CapabilityError):
+                decode(r, spec)
+    # a clean SCA1 readout is within its row of zeros
+    spec = parse_spec("SCA1:11")
+    s = enumerate_codebook(spec)[0]
+    for decode in (decode_deletions, decode_insertions, decode_skewed):
+        assert decode(full_readout(s), spec).result == s
 
 
 def test_insertion_worked_example(example_readout):
