@@ -40,10 +40,21 @@ def cmd_compose(args) -> int:
     return EXIT_OK
 
 
+def _failure(args, exc: CompCodesError) -> int:
+    """Report a decode failure as a null result with its reason."""
+    _write_output(args, json.dumps(
+        {"result": None, "reason": f"{type(exc).__name__}: {exc}"},
+        separators=(",", ":")))
+    return EXIT_WITNESS
+
+
 def cmd_reconstruct(args) -> int:
     r = formats.parse_readout(_read_input(args))
     spec = formats.parse_spec(args.spec) if args.spec else None
-    rep = reconstructor.reconstruct(r, spec)
+    try:
+        rep = reconstructor.reconstruct(r, spec)
+    except CompCodesError as exc:
+        return _failure(args, exc)
     _write_output(args, formats.emit_report(rep))
     return EXIT_OK
 
@@ -65,31 +76,15 @@ def cmd_corrupt(args) -> int:
 def cmd_decode(args) -> int:
     r = formats.parse_readout(_read_input(args))
     spec = formats.parse_spec(args.spec)
-    mode = args.mode
-    if mode == "auto":
-        if not r.is_full():
-            mode = "insertions"  # no oversized guard: decodes deletions too
-        else:
-            mode = "skew" if r.outweighed_classes() else "reconstruct"
     try:
-        if mode == "reconstruct":
-            rep = reconstructor.reconstruct(r, spec)
-        elif mode == "deletions":
+        if args.mode == "brute":
+            rep = reconstructor.brute_force_decode(r, spec)
+        else:
             rep = reconstructor.decode_deletions(r, spec)
-        elif mode == "insertions":
-            rep = reconstructor.decode_insertions(r, spec)
-        elif mode == "skew":
-            rep = reconstructor.decode_skewed(r, spec)
-        else:
-            rep = reconstructor.brute_force_decode(r, spec)
     except CompCodesError as exc:
-        if args.fallback_brute_force:
-            rep = reconstructor.brute_force_decode(r, spec)
-        else:
-            _write_output(args, json.dumps(
-                {"result": None, "reason": f"{type(exc).__name__}: {exc}"},
-                separators=(",", ":")))
-            return EXIT_WITNESS
+        if not args.fallback_brute_force:
+            return _failure(args, exc)
+        rep = reconstructor.brute_force_decode(r, spec)
     _write_output(args, formats.emit_report(rep))
     return EXIT_OK if rep.result is not None else EXIT_WITNESS
 
@@ -211,9 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decode a (possibly corrupted) readout")
     p.add_argument("--spec", required=True)
-    p.add_argument("--mode", default="auto",
-                   choices=("auto", "reconstruct", "deletions", "insertions",
-                            "skew", "brute"))
+    p.add_argument("--mode", default="auto", choices=("auto", "brute"),
+                   help="the decoder (auto) or the brute-force reference")
     p.add_argument("--fallback-brute-force", action="store_true",
                    help="fall back to the reference decoder on capability "
                         "or decode errors")

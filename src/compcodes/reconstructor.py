@@ -1,5 +1,5 @@
-"""Decoders: outside-in reconstruction with backtracking, plus the
-deletion, insertion and skew decoders layered on top of it.
+"""Decoders: outside-in reconstruction with backtracking, one decoder
+for corrupted readouts built on it, and a brute-force reference.
 
 The search assigns mirror bit pairs inward.  With prefix and suffix of
 length i fixed, every window of class n-i is the whole string less a
@@ -21,12 +21,12 @@ are counted from the nodes of the walked subtree.  Codewords of the
 SR-shaped families start with 0 and end with 1, so sigma_1 = 1 and the
 search for one of them walks half the tree.
 
-Every decoder reads only the classes a readout can vouch for: one body
-drops exactly ``Readout.untrusted_classes()`` (missing, undersized,
-oversized and outweighed classes) and decodes from the rest, and
-``brute_force_decode`` drops the same set.  Deletion, insertion and
-skew decoding differ only in the guards in front of that body.  Which
-drop sets that body takes on is decided in one place, the table
+Every decoder reads only the classes a readout can vouch for: the
+decoder, bound to ``decode_deletions``, ``decode_insertions`` and
+``decode_skewed`` alike, drops exactly ``Readout.untrusted_classes()``
+(missing, undersized, oversized and outweighed classes) and decodes
+from the rest, and ``brute_force_decode`` drops the same set.  Which
+drop sets the decoder takes on is decided in one place, the table
 ``_CAPABILITY``: per family, the most asymmetric classes and symmetric
 pairs it may drop.
 """
@@ -40,11 +40,7 @@ from operator import mul
 from . import kernel
 from .codebooks import CodebookSpec, enumerate_codebook, is_member
 from .core import Readout, bits_to_bytes, sigma_from_weights
-from .errors import (
-    CapabilityError,
-    InconsistentReadoutError,
-    UndecodableError,
-)
+from .errors import CapabilityError, UndecodableError
 
 
 @dataclass(frozen=True)
@@ -331,19 +327,26 @@ def _check_capability(spec: CodebookSpec, dropped: set[int]):
                 f"decoder takes on at most {cap}")
 
 
-def _decode(r: Readout, spec: CodebookSpec) -> DecodeReport:
-    """Decode from the trusted classes, dropping ``r.untrusted_classes()``.
+def decode_deletions(r: Readout, spec: CodebookSpec) -> DecodeReport:
+    """Recover the codeword from the classes a corrupted readout can vouch
+    for, dropping ``r.untrusted_classes()``.
 
-    A center skew (odd n) is never outweighed, so a pass that finds no
-    candidate is retried with the center dropped too, as
-    ``brute_force_decode`` does.  The retry answers to ``_CAPABILITY``
-    like any other drop set.
+    Every channel model reduces to that drop set.  A deleted class is
+    missing; a class with spurious insertions is oversized and dropped
+    whole, since correcting insertions in a set of classes is equivalent
+    to correcting their deletion; a class corrupted by skewed
+    substitutions betrays itself through w_k < w_{n-k+1} and is dropped
+    as outweighed.  A center skew (odd n) is never outweighed, so a pass
+    that finds no candidate is retried with the center dropped too, as
+    ``brute_force_decode`` does.  Every drop set, the retry's included,
+    answers to ``_CAPABILITY``.
     """
+    _check_length(r, spec)
     try:
         return _decode_once(r, spec)
-    except (UndecodableError, InconsistentReadoutError) as first:
+    except UndecodableError as first:
         center = (r.n + 1) // 2
-        if (getattr(first, "candidates", ()) or not r.n % 2
+        if (first.candidates or not r.n % 2
                 or center in r.untrusted_classes()):
             raise
         return _decode_once(r.restrict({center}), spec)
@@ -351,12 +354,6 @@ def _decode(r: Readout, spec: CodebookSpec) -> DecodeReport:
 
 def _decode_once(r: Readout, spec: CodebookSpec) -> DecodeReport:
     dropped = set(r.untrusted_classes())
-    if not dropped:
-        rep = reconstruct(r, spec)
-        if not is_member(spec, rep.result):
-            raise UndecodableError(
-                f"{rep.result} reconstructs but is not a {spec.family} member")
-        return rep
     _check_capability(spec, dropped)
     known = _first_half_weights(r, dropped)
     candidates = _sigma_candidates(r.n, known, spec.modulus, spec.a)
@@ -374,39 +371,8 @@ def _decode_once(r: Readout, spec: CodebookSpec) -> DecodeReport:
                         max_backtrack_span=stats.max_span)
 
 
-def decode_deletions(r: Readout, spec: CodebookSpec) -> DecodeReport:
-    """Recover the codeword from a readout with whole classes missing."""
-    _check_length(r, spec)
-    if r.oversized_classes():
-        raise CapabilityError(
-            "readout has oversized classes; use decode_insertions")
-    return _decode(r, spec)
-
-
-def decode_insertions(r: Readout, spec: CodebookSpec) -> DecodeReport:
-    """Recover the codeword from a readout with spurious extra entries.
-
-    An oversized class is untrusted like any other and is dropped whole;
-    correcting insertions in a set of classes is equivalent to correcting
-    their deletion.
-    """
-    _check_length(r, spec)
-    return _decode(r, spec)
-
-
-def decode_skewed(r: Readout, spec: CodebookSpec) -> DecodeReport:
-    """Recover the codeword after skewed substitutions (weights only drop).
-
-    A corrupted class k betrays itself through w_k < w_{n-k+1}; on a full
-    readout these outweighed classes are the whole untrusted set, so they
-    are dropped and the rest decoded.  An undetected center skew (odd n)
-    is caught by the center retry of the shared body.
-    """
-    _check_length(r, spec)
-    if not r.is_full():
-        raise CapabilityError(
-            "readout class sizes are off; skew decoding expects full classes")
-    return _decode(r, spec)
+# one decoder, under the name of each channel model it corrects
+decode_insertions = decode_skewed = decode_deletions
 
 
 @lru_cache(maxsize=32)

@@ -89,6 +89,53 @@ def test_decode_nonconsecutive_sdsprime_pairs():
     assert rc == 2, err
 
 
+def _center_skewed_sr9():
+    # a skew of the centre class is never outweighed, so it shows up only
+    # when the decoder retries without the centre
+    readout = formats.emit_readout(full_readout("000000111"))
+    targets = json.dumps({"model": "skew", "targets": [[5, [3, 2], [4, 1]]]})
+    _, corrupted, _ = run("corrupt", "--targets", targets, inp=readout)
+    return corrupted
+
+
+def test_decode_center_skew_by_default():
+    rc, out, _ = run("decode", "--spec", "SR:9", inp=_center_skewed_sr9())
+    assert rc == 0
+    report = json.loads(out)
+    assert report["result"] == "000000111"
+    assert report["dropped_classes"] == [5]
+
+
+def test_decode_clean_non_member_fails():
+    # 0110 is not an SR member, though its readout is clean
+    _, readout, _ = run("compose", "0110")
+    rc, out, _ = run("decode", "--spec", "SR:4", inp=readout)
+    assert rc == 1
+    report = json.loads(out)
+    assert report["result"] is None
+    assert report["reason"].startswith("UndecodableError")
+
+
+def test_decode_modes_are_auto_and_brute():
+    _, readout, _ = run("compose", EXAMPLE_S)
+    rc, _, err = run("decode", "--spec", "SR:9", "--mode", "deletions",
+                     inp=readout)
+    assert rc == 2, err
+    rc, out, _ = run("decode", "--spec", "SR:9", "--mode", "brute",
+                     inp=readout)
+    assert rc == 0 and json.loads(out)["result"] == EXAMPLE_S
+
+
+def test_reconstruct_failure_exits_one():
+    # the same null-result report as decode, with its exit code
+    rc, out, err = run("reconstruct", "--spec", "SR:9",
+                       inp=_center_skewed_sr9())
+    assert rc == 1 and err == "", err
+    report = json.loads(out)
+    assert report["result"] is None
+    assert report["reason"].startswith("InconsistentReadoutError")
+
+
 def test_decode_fallback_brute_force_reports_consistent_set():
     # SR:12's two-pair witness (find_confusable_pair(12, "sym_pair_delete",
     # 2)): over the decoder's cap, and ambiguous for the reference

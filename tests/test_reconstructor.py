@@ -9,8 +9,13 @@ import pytest
 from compcodes import kernel, reconstructor
 from compcodes.channel import ErrorSpec, SplitMix64, apply, random_error, resolve
 from compcodes.codebooks import CodebookSpec, enumerate_codebook
-from compcodes.core import bits_to_bytes, full_readout
-from compcodes.errors import CapabilityError, CompCodesError, UndecodableError
+from compcodes.core import bits_to_bytes, full_readout, sigma_from_weights
+from compcodes.errors import (
+    CapabilityError,
+    CompCodesError,
+    InconsistentReadoutError,
+    UndecodableError,
+)
 from compcodes.formats import parse_spec
 from compcodes.oracle import find_confusable_pair
 from compcodes.reconstructor import (
@@ -327,11 +332,23 @@ def test_mixed_pattern_is_rejected(example_readout):
         decode_deletions(example_readout.restrict({3, 7, 5}), SR9)
 
 
-def test_oversized_class_routes_to_insertions(example_readout):
+def test_decoder_names_share_one_decoder(example_readout):
+    # one decoder under three names: an oversized class is dropped by
+    # decode_deletions too, and decode_skewed takes a readout that is not
+    # full, here a skew of class 8 with class 2 deleted on top
+    assert decode_deletions is decode_insertions is decode_skewed
     corrupted = apply(example_readout,
                       ErrorSpec("insert", targets=((7, (1, 6)),)))
-    with pytest.raises(CapabilityError):
-        decode_deletions(corrupted, SR9)
+    rep = decode_deletions(corrupted, SR9)
+    assert rep.result == EXAMPLE_S
+    assert rep.dropped_classes == (7,)
+    spec = CodebookSpec("SDA", 11, t=2)
+    s = "00000010011"
+    r = apply(full_readout(s), ErrorSpec("skew", targets=((8, (6, 2), (7, 1)),)))
+    r = r.restrict({2})
+    rep = decode_skewed(r, spec)
+    assert rep.result == s == brute_force_decode(r, spec).result
+    assert rep.dropped_classes == (2, 8)
 
 
 def test_appendix_pattern_is_ambiguous():
@@ -378,7 +395,7 @@ def test_undecodable_reports_candidates():
 @pytest.mark.parametrize("model, decoder", [
     ("asym_delete", decode_deletions),
     ("insert", decode_insertions),
-])
+], ids=["asym_delete-decode_deletions", "insert-decode_insertions"])
 def test_decoders_match_brute_force_on_mixed_corruptions(n, model, decoder):
     # a seeded skew, then one deletion or insertion on top: every decoder
     # drops the classes brute force distrusts, so it must return brute
@@ -512,8 +529,11 @@ def _sigma_candidates_reference(n, known, modulus=None, residue=0):
 
 
 def test_sigma_candidates_match_brute_force():
+    # each draw also goes in once with every first-half weight known, as
+    # a clean readout gives them: the one sigma sigma_from_weights finds,
+    # or none where it finds the weights inconsistent
     rng = SplitMix64(77)
-    nonempty = 0
+    nonempty = inconsistent = 0
     for n in range(1, 15):  # m = ceil(n/2) <= 7
         m = (n + 1) // 2
         for _ in range(8):
@@ -523,14 +543,24 @@ def test_sigma_candidates_match_brute_force():
                      if rng.below(2)}
             if known and rng.below(4) == 0:  # a tampered weight
                 k = rng.choice(sorted(known))
-                known[k] += rng.choice((-1, 1))
+                delta = rng.choice((-1, 1))
+                known[k] += delta
+                weights[k - 1] += delta
             for modulus in (None, 3, 5, 7):
                 residue = 0 if modulus is None else rng.below(modulus)
                 got = _sigma_candidates(n, known, modulus, residue)
                 assert got == _sigma_candidates_reference(
                     n, known, modulus, residue), (n, known, modulus, residue)
                 nonempty += bool(got)
+            try:
+                expected = [sigma_from_weights(weights, n)]
+            except InconsistentReadoutError:
+                expected = []
+                inconsistent += 1
+            assert _sigma_candidates(n, dict(enumerate(weights, 1))) == \
+                expected, (n, weights)
     assert nonempty > 150
+    assert inconsistent > 0
 
 
 @lru_cache(maxsize=None)
