@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import channel, codebooks, experiment, formats, oracle, reconstructor
 from .core import full_readout
@@ -112,7 +113,7 @@ def cmd_verify(args) -> int:
     spec = formats.parse_spec(args.spec)
     witness = oracle.verify_code_property(spec, args.model, args.t,
                                           cap=args.cap)
-    payload = {"spec": json.loads(formats.emit_spec(spec)),
+    payload = {"spec": asdict(spec),
                "model": args.model, "t": args.t, "ok": witness is None}
     if witness is not None:
         payload["witness"] = {"s": witness.s, "v": witness.v,
@@ -126,7 +127,7 @@ def cmd_bounds(args) -> int:
     spec = formats.parse_spec(args.spec)
     count = codebooks.size(spec)
     payload = {
-        "spec": json.loads(formats.emit_spec(spec)),
+        "spec": asdict(spec),
         "size": count,
         # JSON has no infinity: an empty codebook's redundancy is null
         "measured_redundancy": (None if count == 0 else round(

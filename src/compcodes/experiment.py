@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import channel, reconstructor
 from .codebooks import CodebookSpec, enumerate_codebook
 from .core import full_readout
 from .errors import CompCodesError
-from .formats import config_hash, emit_spec, error_spec_to_dict
+from .formats import config_hash, error_spec_to_dict
 
 DEFAULT_CROSS_CHECK_CAP = 12
 
@@ -42,7 +42,7 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
 
     def payload(self) -> dict:
-        return {"spec": json.loads(emit_spec(self.spec)), "model": self.model,
+        return {"spec": asdict(self.spec), "model": self.model,
                 "errors": self.errors, "trials": self.trials, "seed": self.seed,
                 "cross_check_cap": self.cross_check_cap}
 

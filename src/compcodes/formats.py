@@ -5,9 +5,9 @@ ascend by weight, JSON uses compact separators.  Identical multisets
 therefore always produce identical bytes, which makes log hashes
 meaningful.
 
-The readout wire path does Python-level work per class and per occupied
-weight, not per entry.  ``emit_readout`` writes the canonical text
-directly, one ``[z,w]`` string per occupied weight repeated by its count.
+``emit_readout`` and the canonical reader do Python-level work per
+class and per occupied weight, not per entry.  ``emit_readout`` writes
+the canonical text directly, one ``[z,w]`` string per occupied weight repeated by its count.
 ``parse_readout`` has two paths, and the text alone picks one:
 
 * the canonical reader splits the text on ``"`` into class keys and
@@ -18,12 +18,11 @@ directly, one ``[z,w]`` string per occupied weight repeated by its count.
   JSON path would build the same readout;
 * every other text (shuffled, pretty-printed, hand-written or malformed)
   goes to the JSON path, which is also the reference for the errors.  It
-  tallies each class's entries with a ``Counter`` and checks only the
-  distinct entries; a per-entry loop runs only on the error path, to name
-  the first bad entry.  Integers on the wire must be exact ints (JSON
-  ``true`` is not 1, nor is ``1.0``); as those equal an int and could
-  hide in its tally, a text holding one has every value's type checked.
-  A key may not repeat in an object or, for class keys, after ``int()``.
+  counts each class's entries in one loop that checks every entry: a list
+  of two exact ints z, w with 0 <= w <= k and z = k - w (JSON ``true`` is
+  not 1, nor is ``1.0``).  The first entry that fails is named in the
+  error.  A key may not repeat in an object or, for class keys, after
+  ``int()``.
 
 An error spec's JSON carries the ``ErrorSpec`` fields, its targets as
 nested lists of wire pairs.  ``parse_error_spec`` hands the decoded fields
@@ -37,7 +36,8 @@ import hashlib
 import json
 import re
 from collections import Counter
-from itertools import chain, compress
+from dataclasses import asdict
+from itertools import compress
 
 from .channel import ErrorSpec
 from .codebooks import FAMILIES, CodebookSpec
@@ -106,21 +106,10 @@ def parse_readout(text: str) -> Readout:
     r = _canonical_readout(text)
     if r is not None:
         return r
-    floats: list[str] = []
-
-    def parse_float(s: str) -> float:
-        floats.append(s)
-        return float(s)
-
     try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys,
-                         parse_float=parse_float)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    # JSON true, false and floats such as 1.0 equal ints, so a tally of
-    # entries could fold one into an int entry; only a text that holds one
-    # pays for a type check of every value
-    exact = not floats and "true" not in text and "false" not in text
     if not isinstance(obj, dict) or "n" not in obj or "classes" not in obj:
         raise ParseError("readout JSON needs 'n' and 'classes'")
     n = obj["n"]
@@ -140,52 +129,34 @@ def parse_readout(text: str) -> Readout:
             raise ParseError(f"class {k} repeats (key {key!r})")
         if not isinstance(entries, list):
             raise ParseError(f"class {k} must be a list of entries")
-        classes[k] = _class_counts(k, entries, exact)
+        counts = [0] * (k + 1)
+        for entry in entries:
+            if type(entry) is list and len(entry) == 2:
+                z, w = entry
+                # exact ints only (JSON true and 1.0 equal 1); z = k - w,
+                # so both are non-negative iff 0 <= w <= k
+                if type(z) is int and type(w) is int \
+                        and 0 <= w <= k and z == k - w:
+                    counts[w] += 1
+                    continue
+            raise ParseError(_bad_entry_message(k, entry))
+        classes[k] = tuple(counts)
     return Readout(n, classes)
 
 
-def _class_counts(k: int, entries: list, exact: bool) -> tuple[int, ...]:
-    """Weight-count vector of class k.  The entries are tallied, and each
-    distinct entry is checked: two exact ints z, w >= 0 with z + w = k.
-    Unless ``exact`` (no true, false or float in the text), every value's
-    type is checked as well."""
-    try:
-        tally = Counter(map(tuple, entries))
-    except TypeError:  # an entry that is not a list, or holds a list
-        raise ParseError(_bad_entry_message(k, entries)) from None
-    counts = [0] * (k + 1)
-    if exact or {*map(type, chain.from_iterable(entries))} <= {int}:
-        for entry, m in tally.items():
-            if len(entry) != 2:
-                break
-            z, w = entry
-            # z = k - w, so both are non-negative iff 0 <= w <= k
-            if type(z) is not int or type(w) is not int \
-                    or not 0 <= w <= k or z != k - w:
-                break
-            counts[w] = m
-        else:
-            return tuple(counts)
-    raise ParseError(_bad_entry_message(k, entries))
-
-
-def _bad_entry_message(k: int, entries: list) -> str:
-    """Name the first entry of class k that fails a check (error path)."""
-    for entry in entries:
-        if (type(entry) is not list or len(entry) != 2
-                or {*map(type, entry)} != {int}):
-            return f"bad entry {entry!r} in class {k}"
-        z, w = entry
-        if z < 0 or w < 0:
-            return f"negative counts in entry {entry!r} in class {k}"
-        if z + w != k:
-            return f"entry {entry!r} in class {k} has length {z + w}"
-    return f"bad entries in class {k}"
+def _bad_entry_message(k: int, entry) -> str:
+    """Why ``entry`` is no entry of class k (error path)."""
+    if (type(entry) is not list or len(entry) != 2
+            or {*map(type, entry)} != {int}):
+        return f"bad entry {entry!r} in class {k}"
+    z, w = entry
+    if z < 0 or w < 0:
+        return f"negative counts in entry {entry!r} in class {k}"
+    return f"entry {entry!r} in class {k} has length {z + w}"
 
 
 def emit_spec(spec: CodebookSpec) -> str:
-    return _compact({"family": spec.family, "n": spec.n,
-                     "t": spec.t, "a": spec.a})
+    return _compact(asdict(spec))
 
 
 def parse_spec(text: str) -> CodebookSpec:
@@ -193,7 +164,7 @@ def parse_spec(text: str) -> CodebookSpec:
     text = text.strip()
     try:
         if text.startswith("{"):
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
             return CodebookSpec(obj["family"], obj["n"], obj.get("t", 1),
                                 obj.get("a", 0))
         head, _, rest = text.partition(":")
@@ -208,6 +179,8 @@ def parse_spec(text: str) -> CodebookSpec:
             key, _, value = item.partition("=")
             if key not in ("t", "a") or not value:
                 raise ParseError(f"bad spec field {item!r}")
+            if key in kwargs:
+                raise ParseError(f"repeated spec field {key!r}")
             kwargs[key] = int(value)
         return CodebookSpec(head, n, **kwargs)
     except ParseError:
@@ -236,7 +209,7 @@ def parse_error_spec(text: str) -> ErrorSpec:
     """The spec a JSON object names; ``ErrorSpec`` validates its fields,
     and a JSON null counts as an absent field."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
         return ErrorSpec(obj["model"], obj.get("targets"), obj.get("count"),
                          obj.get("seed"))
     except (KeyError, TypeError, ValueError, RecursionError,

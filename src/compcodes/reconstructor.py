@@ -29,6 +29,12 @@ from the rest, and ``brute_force_decode`` drops the same set.  Which
 drop sets the decoder takes on is decided in one place, the table
 ``_CAPABILITY``: per family, the most asymmetric classes and symmetric
 pairs it may drop.
+
+``reconstruct`` takes only full readouts.  With a spec it is the
+decoder's single pass, which has nothing to drop, so a readout that no
+member matches raises ``UndecodableError``; it runs no centre retry, as
+the readout is declared clean.  Without a spec it returns the first
+string of the walk.
 """
 
 from __future__ import annotations
@@ -141,8 +147,7 @@ def _sigma_candidates(n: int, known: dict[int, int],
 
 
 def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
-            sigma: tuple[int, ...], stats: _SearchStats, results: list[str],
-            limit: int | None):
+            sigma: tuple[int, ...], stats: _SearchStats, results: list[str]):
     """Inward pairwise assignment; appends consistent strings to results.
 
     ``trusted`` maps each class the search must match to its observed
@@ -178,9 +183,8 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
         if all(sig[lo:hi] == part for lo, hi, part in finish_ranges):
             results.append(s)
 
-    # len(results) after each branching node below the first one whose
-    # second option found nothing
-    empty_seconds: list[int] = []
+    # branching nodes below the first one whose second option found nothing
+    empty_seconds = 0
 
     def mirror(start: int):
         """Stand in for the walk of the first branching pair's (1, 0)
@@ -188,23 +192,15 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
 
         That walk finds the reversed strings in reverse order.  Each of
         its nodes tries the original's second option first, so it
-        backtracks once per ``empty_seconds`` node that it reaches before
-        ``limit`` stops it, and it fails class checks at the original's
-        depths, which leaves ``max_span`` as it is.
+        backtracks once per node counted in ``empty_seconds``, and it
+        fails class checks at the original's depths, which leaves
+        ``max_span`` as it is.
         """
-        end = len(results)
-        found = [s[::-1] for s in reversed(results[start:])]
-        if limit is None:
-            stats.backtracks += len(empty_seconds)
-        else:
-            room = limit - end
-            stats.backtracks += sum(end - e < room for e in empty_seconds)
-            del found[room:]
-        results.extend(found)
+        stats.backtracks += empty_seconds
+        results.extend([s[::-1] for s in reversed(results[start:])])
 
     def rec(i: int):
-        if limit is not None and len(results) >= limit:
-            return
+        nonlocal empty_seconds
         if i > half:
             finish()
             return
@@ -213,8 +209,6 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
         results_at_entry = len(results)
         for oi, (a, b) in enumerate(options):
             if oi == 1:
-                if limit is not None and len(results) >= limit:
-                    break
                 if len(results) == results_at_entry:
                     stats.backtracks += 1
                 if not decisions:
@@ -239,22 +233,19 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
                 decisions.pop()
         else:
             if branching and len(results) == second_at:
-                empty_seconds.append(second_at)
+                empty_seconds += 1
 
     rec(1)
 
 
 def _consistent_strings(r: Readout, drop: set[int],
-                        sigma_candidates, stats: _SearchStats,
-                        limit: int | None = None) -> list[str]:
+                        sigma_candidates, stats: _SearchStats) -> list[str]:
     n = r.n
     trusted = {k: v for k, v in r.classes.items() if k not in drop}
     finish_ranges = _observed_ranges(r, drop.union(range((n + 1) // 2, n + 1)))
     results: list[str] = []
     for sigma in sigma_candidates:
-        _search(n, trusted, finish_ranges, sigma, stats, results, limit)
-        if limit is not None and len(results) >= limit:
-            break
+        _search(n, trusted, finish_ranges, sigma, stats, results)
     return results
 
 
@@ -266,9 +257,12 @@ def _check_length(r: Readout, spec: CodebookSpec):
 def reconstruct(r: Readout, spec: CodebookSpec | None = None) -> DecodeReport:
     """Recover a string from an uncorrupted readout.
 
-    Returns the codeword when a spec is given and one member matches;
-    otherwise the consistent string whose first free mirror bit is 0
-    (a string and its reversal share a readout, so one must be chosen).
+    With a spec this is the decoder's single pass, which drops nothing
+    from a full readout and returns the one member that matches, or
+    raises ``UndecodableError``; there is no centre retry, as the readout
+    is declared clean.  Without a spec it returns the first string the
+    walk finds, the consistent string whose first free mirror bit is 0 (a
+    string and its reversal share a readout, so one must be chosen).
     """
     if not r.is_full():
         raise CapabilityError(
@@ -276,17 +270,15 @@ def reconstruct(r: Readout, spec: CodebookSpec | None = None) -> DecodeReport:
     if spec is not None:
         _check_length(r, spec)
     weights = [r.weight(k) for k in range(1, r.n + 1)]
+    # raises InconsistentReadoutError on a tampered full readout
     sigma = sigma_from_weights(weights, r.n)
+    if spec is not None:
+        return _decode_once(r, spec)
     stats = _SearchStats()
-    found = _consistent_strings(r, set(), [sigma], stats,
-                                limit=1 if spec is None else None)
+    found = _consistent_strings(r, set(), [sigma], stats)
     if not found:
         raise UndecodableError("no string is consistent with the readout")
-    members = [s for s in found if spec is not None and is_member(spec, s)]
-    if len(members) > 1:
-        raise UndecodableError("several codewords share this readout",
-                               candidates=members)
-    return DecodeReport((members or found)[0], backtracks=stats.backtracks,
+    return DecodeReport(found[0], backtracks=stats.backtracks,
                         max_backtrack_span=stats.max_span)
 
 

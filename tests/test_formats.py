@@ -131,7 +131,8 @@ def test_spec_roundtrip_and_compact_form():
     for bad in ("SR", "SR:", "XX:9", "SR:9,q=1", '{"family":"SR"}',
                 '{"family":"SR","n":9.7}', '{"family":"SR","n":"9"}',
                 '{"family":"SR","n":true}', '{"family":"SDA","n":12,"t":2.0}',
-                '{"family":"SDS2","n":10,"a":false}', '{"family":' + "[" * 5000):
+                '{"family":"SDS2","n":10,"a":false}', '{"family":' + "[" * 5000,
+                "SDS2:12,a=1,a=3", '{"family":"SR","n":9,"n":10}'):
         with pytest.raises(ParseError):
             parse_spec(bad)
 
@@ -179,6 +180,7 @@ def test_parse_error_spec_wraps_every_malformed_input():
                 '{"model":"sym_pair_delete","targets":[[1,2,3]]}',
                 '{"model":"insert","targets":[[7,[1]]]}',
                 '{"model":"skew","targets":[[7,[2,5],[1,6]]]}',
+                '{"model":"asym_delete","targets":[1],"targets":[2]}',
                 "[" * 100000):
         with pytest.raises(ParseError, match="error spec|unknown model"):
             parse_error_spec(bad)

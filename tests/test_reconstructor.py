@@ -69,6 +69,23 @@ def test_reconstruct_rejects_corrupted_input(example_readout):
         reconstruct(example_readout.restrict({3}), SR9)
 
 
+def test_reconstruct_with_spec_refuses_a_non_member():
+    # 0110 is consistent with its own readout but is no SR codeword
+    with pytest.raises(UndecodableError):
+        reconstruct(full_readout("0110"), CodebookSpec("SR", 4))
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"SR:{n}" for n in range(4, 15)), "SDA:12,t=2", "SDS2:12,a=3",
+    "SDSprime:12,t=2,a=1", "SCA1:11", "SCA1:13"])
+def test_reconstruct_with_spec_is_the_decoder_on_a_clean_readout(spec):
+    spec = parse_spec(spec)
+    for s in enumerate_codebook(spec):
+        for x in {s, s[::-1]}:
+            r = full_readout(x)
+            assert reconstruct(r, spec) == decode_deletions(r, spec), x
+
+
 def test_decode_single_deletion_worked_example(example_readout):
     rep = decode_deletions(example_readout.restrict({3}), SR9)
     assert rep.result == EXAMPLE_S
@@ -622,8 +639,7 @@ def test_consistent_strings_match_full_scan(monkeypatch):
     assert found_total > 100 and skipped > 50
 
 
-def _reference_search(n, trusted, finish_ranges, sigma, stats, results,
-                      limit):
+def _reference_search(n, trusted, finish_ranges, sigma, stats, results):
     """The inward walk with both options of every weight-1 pair walked,
     the reference ``_search`` must agree with, stats included."""
     m = (n + 1) // 2
@@ -662,8 +678,6 @@ def _reference_search(n, trusted, finish_ranges, sigma, stats, results,
             results.append(s)
 
     def rec(i: int):
-        if limit is not None and len(results) >= limit:
-            return
         if i > half:
             finish()
             return
@@ -671,11 +685,8 @@ def _reference_search(n, trusted, finish_ranges, sigma, stats, results,
         branching = len(options) == 2
         results_at_entry = len(results)
         for oi, (a, b) in enumerate(options):
-            if oi == 1:
-                if limit is not None and len(results) >= limit:
-                    break
-                if len(results) == results_at_entry:
-                    stats.backtracks += 1
+            if oi == 1 and len(results) == results_at_entry:
+                stats.backtracks += 1
             if branching:
                 decisions.append(i)
             pre_bits.append(a)
@@ -696,11 +707,10 @@ def _reference_search(n, trusted, finish_ranges, sigma, stats, results,
     rec(1)
 
 
-@pytest.mark.parametrize("limit", [None, 1, 2, 3])
-def test_search_matches_unpruned_walk(monkeypatch, limit):
+def test_search_matches_unpruned_walk(monkeypatch):
     # the (1, 0) subtree of the first weight-1 pair is derived, not
     # walked: the strings, their order and the stats must not move
-    rng = SplitMix64(15 + (limit or 0))
+    rng = SplitMix64(15)
     pruned_search = reconstructor._search
     nonempty = 0
     for n in range(5, 17):
@@ -722,7 +732,7 @@ def test_search_matches_unpruned_walk(monkeypatch, limit):
                     monkeypatch.setattr(reconstructor, "_search", search)
                     stats = _SearchStats()
                     runs.append((_consistent_strings(r, drop, candidates,
-                                                     stats, limit), stats))
-                assert runs[0] == runs[1], (s, model, r.classes, limit)
+                                                     stats), stats))
+                assert runs[0] == runs[1], (s, model, r.classes)
                 nonempty += bool(runs[0][0])
     assert nonempty > 100
