@@ -95,10 +95,6 @@ class ErrorSpec:
         return self.targets is None
 
 
-def _sym_partner(k: int, n: int) -> int:
-    return n - k + 1
-
-
 def _exact_int(value, what: str) -> int:
     """value if it is an int; 2.9, True and "3" are errors, not 2, 1, 3."""
     if type(value) is not int:
@@ -144,7 +140,7 @@ def _asym_targets(targets, n=None) -> tuple[int, ...]:
             continue
         if k > n:
             raise InvalidErrorSpecError(f"class {k} outside [1, {n}]")
-        p = _sym_partner(k, n)
+        p = n - k + 1
         if p != k and p in seen:
             raise InvalidErrorSpecError(
                 f"classes {k} and {p} are mutually symmetric")
@@ -158,7 +154,7 @@ def _pair_targets(targets, n=None) -> tuple[tuple[int, int], ...]:
         pair = tuple(_exact_int(k, "class index")
                      for k in _items(item, "a class pair", 2))
         i, j = sorted(pair)
-        if i == j or i < 1 or (n is not None and j != _sym_partner(i, n)):
+        if i == j or i < 1 or (n is not None and j != n - i + 1):
             raise InvalidErrorSpecError(f"({i}, {j}) is not a symmetric pair")
         if (i, j) in seen:
             raise InvalidErrorSpecError(f"duplicate pair ({i}, {j})")
@@ -207,18 +203,23 @@ _TARGET_CHECKS = {
 }
 
 
-def random_error(model: str, count: int, seed: int, n: int) -> ErrorSpec:
-    """Seeded error spec; validates that n can absorb `count` errors."""
-    spec = ErrorSpec(model, count=count, seed=seed)
+def _check_capacity(e: ErrorSpec, n: int):
+    """Refuse a seeded spec with more errors than length n can absorb."""
     capacity = {
         "asym_delete": n // 2,
         "sym_pair_delete": n // 2,
         "skew": n // 2 + n % 2,
         "insert": n,
-    }[model]
-    if count > capacity:
+    }[e.model]
+    if e.count > capacity:
         raise InvalidErrorSpecError(
-            f"{model} supports at most {capacity} errors at n={n}")
+            f"{e.model} supports at most {capacity} errors at n={n}")
+
+
+def random_error(model: str, count: int, seed: int, n: int) -> ErrorSpec:
+    """Seeded error spec; validates that n can absorb `count` errors."""
+    spec = ErrorSpec(model, count=count, seed=seed)
+    _check_capacity(spec, n)
     return spec
 
 
@@ -228,20 +229,20 @@ def _draw_targets(r: Readout, e: ErrorSpec) -> tuple:
     if e.model == "asym_delete":
         # drawing a class burns its partner too; center excluded (it is
         # its own partner, so deleting it is never asymmetric)
-        pool = [k for k in range(1, n + 1) if _sym_partner(k, n) != k]
+        pool = [k for k in range(1, n + 1) if n - k + 1 != k]
         picked = []
         for _ in range(e.count):
             k = rng.choice(sorted(pool))
             picked.append(k)
             pool.remove(k)
-            pool.remove(_sym_partner(k, n))
+            pool.remove(n - k + 1)
         return tuple(sorted(picked))
     if e.model == "sym_pair_delete":
         pool = list(range(1, n // 2 + 1))
         picked = []
         for _ in range(e.count):
             i = rng.choice(pool)
-            picked.append((i, _sym_partner(i, n)))
+            picked.append((i, n - i + 1))
             pool.remove(i)
         return tuple(sorted(picked))
     if e.model == "insert":
@@ -253,7 +254,7 @@ def _draw_targets(r: Readout, e: ErrorSpec) -> tuple:
         return tuple(out)
     # skew: distinct classes, no two mutually symmetric, resampling
     # classes that offer no weight to shed
-    pool = [k for k in range(1, n + 1) if r.present(k)]
+    pool = [k for k in range(1, n + 1) if k in r.classes]
     out = []
     for _ in range(e.count):
         while True:
@@ -267,7 +268,7 @@ def _draw_targets(r: Readout, e: ErrorSpec) -> tuple:
                 continue
             break
         pool.remove(k)
-        p = _sym_partner(k, n)
+        p = n - k + 1
         if p in pool:
             pool.remove(p)
         pick = rng.below(total)
@@ -286,6 +287,7 @@ def resolve(r: Readout, e: ErrorSpec) -> ErrorSpec:
     """Explicit-target equivalent of e against readout r (for logging)."""
     if not e.is_seeded():
         return e
+    _check_capacity(e, r.n)
     return ErrorSpec(e.model, targets=_draw_targets(r, e))
 
 
@@ -298,7 +300,7 @@ def apply(r: Readout, e: ErrorSpec) -> Readout:
         targets = [k for pair in targets for k in pair]
     if e.model in ("asym_delete", "sym_pair_delete"):
         for k in targets:
-            if not r.present(k):
+            if k not in r.classes:
                 raise InvalidErrorSpecError(f"class {k} already absent")
         return r.restrict(targets)
     classes = dict(r.classes)
@@ -310,7 +312,7 @@ def apply(r: Readout, e: ErrorSpec) -> Readout:
         return Readout(n, classes)
     for k, old, new in targets:
         old_w, new_w = old[1], new[1]
-        if not r.present(k) or classes[k][old_w] < 1:
+        if k not in r.classes or classes[k][old_w] < 1:
             raise InvalidErrorSpecError(f"no entry {old} in class {k}")
         counts = list(classes[k])
         counts[old_w] -= 1

@@ -13,7 +13,8 @@ from dataclasses import asdict
 
 from . import channel, codebooks, experiment, formats, oracle, reconstructor
 from .core import full_readout
-from .errors import CompCodesError, ParseError, ResourceCapError
+from .errors import (CapabilityError, CompCodesError, ParseError,
+                     ResourceCapError, UndecodableError)
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -77,15 +78,15 @@ def cmd_corrupt(args) -> int:
 def cmd_decode(args) -> int:
     r = formats.parse_readout(_read_input(args))
     spec = formats.parse_spec(args.spec)
-    try:
-        if args.mode == "brute":
-            rep = reconstructor.brute_force_decode(r, spec)
-        else:
-            rep = reconstructor.decode_deletions(r, spec)
-    except CompCodesError as exc:
-        if not args.fallback_brute_force:
-            return _failure(args, exc)
+    if args.mode == "brute":
         rep = reconstructor.brute_force_decode(r, spec)
+    else:
+        try:
+            rep = reconstructor.decode_deletions(r, spec)
+        except (UndecodableError, CapabilityError) as exc:
+            if args.mode == "auto":
+                return _failure(args, exc)
+            rep = reconstructor.brute_force_decode(r, spec)
     _write_output(args, formats.emit_report(rep))
     return EXIT_OK if rep.result is not None else EXIT_WITNESS
 
@@ -196,10 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("corrupt", help="apply a channel error to a readout")
-    p.add_argument("--model", choices=channel.MODELS)
+    error = p.add_mutually_exclusive_group(required=True)
+    error.add_argument("--model", choices=channel.MODELS)
+    error.add_argument("--targets", help="explicit error-spec JSON")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--targets", help="explicit error-spec JSON")
     p.add_argument("--show-error", action="store_true",
                    help="print the resolved error spec to stderr")
     add_io(p)
@@ -207,11 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decode a (possibly corrupted) readout")
     p.add_argument("--spec", required=True)
-    p.add_argument("--mode", default="auto", choices=("auto", "brute"),
-                   help="the decoder (auto) or the brute-force reference")
-    p.add_argument("--fallback-brute-force", action="store_true",
-                   help="fall back to the reference decoder on capability "
-                        "or decode errors")
+    p.add_argument("--mode", default="auto",
+                   choices=("auto", "brute", "fallback"),
+                   help="the decoder, the brute-force reference, or the "
+                        "decoder falling back to the reference on failure")
     add_io(p)
     p.set_defaults(func=cmd_decode)
 

@@ -57,8 +57,13 @@ class Readout:
     w = 0..k.  ``n`` is carried explicitly; classes may be missing,
     undersized or oversized (corruption is data, not an error).  Treat
     instances as read-only; corruption and restriction build new readouts.
-    Class sizes, weights and the trust set are each computed on first use
-    and kept for the life of the instance.
+
+    It exposes ``class_size(k)`` (0 for a missing class), ``weight(k)``,
+    ``total_entries()``, ``is_full()``, the trust set
+    ``untrusted_classes()`` and the ``outweighed_classes()`` it includes,
+    and ``restrict(drop)``.  A class k is full when it holds its expected
+    n-k+1 entries.  Class sizes, weights and the trust set are each
+    computed on first use and kept for the life of the instance.
     """
 
     n: int
@@ -90,12 +95,6 @@ class Readout:
                 raise ValueError(f"class {k} needs a tuple of {k + 1} "
                                  f"non-negative ints, got {counts!r}")
 
-    def expected_size(self, k: int) -> int:
-        return self.n - k + 1
-
-    def present(self, k: int) -> bool:
-        return k in self.classes
-
     @cached_property
     def _sizes(self) -> dict[int, int]:
         return {k: sum(counts) for k, counts in self.classes.items()}
@@ -113,17 +112,6 @@ class Readout:
 
     def class_size(self, k: int) -> int:
         return self._sizes.get(k, 0)
-
-    def missing_classes(self) -> tuple[int, ...]:
-        return tuple(k for k in range(1, self.n + 1) if k not in self.classes)
-
-    def undersized_classes(self) -> tuple[int, ...]:
-        n = self.n
-        return tuple(k for k, size in self._sizes.items() if size < n - k + 1)
-
-    def oversized_classes(self) -> tuple[int, ...]:
-        n = self.n
-        return tuple(k for k, size in self._sizes.items() if size > n - k + 1)
 
     def outweighed_classes(self) -> tuple[int, ...]:
         """Classes k that lose the symmetry comparison w_k < w_{n-k+1}.

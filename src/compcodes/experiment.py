@@ -20,12 +20,8 @@ from .formats import config_hash, error_spec_to_dict
 
 DEFAULT_CROSS_CHECK_CAP = 12
 
-_DECODERS = {
-    "asym_delete": reconstructor.decode_deletions,
-    "sym_pair_delete": reconstructor.decode_deletions,
-    "insert": reconstructor.decode_insertions,
-    "skew": reconstructor.decode_skewed,
-}
+# every channel model reduces to one drop set, so one decoder serves all
+_DECODERS = dict.fromkeys(channel.MODELS, reconstructor.decode_deletions)
 
 
 @dataclass(frozen=True)

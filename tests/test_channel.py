@@ -32,7 +32,8 @@ def test_insert_matches_worked_example(example_readout):
                       ErrorSpec("insert", targets=((7, (1, 6)),)))
     # class 7 held weights 3, 4, 5 once each; the inserted 0 1^6 adds weight 6
     assert corrupted.classes[7] == (0, 0, 0, 1, 1, 1, 1, 0)
-    assert corrupted.oversized_classes() == (7,)
+    assert [k for k in corrupted.classes
+            if corrupted.class_size(k) > corrupted.n - k + 1] == [7]
 
 
 def test_skew_semantics():
@@ -153,6 +154,22 @@ def test_random_error_capacity():
     with pytest.raises(InvalidErrorSpecError):
         random_error("asym_delete", 7, seed=1, n=12)
     random_error("asym_delete", 6, seed=1, n=12)
+
+
+def test_seeded_specs_over_capacity_are_refused_wherever_they_come_from():
+    # a spec built directly (as parse_error_spec builds it) skips
+    # random_error, and resolve refuses it with the same message
+    r = full_readout("001010111")
+    for model, count in (("asym_delete", 5), ("sym_pair_delete", 5),
+                         ("insert", 10), ("skew", 6)):
+        with pytest.raises(InvalidErrorSpecError) as expected:
+            random_error(model, count, 1, r.n)
+        with pytest.raises(InvalidErrorSpecError) as got:
+            apply(r, ErrorSpec(model, count=count, seed=1))
+        assert str(got.value) == str(expected.value)
+        assert str(got.value) == \
+            f"{model} supports at most {count - 1} errors at n=9"
+        resolve(r, ErrorSpec(model, count=count - 1, seed=1))
 
 
 def test_seeded_draws_are_deterministic(example_readout):

@@ -143,12 +143,51 @@ def test_decode_fallback_brute_force_reports_consistent_set():
     readout = formats.emit_readout(full_readout(s).restrict({3, 4, 9, 10}))
     rc, out, _ = run("decode", "--spec", "SR:12", inp=readout)
     assert rc == 1 and "CapabilityError" in json.loads(out)["reason"]
-    rc, out, _ = run("decode", "--spec", "SR:12", "--fallback-brute-force",
+    rc, out, _ = run("decode", "--spec", "SR:12", "--mode", "fallback",
                      inp=readout)
     assert rc == 1
     report = json.loads(out)
     assert report["result"] is None
     assert set(report["consistent_set"]) == {s, v}
+
+
+def test_decode_fallback_flag_is_gone():
+    _, readout, _ = run("compose", EXAMPLE_S)
+    rc, _, err = run("decode", "--spec", "SR:9", "--fallback-brute-force",
+                     inp=readout)
+    assert rc == 2 and "unrecognized arguments" in err
+
+
+def test_decode_resource_cap_exits_three_in_every_mode():
+    # SR:30's codebook is over the enumeration cap; 1^30 is no member, so
+    # the fallback mode reaches the reference too
+    _, readout, _ = run("compose", "1" * 30)
+    for mode in ("brute", "fallback"):
+        rc, out, err = run("decode", "--spec", "SR:30", "--mode", mode,
+                           inp=readout)
+        assert rc == 3 and out == "", (mode, out)
+        assert "ResourceCapError" not in err and "Traceback" not in err
+    rc, out, _ = run("decode", "--spec", "SR:30", inp=readout)
+    assert rc == 1 and json.loads(out)["reason"].startswith("UndecodableError")
+
+
+def test_corrupt_needs_exactly_one_of_model_and_targets():
+    _, readout, _ = run("compose", EXAMPLE_S)
+    targets = '{"model":"asym_delete","targets":[2]}'
+    for args in ((), ("--model", "insert", "--count", "1", "--targets", targets)):
+        rc, out, err = run("corrupt", *args, inp=readout)
+        assert rc == 2 and out == "", args
+        assert "--model" in err and "--targets" in err
+
+
+def test_corrupt_seeded_targets_over_capacity_exit_two():
+    _, readout, _ = run("compose", EXAMPLE_S)
+    rc, out, err = run("corrupt", "--targets",
+                       '{"model":"asym_delete","count":5,"seed":1}',
+                       inp=readout)
+    assert (rc, out) == (2, "")
+    assert err == ("error: InvalidErrorSpecError: asym_delete supports at "
+                   "most 4 errors at n=9")
 
 
 def test_enumerate_rank_unrank():

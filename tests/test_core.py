@@ -130,8 +130,7 @@ def test_readout_bulk_check_matches_per_class_loop():
 def _losers_brute_force_loop(r):
     # the symmetry check brute_force_decode made before outweighed_classes
     n = r.n
-    dropped = (set(r.missing_classes()) | set(r.undersized_classes())
-               | set(r.oversized_classes()))
+    dropped = {k for k in range(1, n + 1) if r.class_size(k) != n - k + 1}
     losers = set()
     for k in range(1, n + 1):
         partner = n - k + 1
@@ -174,15 +173,21 @@ def test_outweighed_classes_matches_the_loops_it_replaces():
                         _losers_brute_force_loop(worse)
 
 
+def _size_anomalies(r):
+    """Missing, undersized and oversized classes, from class_size alone."""
+    n = r.n
+    return (tuple(k for k in range(1, n + 1) if k not in r.classes),
+            tuple(k for k in sorted(r.classes) if r.class_size(k) < n - k + 1),
+            tuple(k for k in sorted(r.classes) if r.class_size(k) > n - k + 1))
+
+
 def test_untrusted_classes_worked_example(example_readout):
     classes = dict(example_readout.restrict({2}).classes)  # 2 missing
     classes[4] = (0, 1, 3, 1, 0)     # undersized: one (1,3) entry lost
     classes[5] = (0, 0, 2, 2, 2, 0)  # oversized: an extra (1,4) entry
     classes[7] = (0, 0, 0, 1, 2, 0, 0, 0)  # skewed: w_7 = 11 < w_3 = 12
     r = Readout(9, classes)
-    assert r.missing_classes() == (2,)
-    assert r.undersized_classes() == (4,)
-    assert r.oversized_classes() == (5,)
+    assert _size_anomalies(r) == ((2,), (4,), (5,))
     assert r.outweighed_classes() == (7,)
     assert r.untrusted_classes() == (2, 4, 5, 7)
     assert example_readout.untrusted_classes() == ()
@@ -230,11 +235,9 @@ def test_readout_caches_agree_with_inline_sums():
                 if rng.below(2):
                     bad = _undersize_one(bad, rng)
                 _check_against_inline_sums(bad)
-                seen.update(name for name, ks in (
-                    ("missing", bad.missing_classes()),
-                    ("undersized", bad.undersized_classes()),
-                    ("oversized", bad.oversized_classes()),
-                    ("outweighed", bad.outweighed_classes())) if ks)
+                seen.update(name for name, ks in zip(
+                    ("missing", "undersized", "oversized", "outweighed"),
+                    (*_size_anomalies(bad), bad.outweighed_classes())) if ks)
                 # a restricted copy carries its own answers, not its parent's
                 kept = sorted(set(bad.classes) - set(bad.untrusted_classes()))
                 if kept:
@@ -380,5 +383,6 @@ def test_total_entry_count(s):
 def test_readout_invariants(s):
     r = full_readout(s)
     assert r.is_full()
-    assert not r.missing_classes()
-    assert not r.oversized_classes()
+    missing, _, oversized = _size_anomalies(r)
+    assert not missing
+    assert not oversized

@@ -63,7 +63,8 @@ def test_parse_flags_size_anomalies_without_rejecting():
     r = full_readout(EXAMPLE_S)
     corrupted = parse_readout(emit_readout(r).replace(
         '"7":[[4,3],[3,4],[2,5]]', '"7":[[4,3],[3,4],[2,5],[1,6]]'))
-    assert corrupted.oversized_classes() == (7,)
+    assert [k for k in corrupted.classes
+            if corrupted.class_size(k) > corrupted.n - k + 1] == [7]
 
 
 def test_parse_errors():

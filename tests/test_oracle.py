@@ -186,7 +186,7 @@ def test_insertion_deletion_equivalence_on_witness():
     left, right = insertion_witness_readouts(w)
     assert left == right
     for k in w.deleted_classes:
-        assert left.class_size(k) > left.expected_size(k)
+        assert left.class_size(k) > left.n - k + 1
     for k in range(1, 13):
         if k not in w.deleted_classes:
             assert left.classes[k] == full_readout(w.s).classes[k]
