@@ -62,11 +62,16 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
+    if args.targets and (args.count, args.seed) != (None, None):
+        raise ParseError("--count and --seed go with --model; "
+                         "--targets names the errors itself")
     r = formats.parse_readout(_read_input(args))
     if args.targets:
         err = formats.parse_error_spec(args.targets)
     else:
-        err = channel.random_error(args.model, args.count, args.seed, r.n)
+        err = channel.random_error(args.model,
+                                   1 if args.count is None else args.count,
+                                   0 if args.seed is None else args.seed, r.n)
     resolved = channel.resolve(r, err)
     corrupted = channel.apply(r, resolved)
     if args.show_error:
@@ -200,8 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     error = p.add_mutually_exclusive_group(required=True)
     error.add_argument("--model", choices=channel.MODELS)
     error.add_argument("--targets", help="explicit error-spec JSON")
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int,
+                   help="errors to draw with --model (default 1)")
+    p.add_argument("--seed", type=int, help="seed of the draw with --model "
+                                            "(default 0)")
     p.add_argument("--show-error", action="store_true",
                    help="print the resolved error spec to stderr")
     add_io(p)

@@ -1,28 +1,27 @@
 """Bit-exact JSON formats for readouts, specs, error specs and reports.
 
-Emission is canonical: classes ascend by length, entries within a class
-ascend by weight, JSON uses compact separators.  Identical multisets
-therefore always produce identical bytes, which makes log hashes
-meaningful.
+Emission is canonical: fields come in a fixed order, readout keys
+ascend numerically and JSON uses compact separators.  Identical
+multisets therefore always produce identical bytes, which makes log
+hashes meaningful.
 
-``emit_readout`` and the canonical reader do Python-level work per
-class and per occupied weight, not per entry.  ``emit_readout`` writes
-the canonical text directly, one ``[z,w]`` string per occupied weight repeated by its count.
-``parse_readout`` has two paths, and the text alone picks one:
+A length-k composition is fixed by its weight, so a readout goes on the
+wire as its weight counts, ``{"n":N,"counts":{"k":{"w":c,...},...}}``:
+classes ascend by k, weights ascend within a class, and only non-zero
+counts are written.  A class present with no entries is ``"k":{}``, which
+differs from a missing class.  ``emit_readout`` does Python-level work
+per class and per occupied weight, not per composition.
 
-* the canonical reader splits the text on ``"`` into class keys and
-  bodies and counts each class's runs of equal entries with one regular
-  expression.  It keeps its result only if ``emit_readout`` of that
-  result gives back the text exactly (less JSON whitespace around it), so
-  it accepts only what ``emit_readout`` writes, and on such a text the
-  JSON path would build the same readout;
-* every other text (shuffled, pretty-printed, hand-written or malformed)
-  goes to the JSON path, which is also the reference for the errors.  It
-  counts each class's entries in one loop that checks every entry: a list
-  of two exact ints z, w with 0 <= w <= k and z = k - w (JSON ``true`` is
-  not 1, nor is ``1.0``).  The first entry that fails is named in the
-  error.  A key may not repeat in an object or, for class keys, after
-  ``int()``.
+``parse_readout`` reads any text through ``json.loads``, where a key may
+not repeat in an object.  It reads the count form under ``"counts"``
+and, so that older files still parse, the entry-list form under
+``"classes"``: each class a list of ``[z,w]`` entries.  A text with both
+keys or neither is an error.  Both forms are checked as strictly: a
+class or weight key goes through ``int()`` and may not repeat after it,
+k <= n is checked before any vector is allocated, a weight lies in
+[0, k], a count is an exact int >= 1, and an entry is a list of two exact
+ints z, w with 0 <= w <= k and z = k - w (JSON ``true`` is not 1, nor is
+``1.0``).  The first entry or count that fails is named in the error.
 
 An error spec's JSON carries the ``ErrorSpec`` fields, its targets as
 nested lists of wire pairs.  ``parse_error_spec`` hands the decoded fields
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from collections import Counter
 from dataclasses import asdict
 from itertools import compress
@@ -60,88 +58,85 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def emit_readout(r: Readout) -> str:
-    return '{"n":%d,"classes":{%s}}' % (r.n, ",".join(
-        f'"{k}":[{_class_text(k, r.classes[k])}]' for k in sorted(r.classes)))
+    return '{"n":%d,"counts":{%s}}' % (r.n, ",".join(
+        '"%d":{%s}' % (k, _weight_counts(r.classes[k])) for k in sorted(r.classes)))
 
 
-def _class_text(k: int, counts: tuple[int, ...]) -> str:
-    """Entries of class k, ascending by weight, without the outer brackets."""
-    return "".join(f"[{k - w},{w}]," * counts[w]
-                   for w in compress(range(k + 1), counts))[:-1]
-
-
-_JSON_SPACE = " \t\n\r"
-# a run of equal entries, ASCII digits only: (the run, z, w)
-_RUN = re.compile(r"(\[([0-9]+),([0-9]+)\](?:,\[\2,\3\])*)")
-
-
-def _canonical_readout(text: str) -> Readout | None:
-    """The readout whose ``emit_readout`` is ``text`` less the JSON
-    whitespace around it, or None if there is no such readout."""
-    if not isinstance(text, str):  # json.loads also reads bytes
-        return None
-    text = text.strip(_JSON_SPACE)
-    parts = text.split('"')  # '{', 'n', ':N,', 'classes', ':{', key, body, ...
-    try:
-        n = int(parts[2][1:-1])
-        if not 1 <= n <= MAX_LENGTH:
-            return None
-        classes = {}
-        for key, body in zip(parts[5::2], parts[6::2]):
-            k = int(key)
-            if not 1 <= k <= n:  # before the vector is allocated
-                return None
-            counts = [0] * (k + 1)
-            for run, z, w in _RUN.findall(body):
-                # m entries "[z,w]" joined by "," are m*(len(z)+len(w)+4)-1 chars
-                counts[int(w)] = (len(run) + 1) // (len(z) + len(w) + 4)
-            classes[k] = tuple(counts)
-        r = Readout(n, classes)
-    except (ValueError, IndexError):
-        return None
-    return r if emit_readout(r) == text else None
+def _weight_counts(counts: tuple[int, ...]) -> str:
+    """``"w":c`` for each occupied weight w, ascending, without the braces."""
+    return ",".join(f'"{w}":{counts[w]}'
+                    for w in compress(range(len(counts)), counts))
 
 
 def parse_readout(text: str) -> Readout:
-    r = _canonical_readout(text)
-    if r is not None:
-        return r
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict) or "n" not in obj or "classes" not in obj:
-        raise ParseError("readout JSON needs 'n' and 'classes'")
+    if (not isinstance(obj, dict) or "n" not in obj
+            or ("counts" in obj) == ("classes" in obj)):
+        raise ParseError("readout JSON needs 'n' and exactly one of "
+                         "'counts' and 'classes'")
     n = obj["n"]
     if type(n) is not int or not 1 <= n <= MAX_LENGTH:
         raise ParseError(f"invalid n: {n!r}, not an int in [1, {MAX_LENGTH}]")
-    if not isinstance(obj["classes"], dict):
-        raise ParseError("'classes' must be an object of class lists")
+    form, read_class = (("counts", _read_counts) if "counts" in obj
+                        else ("classes", _read_entries))
+    if not isinstance(obj[form], dict):
+        raise ParseError(f"'{form}' must be an object keyed by class")
     classes: dict[int, tuple[int, ...]] = {}
-    for key, entries in obj["classes"].items():
+    for key, value in obj[form].items():
         try:
             k = int(key)
         except (TypeError, ValueError):
             raise ParseError(f"invalid class key {key!r}") from None
-        if not 1 <= k <= n:
+        if not 1 <= k <= n:  # before the vector is allocated
             raise ParseError(f"class {k} outside [1, {n}]")
         if k in classes:
             raise ParseError(f"class {k} repeats (key {key!r})")
-        if not isinstance(entries, list):
-            raise ParseError(f"class {k} must be a list of entries")
-        counts = [0] * (k + 1)
-        for entry in entries:
-            if type(entry) is list and len(entry) == 2:
-                z, w = entry
-                # exact ints only (JSON true and 1.0 equal 1); z = k - w,
-                # so both are non-negative iff 0 <= w <= k
-                if type(z) is int and type(w) is int \
-                        and 0 <= w <= k and z == k - w:
-                    counts[w] += 1
-                    continue
-            raise ParseError(_bad_entry_message(k, entry))
-        classes[k] = tuple(counts)
+        classes[k] = read_class(k, value)
     return Readout(n, classes)
+
+
+def _read_counts(k: int, weights) -> tuple[int, ...]:
+    """Class k's vector from its ``{"w": count}`` object."""
+    if not isinstance(weights, dict):
+        raise ParseError(f"class {k} must be an object of weight counts")
+    counts = [0] * (k + 1)
+    for key, count in weights.items():
+        try:
+            w = int(key)
+        except ValueError:
+            raise ParseError(f"invalid weight key {key!r} "
+                             f"in class {k}") from None
+        if not 0 <= w <= k:
+            raise ParseError(f"weight {w} outside [0, {k}] in class {k}")
+        if counts[w]:  # every count set so far is at least 1
+            raise ParseError(f"weight {w} repeats in class {k} (key {key!r})")
+        # exact ints only: JSON true and 1.0 equal 1
+        if type(count) is not int or count < 1:
+            raise ParseError(f"count {count!r} of weight {w} in class {k} "
+                             f"is not an int >= 1")
+        counts[w] = count
+    return tuple(counts)
+
+
+def _read_entries(k: int, entries) -> tuple[int, ...]:
+    """Class k's vector from its list of ``[z, w]`` entries."""
+    if not isinstance(entries, list):
+        raise ParseError(f"class {k} must be a list of entries")
+    counts = [0] * (k + 1)
+    for entry in entries:
+        if type(entry) is list and len(entry) == 2:
+            z, w = entry
+            # exact ints only (JSON true and 1.0 equal 1); z = k - w,
+            # so both are non-negative iff 0 <= w <= k
+            if type(z) is int and type(w) is int \
+                    and 0 <= w <= k and z == k - w:
+                counts[w] += 1
+                continue
+        raise ParseError(_bad_entry_message(k, entry))
+    return tuple(counts)
 
 
 def _bad_entry_message(k: int, entry) -> str:

@@ -266,7 +266,8 @@ def reconstruct(r: Readout, spec: CodebookSpec | None = None) -> DecodeReport:
     """
     if not r.is_full():
         raise CapabilityError(
-            "readout has missing or mis-sized classes; use a decode_* entry point")
+            "readout has missing or mis-sized classes; use decode_deletions "
+            "(compcodes decode)")
     if spec is not None:
         _check_length(r, spec)
     weights = [r.weight(k) for k in range(1, r.n + 1)]

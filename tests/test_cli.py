@@ -26,7 +26,7 @@ def run(*args, inp=None):
 def test_compose_matches_wire_format():
     rc, out, _ = run("compose", "01")
     assert rc == 0
-    assert out == '{"n":2,"classes":{"1":[[1,0],[0,1]],"2":[[1,1]]}}'
+    assert out == '{"n":2,"counts":{"1":{"0":1,"1":1},"2":{"1":1}}}'
 
 
 def test_compose_reconstruct_pipeline():
@@ -178,6 +178,22 @@ def test_corrupt_needs_exactly_one_of_model_and_targets():
         rc, out, err = run("corrupt", *args, inp=readout)
         assert rc == 2 and out == "", args
         assert "--model" in err and "--targets" in err
+
+
+def test_corrupt_refuses_count_and_seed_beside_targets():
+    _, readout, _ = run("compose", EXAMPLE_S)
+    targets = '{"model":"asym_delete","targets":[2]}'
+    for extra in (("--count", "4"), ("--seed", "9"),
+                  ("--count", "4", "--seed", "9")):
+        rc, out, err = run("corrupt", "--targets", targets, *extra,
+                           inp=readout)
+        assert (rc, out) == (2, ""), extra
+        assert "--targets" in err and "Traceback" not in err
+    # with --model they default to a count of 1 and seed 0
+    _, default, _ = run("corrupt", "--model", "skew", inp=readout)
+    _, explicit, _ = run("corrupt", "--model", "skew", "--count", "1",
+                         "--seed", "0", inp=readout)
+    assert default == explicit != readout
 
 
 def test_corrupt_seeded_targets_over_capacity_exit_two():

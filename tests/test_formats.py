@@ -9,12 +9,12 @@ from itertools import compress
 
 import pytest
 
+from compcodes import formats
 from compcodes.channel import MODELS, ErrorSpec, apply
 from compcodes.codebooks import CodebookSpec
 from compcodes.core import Readout, full_readout
 from compcodes.errors import InvalidErrorSpecError, ParseError
 from compcodes.formats import (
-    _canonical_readout,
     config_hash,
     emit_error_spec,
     emit_readout,
@@ -31,17 +31,25 @@ from conftest import EXAMPLE_S
 
 def test_emit_readout_canonical_example():
     assert emit_readout(full_readout("01")) == \
-        '{"n":2,"classes":{"1":[[1,0],[0,1]],"2":[[1,1]]}}'
+        '{"n":2,"counts":{"1":{"0":1,"1":1},"2":{"1":1}}}'
 
 
 def test_emit_readout_golden_digest():
-    # sha256 of emit_readout(full_readout(s)) + "\n" for every s with
-    # 2 <= len(s) <= 10 in length-then-lexicographic order; recorded once
-    h = hashlib.sha256()
+    # sha256 of the readout text + "\n" for every s with 2 <= len(s) <= 10
+    # in length-then-lexicographic order, over the count form that
+    # emit_readout writes and over the entry-list form of older files,
+    # which must parse to the same readout; each recorded once
+    counts, entries = hashlib.sha256(), hashlib.sha256()
     for n in range(2, 11):
         for x in range(2 ** n):
-            h.update(emit_readout(full_readout(format(x, f"0{n}b"))).encode() + b"\n")
-    assert h.hexdigest() == \
+            r = full_readout(format(x, f"0{n}b"))
+            text, legacy = emit_readout(r), _reference_emit_readout(r)
+            assert parse_readout(legacy) == parse_readout(text) == r
+            counts.update(text.encode() + b"\n")
+            entries.update(legacy.encode() + b"\n")
+    assert counts.hexdigest() == \
+        "14246aa5c22154b7270cd28c9647259cd2ffe5af5536b6fdb72609e5d4e30771"
+    assert entries.hexdigest() == \
         "ebd1e03084b8af555df01a4d19d84b7f5403f11792a73a4602e5e42bc065bdc4"
 
 
@@ -61,10 +69,24 @@ def test_emit_is_canonical_under_input_order():
 
 def test_parse_flags_size_anomalies_without_rejecting():
     r = full_readout(EXAMPLE_S)
-    corrupted = parse_readout(emit_readout(r).replace(
-        '"7":[[4,3],[3,4],[2,5]]', '"7":[[4,3],[3,4],[2,5],[1,6]]'))
-    assert [k for k in corrupted.classes
-            if corrupted.class_size(k) > corrupted.n - k + 1] == [7]
+    for text, old, new in (
+            (emit_readout(r), '"7":{"3":1,"4":1,"5":1}',
+             '"7":{"3":1,"4":1,"5":1,"6":1}'),
+            (_reference_emit_readout(r), '"7":[[4,3],[3,4],[2,5]]',
+             '"7":[[4,3],[3,4],[2,5],[1,6]]')):
+        assert old in text
+        corrupted = parse_readout(text.replace(old, new))
+        assert [k for k in corrupted.classes
+                if corrupted.class_size(k) > corrupted.n - k + 1] == [7]
+
+
+def test_empty_class_differs_from_missing_class():
+    r = Readout(3, {1: (0, 0), 3: (0, 0, 0, 1)})
+    text = emit_readout(r)
+    assert text == '{"n":3,"counts":{"1":{},"3":{"3":1}}}'
+    assert parse_readout(text) == r
+    assert parse_readout('{"n":3,"counts":{"3":{"3":1}}}') == \
+        Readout(3, {3: (0, 0, 0, 1)})
 
 
 def test_parse_errors():
@@ -120,6 +142,30 @@ def test_parse_rejects_floats_and_bools_after_an_equal_int_entry():
     for extra in ('"note":true', '"note":false', '"x":1.5'):
         r = parse_readout('{"n":1,"classes":{"1":[[0,1]]},%s}' % extra)
         assert r == Readout(1, {1: (0, 1)})
+
+
+def test_parse_count_form_errors():
+    # messages name the class and its first bad weight or count
+    for weights, why in (('{"0":1,"2":1}', "weight 2 outside [0, 1] in class 1"),
+                         ('{"-1":1}', "weight -1 outside [0, 1] in class 1"),
+                         ('{"00":1,"0":1}', "weight 0 repeats in class 1"),
+                         ('{"x":1}', "invalid weight key 'x' in class 1"),
+                         ('{"0":0}', "count 0 of weight 0 in class 1"),
+                         ('{"0":-2}', "count -2 of weight 0 in class 1"),
+                         ('{"0":1,"1":true}', "count True of weight 1 in class 1"),
+                         ('{"1":1.0}', "count 1.0 of weight 1 in class 1"),
+                         ('[[1,0]]', "class 1 must be an object of weight counts")):
+        with pytest.raises(ParseError, match=re.escape(why)):
+            parse_readout('{"n":2,"counts":{"1":%s}}' % weights)
+    for text, why in (('{"n":2,"counts":{"1":{},"01":{}}}', "class 1 repeats"),
+                      ('{"n":2,"counts":{"1":{},"1":{}}}', "repeated key '1'"),
+                      ('{"n":2,"counts":{"3":{}}}', "class 3 outside [1, 2]"),
+                      ('{"n":true,"counts":{}}', "invalid n"),
+                      ('{"n":2,"counts":[]}', "'counts' must be an object"),
+                      ('{"n":2,"counts":{},"classes":{}}', "exactly one of 'counts'"),
+                      ('{"n":2}', "exactly one of 'counts'")):
+        with pytest.raises(ParseError, match=re.escape(why)):
+            parse_readout(text)
 
 
 def test_spec_roundtrip_and_compact_form():
@@ -297,8 +343,10 @@ def test_config_hash_is_order_insensitive():
 
 # -- the readout wire path against slow references ------------------------
 #
-# The references spend one Python-level step per entry: emit builds every
-# [z, w] list for json.dumps, parse checks every entry in a loop.
+# The references spend one Python-level step per entry or weight: emit
+# builds every [z, w] list or weight key for json.dumps, parse checks
+# every entry or count in a loop.  _reference_emit_readout writes the
+# entry-list form of older files, which parse_readout still reads.
 
 def _reference_emit_readout(r: Readout) -> str:
     classes = {}
@@ -309,6 +357,13 @@ def _reference_emit_readout(r: Readout) -> str:
             entries += [[k - w, w]] * counts[w]
         classes[str(k)] = entries
     return json.dumps({"n": r.n, "classes": classes}, separators=(",", ":"))
+
+
+def _reference_emit_counts(r: Readout) -> str:
+    counts = {}
+    for k in sorted(r.classes):
+        counts[str(k)] = {str(w): c for w, c in enumerate(r.classes[k]) if c}
+    return json.dumps({"n": r.n, "counts": counts}, separators=(",", ":"))
 
 
 def _reference_parse_readout(text: str) -> Readout:
@@ -348,6 +403,52 @@ def _reference_parse_readout(text: str) -> Readout:
     return Readout(n, classes)
 
 
+def _pairs_without_repeats(pairs: list) -> dict:
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ParseError(f"repeated key {key!r}")
+    return dict(pairs)
+
+
+def _reference_parse_counts(text: str) -> Readout:
+    try:
+        obj = json.loads(text, object_pairs_hook=_pairs_without_repeats)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict) or "n" not in obj or "counts" not in obj \
+            or "classes" in obj:
+        raise ParseError("count-form readout JSON needs 'n' and 'counts' only")
+    n = obj["n"]
+    if type(n) is not int or not 1 <= n <= 255:  # JSON true is not 1
+        raise ParseError(f"invalid n: {n!r}")
+    if not isinstance(obj["counts"], dict):
+        raise ParseError("'counts' must be an object of classes")
+    classes = {}
+    for key, weights in obj["counts"].items():
+        try:
+            k = int(key)
+        except ValueError:
+            raise ParseError(f"invalid class key {key!r}") from None
+        if not 1 <= k <= n or k in classes:
+            raise ParseError(f"class {k} outside [1, {n}] or repeated")
+        if not isinstance(weights, dict):
+            raise ParseError(f"class {k} must be an object")
+        seen = {}
+        for wkey, count in weights.items():
+            try:
+                w = int(wkey)
+            except ValueError:
+                raise ParseError(f"invalid weight key {wkey!r}") from None
+            if not 0 <= w <= k or w in seen:
+                raise ParseError(f"weight {w} outside [0, {k}] or repeated")
+            if type(count) is not int or count < 1:
+                raise ParseError(f"bad count {count!r}")
+            seen[w] = count
+        classes[k] = tuple(seen.get(w, 0) for w in range(k + 1))
+    return Readout(n, classes)
+
+
 _CORRUPTIONS = (("asym_delete", 2), ("sym_pair_delete", 2), ("insert", 3),
                 ("skew", 2))
 assert {model for model, _ in _CORRUPTIONS} == set(MODELS)
@@ -374,14 +475,25 @@ def _wire_readouts() -> list[Readout]:
 
 
 def _shuffled_text(r: Readout, rng: random.Random) -> str:
-    """Valid but not canonical: classes and entries in random order,
-    default separators."""
+    """Valid but not canonical, in the entry-list form: classes and
+    entries in random order, default separators."""
     obj = json.loads(_reference_emit_readout(r))
     items = list(obj["classes"].items())
     rng.shuffle(items)
     for _, entries in items:
         rng.shuffle(entries)
     return json.dumps({"classes": dict(items), "n": obj["n"]})
+
+
+def _shuffled_counts(r: Readout, rng: random.Random) -> str:
+    """Valid but not canonical, in the count form: classes and weights in
+    random order, default separators."""
+    obj = json.loads(emit_readout(r))
+    items = [(k, list(weights.items())) for k, weights in obj["counts"].items()]
+    rng.shuffle(items)
+    for _, weights in items:
+        rng.shuffle(weights)
+    return json.dumps({"counts": {k: dict(w) for k, w in items}, "n": obj["n"]})
 
 
 _MALFORMED = (
@@ -444,6 +556,74 @@ def _fuzzed_texts(rng: random.Random, count: int) -> list[str]:
     return out
 
 
+_MALFORMED_COUNTS = (
+    '{"n":3}', '{"n":3,"counts":{},"classes":{}}',
+    '{"n":3,"classes":{"1":[[1,0]]},"counts":{"1":{"0":1}}}',
+    '{"counts":{}}', '{"n":0,"counts":{}}', '{"n":256,"counts":{}}',
+    '{"n":true,"counts":{}}', '{"n":3.0,"counts":{}}',
+    '{"n":3,"counts":[]}', '{"n":3,"counts":null}', '{"n":3,"counts":5}',
+    # class keys: out of range, not ints, repeated before or after int()
+    '{"n":3,"counts":{"0":{}}}', '{"n":3,"counts":{"4":{}}}',
+    '{"n":3,"counts":{"x":{}}}', '{"n":3,"counts":{"":{}}}',
+    '{"n":3,"counts":{"1.5":{}}}', '{"n":3,"counts":{"99999999999":{}}}',
+    '{"n":3,"counts":{"1":{"0":1},"1":{"1":1}}}',
+    '{"n":3,"counts":{"1":{"0":1},"01":{"1":1}}}',
+    # a class value that is no object of weight counts
+    '{"n":3,"counts":{"1":[[1,0]]}}', '{"n":3,"counts":{"1":[]}}',
+    '{"n":3,"counts":{"1":null}}', '{"n":3,"counts":{"1":1}}',
+    '{"n":3,"counts":{"1":"0"}}',
+    # weight keys: out of range, not ints, repeated before or after int()
+    '{"n":3,"counts":{"1":{"2":1}}}', '{"n":3,"counts":{"1":{"-1":1}}}',
+    '{"n":3,"counts":{"3":{"4":1}}}', '{"n":3,"counts":{"2":{"x":1}}}',
+    '{"n":3,"counts":{"2":{"":1}}}', '{"n":3,"counts":{"2":{"0.0":1}}}',
+    '{"n":3,"counts":{"2":{"99999999999":1}}}',
+    '{"n":3,"counts":{"2":{"0":1,"0":1}}}',
+    '{"n":3,"counts":{"2":{"00":1,"0":1}}}',
+    '{"n":3,"counts":{"2":{"0":1,"00":1}}}',
+    '{"n":3,"counts":{"2":{"1":1,"+1":2}}}',
+    # counts: zero, negative, a bool, a float, a string, a list, null
+    '{"n":3,"counts":{"1":{"0":0}}}', '{"n":3,"counts":{"1":{"0":-1}}}',
+    '{"n":3,"counts":{"1":{"0":true}}}', '{"n":3,"counts":{"1":{"0":false}}}',
+    '{"n":3,"counts":{"1":{"0":1.0}}}', '{"n":3,"counts":{"1":{"0":1e0}}}',
+    '{"n":3,"counts":{"1":{"0":1e400}}}', '{"n":3,"counts":{"1":{"0":"1"}}}',
+    '{"n":3,"counts":{"1":{"0":[1]}}}', '{"n":3,"counts":{"1":{"0":null}}}',
+    '{"n":3,"counts":{"1":{"0":{}}}}',
+    '{"n":3,"counts":{"1":{"0":1},"2":{"1":-2}}}',
+)
+
+def _fuzzed_counts(rng: random.Random, count: int) -> list[str]:
+    """One seeded mutation each of small full readouts in the count form:
+    a bad, shifted or added weight key, a bad count, a bad class key, a
+    bad class value or a bad n."""
+    bases = [json.loads(emit_readout(full_readout(s)))
+             for s in ("001010111", "0110100110010110")]
+    out = []
+    for _ in range(count):
+        obj = json.loads(json.dumps(rng.choice(bases)))
+        n, classes = obj["n"], obj["counts"]
+        key = rng.choice(sorted(classes))
+        weights = classes[key]
+        wkey = rng.choice(sorted(weights))
+        what = rng.randrange(6)
+        if what == 0:
+            bad = rng.choice(("-1", str(int(key) + 1), "x", "", "1.5",
+                              f"0{wkey}", f" {wkey} "))
+            weights[bad] = weights.pop(wkey)
+        elif what == 1:
+            weights[wkey] = rng.choice(_BAD_SCALARS + (0, 2))
+        elif what == 2:
+            weights[str(rng.randrange(-1, int(key) + 2))] = rng.randrange(-1, 3)
+        elif what == 3:
+            bad = rng.choice(("0", str(n + 1), "x", "1.5", "-2", "", f" {key} "))
+            classes[bad] = classes.pop(key)
+        elif what == 4:
+            classes[key] = rng.choice(([], 3, "x", None, [[0, int(key)]]))
+        else:
+            obj["n"] = rng.choice((0, -1, 1.0, "9", None, 256, n - 1, n + 1))
+        out.append(json.dumps(obj, separators=(",", ":")))
+    return out
+
+
 def _outcome(parse, text):
     """The parsed readout, or the type of the ValueError raised."""
     try:
@@ -454,7 +634,7 @@ def _outcome(parse, text):
 
 def test_emit_readout_matches_reference():
     for r in _wire_readouts():
-        assert emit_readout(r) == _reference_emit_readout(r)
+        assert emit_readout(r) == _reference_emit_counts(r)
 
 
 # JSON whitespace, then three characters str.strip() removes and JSON does not
@@ -486,7 +666,21 @@ def _near_canonical_texts(text: str) -> list[str]:
     return out
 
 
+def _near_canonical_counts(text: str) -> list[str]:
+    """Texts one step from the count form ``text``: a class or weight key
+    written another way, or a count swapped for ``true`` or a float."""
+    out = [text.replace('"1":', f'"{alias}":') for alias in _KEY_ALIASES]
+    out.append(text.replace('"10":', '"1_0":'))
+    count = re.search(r'("\d+":)(\d+)', text)
+    if count:
+        for swap in ("true", "false", f"{count[2]}.0", "0", "-1", "null"):
+            out.append(text[:count.start()] + count[1] + swap
+                       + text[count.end():])
+    return out
+
+
 def test_parse_readout_matches_reference():
+    # the entry-list form of older files reads as before
     rng = random.Random(7)
     texts = list(_MALFORMED) + _fuzzed_texts(rng, 600)
     for r in _wire_readouts():
@@ -496,7 +690,7 @@ def test_parse_readout_matches_reference():
         if r.n <= 64:  # each n = 255 variant takes about 0.1 s to check
             texts += _near_canonical_texts(text)
         assert parse_readout(text) == r
-    accepted = rejected = canonical = 0
+    accepted = rejected = 0
     for text in texts:
         expected = _outcome(_reference_parse_readout, text)
         assert _outcome(parse_readout, text) == expected, text
@@ -504,38 +698,56 @@ def test_parse_readout_matches_reference():
             accepted += 1
         else:
             rejected += 1
-        # the canonical reader answers only for what emit_readout writes;
-        # every other text is left to the JSON path
-        direct = _canonical_readout(text)
-        stripped = text.strip(" \t\n\r")
-        if isinstance(expected, Readout) and emit_readout(expected) == stripped:
-            assert direct == expected, text
-            canonical += 1
+    assert accepted > 100 and rejected > 300
+
+
+def test_parse_count_form_matches_reference():
+    rng = random.Random(8)
+    texts = list(_MALFORMED_COUNTS) + _fuzzed_counts(rng, 600)
+    for r in _wire_readouts():
+        text = emit_readout(r)
+        texts += [text, _shuffled_counts(r, rng)]
+        texts += [pad + text + pad for pad in _PADDINGS]
+        texts += _near_canonical_counts(text)
+        assert parse_readout(text) == r
+    accepted = rejected = 0
+    for text in texts:
+        expected = _outcome(_reference_parse_counts, text)
+        assert _outcome(parse_readout, text) == expected, text
+        if isinstance(expected, Readout):
+            accepted += 1
         else:
-            assert direct is None, text
-    assert accepted > 100 and rejected > 300 and canonical > 100
+            rejected += 1
+    assert accepted > 100 and rejected > 300
 
 
-def test_canonical_text_never_reaches_json_loads(monkeypatch):
+def test_parse_readout_never_emits(monkeypatch):
+    # parse_readout reads a text once; no emit_readout checks its result,
+    # so a trace of a parse counts no emitted bytes
     readouts = _wire_readouts()
+    texts = [(emit_readout(r), _reference_emit_readout(r), r) for r in readouts]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("json.loads called on a canonical text")
+        raise AssertionError("emit_readout called by parse_readout")
 
-    monkeypatch.setattr(json, "loads", refuse)
-    for r in readouts:
-        assert parse_readout(emit_readout(r) + "\n") == r
+    monkeypatch.setattr(formats, "emit_readout", refuse)
+    for text, legacy, r in texts:
+        assert parse_readout(text + "\n") == parse_readout(legacy) == r
 
 
-def test_canonical_reader_bounds_before_allocating():
-    # a class key or n far out of range is refused before any vector of
-    # that size exists
-    text = '{"n":255,"classes":{"99999999999":[]}}'
-    big_n = '{"n":99999999999,"classes":{"99999999998":[]}}'
+def test_parse_readout_bounds_before_allocating():
+    # a class key, weight key or n far out of range is refused before any
+    # vector of that size exists, in either form
+    texts = ('{"n":255,"classes":{"99999999999":[]}}',
+             '{"n":99999999999,"classes":{"99999999998":[]}}',
+             '{"n":255,"counts":{"99999999999":{}}}',
+             '{"n":99999999999,"counts":{"99999999998":{}}}',
+             '{"n":255,"counts":{"1":{"99999999999":1}}}')
     tracemalloc.start()
     try:
-        assert _canonical_readout(text) is None
-        assert _canonical_readout(big_n) is None
+        for text in texts:
+            with pytest.raises(ParseError):
+                parse_readout(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -543,17 +755,23 @@ def test_canonical_reader_bounds_before_allocating():
 
 
 def test_emit_readout_golden_digest_corrupted_n255():
-    # sha256 of emit_readout(apply(full_readout(s), e)) + "\n" for three
-    # seeded s of length 255 and each model in _CORRUPTIONS with seeds
-    # 0..2; recorded once
+    # sha256 of the readout text of apply(full_readout(s), e) + "\n" for
+    # three seeded s of length 255 and each model in _CORRUPTIONS with
+    # seeds 0..2, over the count form and over the entry-list form, which
+    # must parse to the same readout; each recorded once
     rng = random.Random(255)
-    h = hashlib.sha256()
+    counts, entries = hashlib.sha256(), hashlib.sha256()
     for seed in range(3):
         full = full_readout(format(rng.getrandbits(255), "0255b"))
         for model, count in _CORRUPTIONS:
             r = apply(full, ErrorSpec(model, count=count, seed=seed))
-            h.update(emit_readout(r).encode() + b"\n")
-    assert h.hexdigest() == \
+            text, legacy = emit_readout(r), _reference_emit_readout(r)
+            assert parse_readout(legacy) == parse_readout(text) == r
+            counts.update(text.encode() + b"\n")
+            entries.update(legacy.encode() + b"\n")
+    assert counts.hexdigest() == \
+        "844ef27c0ef2e691b8c21997ce0e52f115c4e48a079e3341fa0968bebb3a25f5"
+    assert entries.hexdigest() == \
         "09623c2ff1bb270d7f7e1ad8d63ff37e2353147529c83a09c5c18624e4523b6a"
 
 
@@ -563,6 +781,7 @@ def test_wire_path_matches_reference_on_dense_n255():
     for s in ("1" * 255, "".join(rng.choice("0111111111") for _ in range(255))):
         full = full_readout(s)
         for r in (full, apply(full, ErrorSpec("insert", count=3, seed=1))):
-            text = _reference_emit_readout(r)
-            assert emit_readout(r) == text
-            assert parse_readout(text) == _reference_parse_readout(text) == r
+            text, legacy = emit_readout(r), _reference_emit_readout(r)
+            assert text == _reference_emit_counts(r)
+            assert parse_readout(text) == _reference_parse_counts(text) == r
+            assert parse_readout(legacy) == _reference_parse_readout(legacy) == r

@@ -65,7 +65,8 @@ def test_reconstruct_prefers_leading_zero():
 
 
 def test_reconstruct_rejects_corrupted_input(example_readout):
-    with pytest.raises(CapabilityError):
+    # the message names the one decoder that takes a corrupted readout
+    with pytest.raises(CapabilityError, match="decode_deletions"):
         reconstruct(example_readout.restrict({3}), SR9)
 
 
