@@ -13,8 +13,8 @@ from dataclasses import asdict
 
 from . import channel, codebooks, experiment, formats, oracle, reconstructor
 from .core import full_readout
-from .errors import (CapabilityError, CompCodesError, ParseError,
-                     ResourceCapError, UndecodableError)
+from .errors import (CompCodesError, ParseError, ResourceCapError,
+                     UndecodableError)
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -43,9 +43,11 @@ def cmd_compose(args) -> int:
 
 
 def _failure(args, exc: CompCodesError) -> int:
-    """Report a decode failure as a null result with its reason."""
+    """Report a decode failure as a null result with its reason and the
+    consistent codewords the error names (none but an UndecodableError's)."""
     _write_output(args, json.dumps(
-        {"result": None, "reason": f"{type(exc).__name__}: {exc}"},
+        {"result": None, "reason": f"{type(exc).__name__}: {exc}",
+         "candidates": list(getattr(exc, "candidates", ()))},
         separators=(",", ":")))
     return EXIT_WITNESS
 
@@ -88,10 +90,8 @@ def cmd_decode(args) -> int:
     else:
         try:
             rep = reconstructor.decode_deletions(r, spec)
-        except (UndecodableError, CapabilityError) as exc:
-            if args.mode == "auto":
-                return _failure(args, exc)
-            rep = reconstructor.brute_force_decode(r, spec)
+        except UndecodableError as exc:
+            return _failure(args, exc)
     _write_output(args, formats.emit_report(rep))
     return EXIT_OK if rep.result is not None else EXIT_WITNESS
 
@@ -216,10 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decode a (possibly corrupted) readout")
     p.add_argument("--spec", required=True)
-    p.add_argument("--mode", default="auto",
-                   choices=("auto", "brute", "fallback"),
-                   help="the decoder, the brute-force reference, or the "
-                        "decoder falling back to the reference on failure")
+    p.add_argument("--mode", default="auto", choices=("auto", "brute"),
+                   help="the decoder or the brute-force reference")
     add_io(p)
     p.set_defaults(func=cmd_decode)
 

@@ -26,11 +26,11 @@ class UndecodableError(CompCodesError):
 
 
 class CapabilityError(CompCodesError):
-    """The corruption pattern exceeds what the family's decoder takes on."""
+    """The readout is of a kind the called decoder does not take."""
 
 
 class ResourceCapError(CompCodesError):
-    """Requested exhaustive computation exceeds the configured cap."""
+    """Requested exhaustive computation or search exceeds its cap."""
 
 
 class InvalidErrorSpecError(CompCodesError):

@@ -71,7 +71,10 @@ def _weight_counts(counts: tuple[int, ...]) -> str:
 def parse_readout(text: str) -> Readout:
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except ParseError:
+        raise
+    # ValueError: a JSONDecodeError, or an int over Python's digit limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if (not isinstance(obj, dict) or "n" not in obj
             or ("counts" in obj) == ("classes" in obj)):

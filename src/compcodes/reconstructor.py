@@ -25,10 +25,14 @@ Every decoder reads only the classes a readout can vouch for: the
 decoder, bound to ``decode_deletions``, ``decode_insertions`` and
 ``decode_skewed`` alike, drops exactly ``Readout.untrusted_classes()``
 (missing, undersized, oversized and outweighed classes) and decodes
-from the rest, and ``brute_force_decode`` drops the same set.  Which
-drop sets the decoder takes on is decided in one place, the table
-``_CAPABILITY``: per family, the most asymmetric classes and symmetric
-pairs it may drop.
+from the rest, and ``brute_force_decode`` drops the same set.  The
+decoder takes on any drop set: it lists every string consistent with
+the trusted classes and returns a member only when exactly one matches,
+so a family guarantee says when it is sure to succeed, not what it may
+try.  What it refuses is cost: one decode, over all its passes, visits
+at most ``SEARCH_BUDGET`` nodes of the sigma-candidate walk and the
+inward search, a finished string's signature counting as n nodes, and
+raises ``ResourceCapError`` past that.
 
 ``reconstruct`` takes only full readouts.  With a spec it is the
 decoder's single pass, which has nothing to drop, so a readout that no
@@ -39,14 +43,14 @@ string of the walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
 from . import kernel
 from .codebooks import CodebookSpec, enumerate_codebook, is_member
 from .core import Readout, bits_to_bytes, sigma_from_weights
-from .errors import CapabilityError, UndecodableError
+from .errors import CapabilityError, ResourceCapError, UndecodableError
 
 
 @dataclass(frozen=True)
@@ -61,10 +65,25 @@ class DecodeReport:
     consistent_set: tuple[str, ...] | None = None
 
 
+# The most nodes of the sigma-candidate walk and the inward search that
+# one decode visits, over all its passes.  With the upper half of the
+# classes deleted the inward walk goes unpruned and doubles per weight-1
+# pair; this stops it.
+SEARCH_BUDGET = 200_000
+
+
 @dataclass
 class _SearchStats:
     backtracks: int = 0
     max_span: int = 0
+    # the budget drawn so far, a cost rather than a result of the search
+    nodes: int = field(default=0, compare=False)
+
+    def visit(self, nodes: int = 1):
+        self.nodes += nodes
+        if self.nodes > SEARCH_BUDGET:
+            raise ResourceCapError(
+                f"decode search exceeds its budget of {SEARCH_BUDGET} nodes")
 
 
 # (prefix bit, suffix bit) choices for a mirror pair of weight 0, 1, 2
@@ -103,7 +122,8 @@ def _first_half_weights(r: Readout, drop: set[int]):
 
 
 def _sigma_candidates(n: int, known: dict[int, int],
-                      modulus: int | None = None, residue: int = 0):
+                      modulus: int | None = None, residue: int = 0,
+                      stats: _SearchStats | None = None):
     """All pairwise-weight sequences consistent with the known cumulative
     weights (and, when given, with the weight-sum residue), by ascending
     w1 = sum(sigma) and then lexicographically.
@@ -112,7 +132,9 @@ def _sigma_candidates(n: int, known: dict[int, int],
     s = sum(sigma_j) and t = sum(j*sigma_j) over j < k its equation reads
     k*w1 - w_k = k*s - t.  The recursion carries s and t, which makes
     each node O(1); a leaf's first-half weight sum is one O(m) pass.
+    Every node is drawn from ``stats``'s budget.
     """
+    stats = stats or _SearchStats()
     m = (n + 1) // 2
     caps = [2] * (m - 1) + [1 if n % 2 else 2]
     # the most weight the values after depth d can still carry
@@ -125,6 +147,7 @@ def _sigma_candidates(n: int, known: dict[int, int],
     sigma: list[int] = []
 
     def rec(depth: int, s: int, t: int):
+        stats.visit()
         if depth == m:
             if modulus is None or (w1 * triangle - sum(
                     map(mul, spread, sigma))) % modulus == residue:
@@ -179,6 +202,8 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
     def finish():
         center = str(sigma[m - 1]) if n % 2 else ""
         s = "".join(pre_bits) + center + "".join(reversed(suf_bits))
+        # a signature computes all n classes, where a node checks one
+        stats.visit(n)
         sig = kernel.full_signature(bits_to_bytes(s))
         if all(sig[lo:hi] == part for lo, hi, part in finish_ranges):
             results.append(s)
@@ -201,6 +226,7 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
 
     def rec(i: int):
         nonlocal empty_seconds
+        stats.visit()
         if i > half:
             finish()
             return
@@ -273,51 +299,14 @@ def reconstruct(r: Readout, spec: CodebookSpec | None = None) -> DecodeReport:
     weights = [r.weight(k) for k in range(1, r.n + 1)]
     # raises InconsistentReadoutError on a tampered full readout
     sigma = sigma_from_weights(weights, r.n)
-    if spec is not None:
-        return _decode_once(r, spec)
     stats = _SearchStats()
+    if spec is not None:
+        return _decode_once(r, spec, stats)
     found = _consistent_strings(r, set(), [sigma], stats)
     if not found:
         raise UndecodableError("no string is consistent with the readout")
     return DecodeReport(found[0], backtracks=stats.backtracks,
                         max_backtrack_span=stats.max_span)
-
-
-# Per family, by t: the most (asymmetric classes, symmetric pairs) its
-# decoder may drop.  Counts only: the side conditions of the paper's
-# guarantees (SR's n >= 7, SDSprime's consecutive pairs) go unchecked,
-# since the search is exhaustive and answers any pattern with the
-# codeword or an UndecodableError naming the candidates.
-_CAPABILITY = {
-    "SR": lambda t: (1, 1),
-    "SCA1": lambda t: (0, 0),
-    "SDA": lambda t: (t, 1),
-    "SDS2": lambda t: (1, 2),
-    "SDSprime": lambda t: (1, t),
-}
-
-
-def _check_capability(spec: CodebookSpec, dropped: set[int]):
-    """Refuse a drop set beyond the family's row of ``_CAPABILITY``.
-
-    Pairs and single classes never mix; the self-symmetric center class
-    of odd n counts as one asymmetric class.
-    """
-    n = spec.n
-    paired = {k for k in dropped if n - k + 1 in dropped and 2 * k != n + 1}
-    pairs = sorted(k for k in paired if 2 * k <= n)
-    asym = sorted(dropped - paired)
-    if pairs and asym:
-        raise CapabilityError(
-            f"mixed pattern (pairs {pairs}, singles {asym}) exceeds every "
-            "family's decoder; rerun with the brute-force fallback")
-    caps = _CAPABILITY[spec.family](spec.t)
-    for kind, drops, cap in zip(("asymmetric classes", "symmetric pairs"),
-                                (asym, pairs), caps):
-        if len(drops) > cap:
-            raise CapabilityError(
-                f"dropped {kind}: {len(drops)}, where the {spec.family} "
-                f"decoder takes on at most {cap}")
 
 
 def decode_deletions(r: Readout, spec: CodebookSpec) -> DecodeReport:
@@ -331,26 +320,33 @@ def decode_deletions(r: Readout, spec: CodebookSpec) -> DecodeReport:
     substitutions betrays itself through w_k < w_{n-k+1} and is dropped
     as outweighed.  A center skew (odd n) is never outweighed, so a pass
     that finds no candidate is retried with the center dropped too, as
-    ``brute_force_decode`` does.  Every drop set, the retry's included,
-    answers to ``_CAPABILITY``.
+    ``brute_force_decode`` does.
+
+    Any drop set is taken on.  Where exactly one member matches the
+    trusted classes it is returned, and the family guarantees say when
+    that is sure to happen.  Otherwise ``UndecodableError`` carries the
+    consistent members, which are ``brute_force_decode``'s consistent
+    set.  Both passes together draw on one ``SEARCH_BUDGET``.
     """
     _check_length(r, spec)
+    stats = _SearchStats()
     try:
-        return _decode_once(r, spec)
+        return _decode_once(r, spec, stats)
     except UndecodableError as first:
         center = (r.n + 1) // 2
         if (first.candidates or not r.n % 2
                 or center in r.untrusted_classes()):
             raise
-        return _decode_once(r.restrict({center}), spec)
+        # the retry reports its own backtracks
+        return _decode_once(r.restrict({center}), spec,
+                            _SearchStats(nodes=stats.nodes))
 
 
-def _decode_once(r: Readout, spec: CodebookSpec) -> DecodeReport:
+def _decode_once(r: Readout, spec: CodebookSpec,
+                 stats: _SearchStats) -> DecodeReport:
     dropped = set(r.untrusted_classes())
-    _check_capability(spec, dropped)
     known = _first_half_weights(r, dropped)
-    candidates = _sigma_candidates(r.n, known, spec.modulus, spec.a)
-    stats = _SearchStats()
+    candidates = _sigma_candidates(r.n, known, spec.modulus, spec.a, stats)
     found = _consistent_strings(r, dropped, candidates, stats)
     members = sorted(s for s in found if is_member(spec, s))
     if len(members) != 1:

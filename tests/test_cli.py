@@ -136,19 +136,21 @@ def test_reconstruct_failure_exits_one():
     assert report["reason"].startswith("InconsistentReadoutError")
 
 
-def test_decode_fallback_brute_force_reports_consistent_set():
+def test_decode_failure_reports_candidates():
     # SR:12's two-pair witness (find_confusable_pair(12, "sym_pair_delete",
-    # 2)): over the decoder's cap, and ambiguous for the reference
+    # 2)) is ambiguous: the failure line names the reference's consistent set
     s, v = "001100101101", "010010110011"
     readout = formats.emit_readout(full_readout(s).restrict({3, 4, 9, 10}))
     rc, out, _ = run("decode", "--spec", "SR:12", inp=readout)
-    assert rc == 1 and "CapabilityError" in json.loads(out)["reason"]
-    rc, out, _ = run("decode", "--spec", "SR:12", "--mode", "fallback",
+    assert rc == 1
+    failure = json.loads(out)
+    assert failure["result"] is None
+    assert failure["reason"].startswith("UndecodableError")
+    assert {s, v} <= set(failure["candidates"])
+    rc, out, _ = run("decode", "--spec", "SR:12", "--mode", "brute",
                      inp=readout)
     assert rc == 1
-    report = json.loads(out)
-    assert report["result"] is None
-    assert set(report["consistent_set"]) == {s, v}
+    assert failure["candidates"] == json.loads(out)["consistent_set"]
 
 
 def test_decode_fallback_flag_is_gone():
@@ -159,16 +161,26 @@ def test_decode_fallback_flag_is_gone():
 
 
 def test_decode_resource_cap_exits_three_in_every_mode():
-    # SR:30's codebook is over the enumeration cap; 1^30 is no member, so
-    # the fallback mode reaches the reference too
+    # the decoder's search budget: an SR:255 codeword with the upper half
+    # deleted leaves the walk unpruned
+    readout = formats.emit_readout(full_readout("0" * 128 + "1" * 127)
+                                   .restrict(set(range(129, 256))))
+    rc, out, err = run("decode", "--spec", "SR:255", inp=readout)
+    assert rc == 3 and out == "", out
+    assert "search" in err and "Traceback" not in err
+    # SR:30's codebook is over the enumeration cap of the reference; the
+    # decoder does not enumerate, and 1^30 is no member
     _, readout, _ = run("compose", "1" * 30)
-    for mode in ("brute", "fallback"):
-        rc, out, err = run("decode", "--spec", "SR:30", "--mode", mode,
-                           inp=readout)
-        assert rc == 3 and out == "", (mode, out)
-        assert "ResourceCapError" not in err and "Traceback" not in err
+    rc, out, err = run("decode", "--spec", "SR:30", "--mode", "brute",
+                       inp=readout)
+    assert rc == 3 and out == "", out
+    assert "ResourceCapError" not in err and "Traceback" not in err
     rc, out, _ = run("decode", "--spec", "SR:30", inp=readout)
     assert rc == 1 and json.loads(out)["reason"].startswith("UndecodableError")
+    # the reference fallback is gone
+    rc, _, err = run("decode", "--spec", "SR:30", "--mode", "fallback",
+                     inp=readout)
+    assert rc == 2 and "invalid choice" in err
 
 
 def test_corrupt_needs_exactly_one_of_model_and_targets():

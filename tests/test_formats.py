@@ -106,6 +106,8 @@ def test_parse_errors():
         parse_readout('{"n":3,"classes":{"1":5}}')  # class value not a list
     with pytest.raises(ParseError):
         parse_readout("[" * 5000)  # nesting deeper than the JSON decoder recurses
+    with pytest.raises(ParseError):
+        parse_readout('{"n":' + "1" * 5000 + ',"counts":{}}')  # over the int digit limit
     with pytest.raises(ParseError, match="invalid n"):
         parse_readout('{"n":true,"classes":{}}')  # JSON true is not 1
     for big in (256, 10 ** 9):  # beyond MAX_LENGTH: a ParseError, not Readout's

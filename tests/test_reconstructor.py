@@ -14,12 +14,14 @@ from compcodes.errors import (
     CapabilityError,
     CompCodesError,
     InconsistentReadoutError,
+    ResourceCapError,
     UndecodableError,
 )
 from compcodes.formats import parse_spec
 from compcodes.oracle import find_confusable_pair
 from compcodes.reconstructor import (
     _PAIR_OPTIONS,
+    SEARCH_BUDGET,
     DecodeReport,
     _consistent_strings,
     _first_half_weights,
@@ -34,6 +36,20 @@ from compcodes.reconstructor import (
 from conftest import EXAMPLE_S, sigma_of_string
 
 SR9 = CodebookSpec("SR", 9)
+
+
+def _assert_matches_brute_force(r, spec, decode=decode_deletions):
+    """The decoder returns the reference's codeword, or fails with the
+    reference's consistent set as its candidates; returns the reference."""
+    bf = brute_force_decode(r, spec)
+    try:
+        got = decode(r, spec).result
+    except UndecodableError as exc:
+        assert bf.result is None, (spec, r.classes)
+        assert exc.candidates == bf.consistent_set, (spec, r.classes)
+    else:
+        assert got == bf.result, (spec, r.classes)
+    return bf
 
 
 def test_reconstruct_worked_example(example_readout):
@@ -221,9 +237,10 @@ def test_sdsprime_nonconsecutive_pairs_agree_with_brute_force():
     assert exc.value.candidates == bf.consistent_set
 
 
-def test_capability_table_rows():
-    # each row's cap + 1, per kind, and a mix of pairs and singles
-    over_cap = [
+def test_drop_sets_over_the_guarantee_counts_match_brute_force():
+    # one more drop than each family's guarantee, per kind, and a mix of
+    # pairs and singles: the decoder answers as the reference does
+    over_guarantee = [
         ("SR:12", {2, 3}),
         ("SR:12", {1, 12, 2, 11}),
         ("SDA:12,t=2", {2, 3, 5}),
@@ -237,17 +254,38 @@ def test_capability_table_rows():
         ("SCA1:11", {1, 11}),
         ("SDS2:12", {1, 12, 3}),
     ]
-    for text, drop in over_cap:
+    decoded = 0
+    for text, drop in over_guarantee:
         spec = parse_spec(text)
-        r = full_readout(enumerate_codebook(spec)[0]).restrict(drop)
+        s = enumerate_codebook(spec)[0]
+        r = full_readout(s).restrict(drop)
         for decode in (decode_deletions, decode_insertions):
-            with pytest.raises(CapabilityError):
-                decode(r, spec)
-    # a clean SCA1 readout is within its row of zeros
+            decoded += _assert_matches_brute_force(r, spec, decode).result == s
+    assert decoded > len(over_guarantee)
     spec = parse_spec("SCA1:11")
     s = enumerate_codebook(spec)[0]
     for decode in (decode_deletions, decode_insertions, decode_skewed):
         assert decode(full_readout(s), spec).result == s
+
+
+def test_decoder_matches_brute_force_on_every_small_drop_set():
+    # every drop set of up to three classes, pairs and singles mixed, on
+    # three seeded members of each family at n = 8..11
+    rng = SplitMix64(8)
+    undecodable = 0
+    for n in range(8, 12):
+        drops = [set(c) for size in range(4)
+                 for c in itertools.combinations(range(1, n + 1), size)]
+        for text in ("SR:{}", "SCA1:{}", "SDA:{},t=2", "SDS2:{}",
+                     "SDSprime:{},t=2"):
+            spec = parse_spec(text.format(n))
+            members = enumerate_codebook(spec)
+            for s in {members[rng.below(len(members))] for _ in range(3)}:
+                r = full_readout(s)
+                for drop in drops:
+                    bf = _assert_matches_brute_force(r.restrict(drop), spec)
+                    undecodable += bf.result is None
+    assert undecodable > 0
 
 
 def test_insertion_worked_example(example_readout):
@@ -337,17 +375,24 @@ def test_double_skew_sda_seeded():
 
 
 def test_skew_beyond_capability():
+    # two skews, where SR's guarantee is one: the decoder answers as the
+    # reference does
     spec = CodebookSpec("SR", 10)
-    s = enumerate_codebook(spec)[0]
-    r = full_readout(s)
-    err = resolve(r, random_error("skew", 2, 3, 10))
-    with pytest.raises(CapabilityError):
-        decode_skewed(apply(r, err), spec)
+    members = enumerate_codebook(spec)
+    decoded = 0
+    for seed in range(20):
+        s = members[seed]
+        r = full_readout(s)
+        bad = apply(r, resolve(r, random_error("skew", 2, seed, 10)))
+        bf = _assert_matches_brute_force(bad, spec, decode_skewed)
+        decoded += bf.result == s
+    assert decoded > 10
 
 
-def test_mixed_pattern_is_rejected(example_readout):
-    with pytest.raises(CapabilityError):
-        decode_deletions(example_readout.restrict({3, 7, 5}), SR9)
+def test_mixed_pattern_matches_brute_force(example_readout):
+    # a symmetric pair and the centre: no family guarantees the mix
+    r = example_readout.restrict({3, 7, 5})
+    assert _assert_matches_brute_force(r, SR9).result == EXAMPLE_S
 
 
 def test_decoder_names_share_one_decoder(example_readout):
@@ -373,11 +418,22 @@ def test_appendix_pattern_is_ambiguous():
     witness = find_confusable_pair(12, "sym_pair_delete", 2)
     assert witness is not None
     r = full_readout(witness.s).restrict(witness.deleted_classes)
-    with pytest.raises(CapabilityError):
+    with pytest.raises(UndecodableError) as exc:
         decode_deletions(r, CodebookSpec("SR", 12))
-    bf = brute_force_decode(r, CodebookSpec("SR", 12))
-    assert bf.result is None
+    assert {witness.s, witness.v} <= set(exc.value.candidates)
+    bf = _assert_matches_brute_force(r, CodebookSpec("SR", 12))
     assert set(bf.consistent_set) == {witness.s, witness.v}
+
+
+def test_search_budget_refuses_an_unpruned_walk():
+    # with the upper half deleted the walk checks only class 128 of an SR
+    # codeword whose 127 mirror pairs all have weight 1, so it would visit
+    # on the order of 2^127 nodes
+    n = 255
+    s = "0" * 128 + "1" * 127
+    r = full_readout(s).restrict(set(range(129, n + 1)))
+    with pytest.raises(ResourceCapError, match=str(SEARCH_BUDGET)):
+        decode_deletions(r, CodebookSpec("SR", n))
 
 
 def test_brute_force_on_clean_readout(example_readout):
