@@ -292,7 +292,12 @@ def resolve(r: Readout, e: ErrorSpec) -> ErrorSpec:
 
 
 def apply(r: Readout, e: ErrorSpec) -> Readout:
-    """Corrupted copy of r; untargeted classes are untouched."""
+    """Corrupted copy of r; untargeted classes are untouched.
+
+    The targets are checked against r.n before any vector changes, and a
+    skew lowers a count only when it is at least 1, so every vector built
+    here is valid and the copy skips ``Readout``'s check.
+    """
     e = resolve(r, e)
     n = r.n
     targets = _TARGET_CHECKS[e.model](e.targets, n)
@@ -309,7 +314,7 @@ def apply(r: Readout, e: ErrorSpec) -> Readout:
             counts = list(classes.get(k, (0,) * (k + 1)))
             counts[w] += 1
             classes[k] = tuple(counts)
-        return Readout(n, classes)
+        return Readout._from_valid(n, classes)
     for k, old, new in targets:
         old_w, new_w = old[1], new[1]
         if k not in r.classes or classes[k][old_w] < 1:
@@ -318,4 +323,4 @@ def apply(r: Readout, e: ErrorSpec) -> Readout:
         counts[old_w] -= 1
         counts[new_w] += 1
         classes[k] = tuple(counts)
-    return Readout(n, classes)
+    return Readout._from_valid(n, classes)

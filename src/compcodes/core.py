@@ -64,6 +64,14 @@ class Readout:
     and ``restrict(drop)``.  A class k is full when it holds its expected
     n-k+1 entries.  Class sizes, weights and the trust set are each
     computed on first use and kept for the life of the instance.
+
+    ``Readout(n, classes)`` checks its input: n an exact int in [1, 255],
+    each key k an exact int in [1, n] and its vector a tuple of k+1
+    non-negative exact ints, else ``ValueError``.  The library's own
+    builders, ``full_readout``, ``restrict``, ``formats.parse_readout``,
+    ``channel.apply`` and ``oracle.insertion_witness_readouts``, build
+    vectors that meet this by construction and hand them over through
+    ``_from_valid``, which skips the check.
     """
 
     n: int
@@ -94,6 +102,14 @@ class Readout:
                     or min(counts) < 0):
                 raise ValueError(f"class {k} needs a tuple of {k + 1} "
                                  f"non-negative ints, got {counts!r}")
+
+    @classmethod
+    def _from_valid(cls, n: int,
+                    classes: dict[int, tuple[int, ...]]) -> "Readout":
+        """A readout of classes its builder has already made valid."""
+        r = object.__new__(cls)
+        r.n, r.classes = n, classes
+        return r
 
     @cached_property
     def _sizes(self) -> dict[int, int]:
@@ -150,16 +166,16 @@ class Readout:
     def restrict(self, drop: Iterable[int]) -> "Readout":
         """New readout with the given classes removed entirely."""
         dropped = set(drop)
-        return Readout(self.n, {k: v for k, v in self.classes.items()
-                                if k not in dropped})
+        return Readout._from_valid(self.n, {
+            k: v for k, v in self.classes.items() if k not in dropped})
 
 
 def full_readout(s: str) -> Readout:
     """The complete composition multiset of s, grouped by fragment length."""
     sig = signature_of(s)
     n = len(s)
-    return Readout(n, {k: kernel.class_counts(sig, n, k)
-                       for k in range(1, n + 1)})
+    return Readout._from_valid(n, {k: kernel.class_counts(sig, n, k)
+                                   for k in range(1, n + 1)})
 
 
 def sigma_from_weights(weights: Sequence[int], n: int) -> tuple[int, ...]:

@@ -22,6 +22,9 @@ k <= n is checked before any vector is allocated, a weight lies in
 [0, k], a count is an exact int >= 1, and an entry is a list of two exact
 ints z, w with 0 <= w <= k and z = k - w (JSON ``true`` is not 1, nor is
 ``1.0``).  The first entry or count that fails is named in the error.
+These checks are the whole check of a wire readout: they refuse, with a
+``ParseError``, everything ``Readout(...)`` would refuse, so the vectors
+they build go into the ``Readout`` unchecked again.
 
 An error spec's JSON carries the ``ErrorSpec`` fields, its targets as
 nested lists of wire pairs.  ``parse_error_spec`` hands the decoded fields
@@ -98,7 +101,7 @@ def parse_readout(text: str) -> Readout:
         if k in classes:
             raise ParseError(f"class {k} repeats (key {key!r})")
         classes[k] = read_class(k, value)
-    return Readout(n, classes)
+    return Readout._from_valid(n, classes)
 
 
 def _read_counts(k: int, weights) -> tuple[int, ...]:

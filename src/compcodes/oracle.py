@@ -222,4 +222,5 @@ def insertion_witness_readouts(witness: ConfusabilityWitness):
     for k in witness.deleted_classes:
         union = tuple(map(max, r_s.classes[k], r_v.classes[k]))  # per weight
         merged_s[k] = merged_v[k] = union
-    return Readout(r_s.n, merged_s), Readout(r_v.n, merged_v)
+    return (Readout._from_valid(r_s.n, merged_s),
+            Readout._from_valid(r_v.n, merged_v))

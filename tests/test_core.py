@@ -1,6 +1,8 @@
 """Readouts and pairwise weights: worked-example values and structural
 invariants."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +66,19 @@ def test_readout_rejects_malformed_classes():
     for n in (2.0, True, "2", None):  # n too must be an exact int
         with pytest.raises(ValueError, match="n must be an int"):
             Readout(n, {1: (1, 1)})
+
+
+def test_replace_on_a_library_readout_is_checked():
+    # library builders skip the check, but a readout edited through the
+    # dataclass API goes through Readout(...) like any other
+    full = full_readout("001010111")
+    for r in (full, full.restrict({2, 8}),
+              apply(full, random_error("insert", 2, 3, 9))):
+        assert replace(r, classes=dict(r.classes)) == r
+        with pytest.raises(ValueError, match="non-negative ints"):
+            replace(r, classes={1: (2, -1)})
+        with pytest.raises(ValueError, match="n must be an int"):
+            replace(r, n=True)
 
 
 def _reference_readout_check(n, classes):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 import random
 import re
 import tracemalloc
@@ -13,7 +14,7 @@ from compcodes import formats
 from compcodes.channel import MODELS, ErrorSpec, apply
 from compcodes.codebooks import CodebookSpec
 from compcodes.core import Readout, full_readout
-from compcodes.errors import InvalidErrorSpecError, ParseError
+from compcodes.errors import CompCodesError, InvalidErrorSpecError, ParseError
 from compcodes.formats import (
     config_hash,
     emit_error_spec,
@@ -25,6 +26,7 @@ from compcodes.formats import (
     parse_readout,
     parse_spec,
 )
+from compcodes.oracle import find_confusable_pair, insertion_witness_readouts
 from compcodes.reconstructor import DecodeReport
 from conftest import EXAMPLE_S
 
@@ -787,3 +789,75 @@ def test_wire_path_matches_reference_on_dense_n255():
             assert text == _reference_emit_counts(r)
             assert parse_readout(text) == _reference_parse_counts(text) == r
             assert parse_readout(legacy) == _reference_parse_readout(legacy) == r
+
+
+def _explicit_specs(r: Readout, rng: random.Random) -> list[ErrorSpec]:
+    """Explicit targets of each model against r, some of which apply()
+    refuses: a class out of range or already absent, an entry absent
+    from its class."""
+    n = r.n
+    k = rng.randrange(1, n + 1)
+    w = rng.randrange(1, k + 1)
+    i = rng.randrange(1, n // 2 + 1)
+    return [ErrorSpec("asym_delete", targets=(k,)),
+            ErrorSpec("asym_delete", targets=(n + 1,)),
+            ErrorSpec("sym_pair_delete", targets=((i, n - i + 1),)),
+            ErrorSpec("insert", targets=((k, (k - w, w)),)),
+            ErrorSpec("insert", targets=((n + 1, (n + 1, 0)),)),
+            ErrorSpec("skew", targets=((k, (k - w, w), (k, 0)),))]
+
+
+def _builder_cases() -> list[tuple]:
+    """(builder, args) for every library builder that hands its vectors
+    to Readout._from_valid, over the wire corpora and seeded channels."""
+    rng = random.Random(23)
+    texts = list(_MALFORMED) + list(_MALFORMED_COUNTS)
+    texts += _fuzzed_texts(rng, 300) + _fuzzed_counts(rng, 300)
+    for r in _wire_readouts():
+        texts += [emit_readout(r), _reference_emit_readout(r)]
+    cases = [(parse_readout, (text,)) for text in texts]
+    strings = [format(x, f"0{n}b") for n in range(1, 11) for x in range(2 ** n)]
+    cases += [(full_readout, (s,)) for s in strings]
+    for n in (5, 8, 9, 12, 255):
+        for _ in range(2):
+            s = format(rng.getrandbits(n), f"0{n}b")
+            full = full_readout(s)
+            cases += [(full_readout, (s,)),
+                      (Readout.restrict, (full, rng.sample(range(n + 3), 3)))]
+            for seed, model in enumerate(MODELS):
+                for count in (1, 2):
+                    spec = ErrorSpec(model, count=count, seed=seed)
+                    cases.append((apply, (full, spec)))
+                    # a corruption of a corrupted readout: missing and
+                    # oversized classes, and skews over them
+                    cases += [(apply, (apply(full, spec), e))
+                              for e in _explicit_specs(full, rng)]
+    witness = find_confusable_pair(6, "sym_pair_delete", 2)
+    cases.append((insertion_witness_readouts, (witness,)))
+    return cases
+
+
+def _built(build, args):
+    """The readout built, as its value, repr and pickle, or the domain
+    error raised.  A plain ValueError is Readout(...) refusing what a
+    builder handed it unchecked, and fails the test."""
+    try:
+        out = build(*args)
+    except CompCodesError as exc:  # ParseError, InvalidErrorSpecError
+        return type(exc), str(exc)
+    readouts = out if isinstance(out, tuple) else (out,)
+    return [(r, repr(r), pickle.dumps(r)) for r in readouts]
+
+
+def test_library_builders_hand_over_only_valid_readouts(monkeypatch):
+    # every builder, run again with _from_valid swapped for the checked
+    # Readout(...), raises no ValueError and builds the same readouts
+    cases = _builder_cases()
+    unchecked = [_built(build, args) for build, args in cases]
+    monkeypatch.setattr(Readout, "_from_valid", classmethod(
+        lambda cls, n, classes: cls(n, classes)))
+    checked = [_built(build, args) for build, args in cases]
+    for (build, args), got, want in zip(cases, unchecked, checked):
+        assert got == want, (build.__name__, args)
+    refused = sum(type(outcome) is tuple for outcome in checked)
+    assert refused > 300 and len(cases) - refused > 2100
