@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 
 from . import channel, codebooks, experiment, formats, oracle, reconstructor
 from .core import full_readout
@@ -85,15 +86,14 @@ def cmd_corrupt(args) -> int:
 def cmd_decode(args) -> int:
     r = formats.parse_readout(_read_input(args))
     spec = formats.parse_spec(args.spec)
-    if args.mode == "brute":
-        rep = reconstructor.brute_force_decode(r, spec)
-    else:
-        try:
-            rep = reconstructor.decode_deletions(r, spec)
-        except UndecodableError as exc:
-            return _failure(args, exc)
+    decode = (reconstructor.brute_force_decode if args.mode == "brute"
+              else reconstructor.decode_deletions)
+    try:
+        rep = decode(r, spec)
+    except UndecodableError as exc:
+        return _failure(args, exc)
     _write_output(args, formats.emit_report(rep))
-    return EXIT_OK if rep.result is not None else EXIT_WITNESS
+    return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
@@ -177,7 +177,9 @@ def cmd_experiment(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_WITNESS
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="compcodes",
         description="String reconstruction from composition multisets and "

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from . import channel, reconstructor
 from .codebooks import CodebookSpec, enumerate_codebook
 from .core import full_readout
-from .errors import CompCodesError
+from .errors import CompCodesError, UndecodableError
 from .formats import config_hash, error_spec_to_dict
 
 DEFAULT_CROSS_CHECK_CAP = 12
@@ -80,10 +80,11 @@ def run_experiment(cfg: ExperimentConfig):
         if cfg.spec.n > cfg.cross_check_cap:
             record["crosscheck"] = "skipped"
         else:
-            bf = reconstructor.brute_force_decode(corrupted, cfg.spec)
-            agree = (bf.result == record["decoded"]
-                     if record["outcome"] == "decoded"
-                     else bf.result is None)
+            try:
+                bf = reconstructor.brute_force_decode(corrupted, cfg.spec)
+                agree = bf.result == record["decoded"]
+            except UndecodableError:
+                agree = record["decoded"] is None
             record["crosscheck"] = "ok" if agree else "mismatch"
         record["wall_ms"] = round((time.perf_counter() - start) * 1000, 3)
         yield record

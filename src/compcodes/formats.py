@@ -30,6 +30,7 @@ An error spec's JSON carries the ``ErrorSpec`` fields, its targets as
 nested lists of wire pairs.  ``parse_error_spec`` hands the decoded fields
 to ``ErrorSpec`` unchanged, so the wire and the Python API accept the same
 specs, and ``error_spec_to_dict`` turns the spec's tuples back into lists.
+Spec and error-spec JSON refuse any key outside their fields.
 """
 
 from __future__ import annotations
@@ -57,6 +58,18 @@ def _unique_keys(pairs: list) -> dict:
     if len(obj) < len(pairs):
         key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
         raise ParseError(f"repeated key {key!r}")
+    return obj
+
+
+def _json_fields(text: str, fields: tuple[str, ...]) -> dict:
+    """The JSON object in ``text``; a key outside ``fields`` is an error."""
+    obj = json.loads(text, object_pairs_hook=_unique_keys)
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected a JSON object, not {type(obj).__name__}")
+    unknown = [key for key in obj if key not in fields]
+    if unknown:
+        raise ParseError(f"unknown field {unknown[0]!r} "
+                         f"(fields are {', '.join(fields)})")
     return obj
 
 
@@ -165,7 +178,7 @@ def parse_spec(text: str) -> CodebookSpec:
     text = text.strip()
     try:
         if text.startswith("{"):
-            obj = json.loads(text, object_pairs_hook=_unique_keys)
+            obj = _json_fields(text, ("family", "n", "t", "a"))
             return CodebookSpec(obj["family"], obj["n"], obj.get("t", 1),
                                 obj.get("a", 0))
         head, _, rest = text.partition(":")
@@ -210,7 +223,7 @@ def parse_error_spec(text: str) -> ErrorSpec:
     """The spec a JSON object names; ``ErrorSpec`` validates its fields,
     and a JSON null counts as an absent field."""
     try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys)
+        obj = _json_fields(text, ("model", "targets", "count", "seed"))
         return ErrorSpec(obj["model"], obj.get("targets"), obj.get("count"),
                          obj.get("seed"))
     except (KeyError, TypeError, ValueError, RecursionError,
@@ -219,15 +232,10 @@ def parse_error_spec(text: str) -> ErrorSpec:
 
 
 def report_to_dict(rep: DecodeReport) -> dict:
-    out = {"result": rep.result,
-           "dropped_classes": list(rep.dropped_classes),
-           "backtracks": rep.backtracks,
-           "max_backtrack_span": rep.max_backtrack_span}
-    if rep.reason is not None:
-        out["reason"] = rep.reason
-    if rep.consistent_set is not None:
-        out["consistent_set"] = list(rep.consistent_set)
-    return out
+    return {"result": rep.result,
+            "dropped_classes": list(rep.dropped_classes),
+            "backtracks": rep.backtracks,
+            "max_backtrack_span": rep.max_backtrack_span}
 
 
 def emit_report(rep: DecodeReport) -> str:

@@ -21,24 +21,24 @@ are counted from the nodes of the walked subtree.  Codewords of the
 SR-shaped families start with 0 and end with 1, so sigma_1 = 1 and the
 search for one of them walks half the tree.
 
-Every decoder reads only the classes a readout can vouch for: the
+Both decoders follow one decode rule.  They try the drop sets of
+``_drop_sets`` in turn: ``Readout.untrusted_classes()`` (missing,
+undersized, oversized and outweighed classes), then, for odd n when the
+center is trusted, that set plus the center.  Each lists the members
+consistent with the kept classes, stops at the first drop set with any,
+and returns the member when there is exactly one; anything else raises
+``UndecodableError`` with the members and the last drop set tried.  The
 decoder, bound to ``decode_deletions``, ``decode_insertions`` and
-``decode_skewed`` alike, drops exactly ``Readout.untrusted_classes()``
-(missing, undersized, oversized and outweighed classes) and decodes
-from the rest, and ``brute_force_decode`` drops the same set.  The
-decoder takes on any drop set: it lists every string consistent with
-the trusted classes and returns a member only when exactly one matches,
-so a family guarantee says when it is sure to succeed, not what it may
-try.  What it refuses is cost: one decode, over all its passes, visits
-at most ``SEARCH_BUDGET`` nodes of the sigma-candidate walk and the
-inward search, a finished string's signature counting as n nodes, and
-raises ``ResourceCapError`` past that.
+``decode_skewed`` alike, lists them by the walk above, and
+``brute_force_decode`` by a scan of the codebook's signatures.  The
+decoder takes on any drop set.  What it refuses is cost: one decode,
+over all its passes, visits at most ``SEARCH_BUDGET`` nodes of the
+sigma-candidate walk and the inward search, a finished string's
+signature counting as n nodes, and raises ``ResourceCapError`` past that.
 
-``reconstruct`` takes only full readouts.  With a spec it is the
-decoder's single pass, which has nothing to drop, so a readout that no
-member matches raises ``UndecodableError``; it runs no centre retry, as
-the readout is declared clean.  Without a spec it returns the first
-string of the walk.
+``reconstruct`` takes only full readouts.  With a spec it is one pass of
+the decoder with nothing dropped and no center retry, as the readout is
+declared clean.  Without a spec it returns the first string of the walk.
 """
 
 from __future__ import annotations
@@ -57,12 +57,10 @@ from .errors import CapabilityError, ResourceCapError, UndecodableError
 class DecodeReport:
     """Decoder outcome with backtracking statistics."""
 
-    result: str | None
+    result: str
     dropped_classes: tuple[int, ...] = ()
     backtracks: int = 0
     max_backtrack_span: int = 0
-    reason: str | None = None
-    consistent_set: tuple[str, ...] | None = None
 
 
 # The most nodes of the sigma-candidate walk and the inward search that
@@ -280,15 +278,56 @@ def _check_length(r: Readout, spec: CodebookSpec):
         raise ValueError(f"spec n={spec.n} does not match readout n={r.n}")
 
 
+def _drop_sets(r: Readout):
+    """The drop sets both decoders try, in order: ``r.untrusted_classes()``,
+    then, for odd n when the center is trusted, that set plus the center
+    (a skew of the self-symmetric center is never outweighed)."""
+    drop = set(r.untrusted_classes())
+    yield drop
+    center = (r.n + 1) // 2
+    if r.n % 2 and center not in drop:
+        yield drop | {center}
+
+
+def _decode(r: Readout, spec: CodebookSpec, drop_sets, members_under
+            ) -> DecodeReport:
+    """The decode rule over ``members_under(r, spec, drop, stats)``, the
+    members consistent with the classes outside ``drop``.  Each pass
+    reports its own backtracks; all draw on one ``SEARCH_BUDGET``."""
+    stats = _SearchStats()
+    for drop in drop_sets:
+        stats = _SearchStats(nodes=stats.nodes)
+        members = members_under(r, spec, drop, stats)
+        if members:
+            break
+    if len(members) != 1:
+        what = "no codeword is" if not members else \
+            f"{len(members)} codewords are"
+        raise UndecodableError(
+            f"{what} consistent with the surviving classes",
+            candidates=members, dropped_classes=drop)
+    return DecodeReport(members[0], dropped_classes=tuple(sorted(drop)),
+                        backtracks=stats.backtracks,
+                        max_backtrack_span=stats.max_span)
+
+
+def _walked_members(r: Readout, spec: CodebookSpec, drop: set[int],
+                    stats: _SearchStats) -> list[str]:
+    known = _first_half_weights(r, drop)
+    candidates = _sigma_candidates(r.n, known, spec.modulus, spec.a, stats)
+    found = _consistent_strings(r, drop, candidates, stats)
+    return sorted(s for s in found if is_member(spec, s))
+
+
 def reconstruct(r: Readout, spec: CodebookSpec | None = None) -> DecodeReport:
     """Recover a string from an uncorrupted readout.
 
-    With a spec this is the decoder's single pass, which drops nothing
-    from a full readout and returns the one member that matches, or
-    raises ``UndecodableError``; there is no centre retry, as the readout
-    is declared clean.  Without a spec it returns the first string the
-    walk finds, the consistent string whose first free mirror bit is 0 (a
-    string and its reversal share a readout, so one must be chosen).
+    With a spec this is the decoder's pass with nothing dropped: it
+    returns the one member that matches, or raises ``UndecodableError``;
+    there is no center retry, as the readout is declared clean.  Without
+    a spec it returns the first string the walk finds, the consistent
+    string whose first free mirror bit is 0 (a string and its reversal
+    share a readout, so one must be chosen).
     """
     if not r.is_full():
         raise CapabilityError(
@@ -299,9 +338,9 @@ def reconstruct(r: Readout, spec: CodebookSpec | None = None) -> DecodeReport:
     weights = [r.weight(k) for k in range(1, r.n + 1)]
     # raises InconsistentReadoutError on a tampered full readout
     sigma = sigma_from_weights(weights, r.n)
-    stats = _SearchStats()
     if spec is not None:
-        return _decode_once(r, spec, stats)
+        return _decode(r, spec, [set()], _walked_members)
+    stats = _SearchStats()
     found = _consistent_strings(r, set(), [sigma], stats)
     if not found:
         raise UndecodableError("no string is consistent with the readout")
@@ -311,53 +350,20 @@ def reconstruct(r: Readout, spec: CodebookSpec | None = None) -> DecodeReport:
 
 def decode_deletions(r: Readout, spec: CodebookSpec) -> DecodeReport:
     """Recover the codeword from the classes a corrupted readout can vouch
-    for, dropping ``r.untrusted_classes()``.
+    for, over the drop sets of ``_drop_sets``.
 
-    Every channel model reduces to that drop set.  A deleted class is
+    Every channel model reduces to a drop set.  A deleted class is
     missing; a class with spurious insertions is oversized and dropped
     whole, since correcting insertions in a set of classes is equivalent
     to correcting their deletion; a class corrupted by skewed
     substitutions betrays itself through w_k < w_{n-k+1} and is dropped
-    as outweighed.  A center skew (odd n) is never outweighed, so a pass
-    that finds no candidate is retried with the center dropped too, as
-    ``brute_force_decode`` does.
-
-    Any drop set is taken on.  Where exactly one member matches the
-    trusted classes it is returned, and the family guarantees say when
-    that is sure to happen.  Otherwise ``UndecodableError`` carries the
-    consistent members, which are ``brute_force_decode``'s consistent
-    set.  Both passes together draw on one ``SEARCH_BUDGET``.
+    as outweighed.  A center skew (odd n) is never outweighed, hence the
+    center's retry.  The family guarantees say when exactly one member
+    is sure to match; otherwise the ``UndecodableError`` is the one
+    ``brute_force_decode`` raises.
     """
     _check_length(r, spec)
-    stats = _SearchStats()
-    try:
-        return _decode_once(r, spec, stats)
-    except UndecodableError as first:
-        center = (r.n + 1) // 2
-        if (first.candidates or not r.n % 2
-                or center in r.untrusted_classes()):
-            raise
-        # the retry reports its own backtracks
-        return _decode_once(r.restrict({center}), spec,
-                            _SearchStats(nodes=stats.nodes))
-
-
-def _decode_once(r: Readout, spec: CodebookSpec,
-                 stats: _SearchStats) -> DecodeReport:
-    dropped = set(r.untrusted_classes())
-    known = _first_half_weights(r, dropped)
-    candidates = _sigma_candidates(r.n, known, spec.modulus, spec.a, stats)
-    found = _consistent_strings(r, dropped, candidates, stats)
-    members = sorted(s for s in found if is_member(spec, s))
-    if len(members) != 1:
-        what = "no codeword is" if not members else \
-            f"{len(members)} codewords are"
-        raise UndecodableError(
-            f"{what} consistent with the surviving classes",
-            candidates=members, dropped_classes=dropped)
-    return DecodeReport(members[0], dropped_classes=tuple(sorted(dropped)),
-                        backtracks=stats.backtracks,
-                        max_backtrack_span=stats.max_span)
+    return _decode(r, spec, _drop_sets(r), _walked_members)
 
 
 # one decoder, under the name of each channel model it corrects
@@ -373,38 +379,19 @@ def _member_signatures(key: tuple) -> tuple[tuple[str, ...], list[bytes]]:
     return members, kernel.signatures(bits_to_bytes("".join(members)), spec.n)
 
 
-def brute_force_decode(r: Readout, spec: CodebookSpec) -> DecodeReport:
-    """Reference decoder: scan the whole codebook for consistent members.
-
-    The classes of ``r.untrusted_classes()`` are ignored (for odd n, the
-    center too when nothing else matches); the rest must match exactly.
-    The scan compares signature byte ranges: the observed bytes of each
-    merged range of kept classes are built once, and the members are
-    narrowed range by range.  Always returns a report; ambiguity is an
-    expected outcome whenever the corruption exceeds the family guarantee.
-    """
-    _check_length(r, spec)
-    n = r.n
-    dropped = set(r.untrusted_classes())
+def _scanned_members(r: Readout, spec: CodebookSpec, drop: set[int],
+                     stats: _SearchStats) -> list[str]:
+    # each merged range of kept classes narrows the members in turn
     members, sigs = _member_signatures(spec.key())
+    found = range(len(members))
+    for lo, hi, part in _observed_ranges(r, drop):
+        found = [i for i in found if sigs[i][lo:hi] == part]
+    return [members[i] for i in found]
 
-    def consistent(drop: set[int]) -> tuple[str, ...]:
-        found = range(len(members))
-        for lo, hi, part in _observed_ranges(r, drop):
-            found = [i for i in found if sigs[i][lo:hi] == part]
-        return tuple(members[i] for i in found)
 
-    found = consistent(dropped)
-    center = (n + 1) // 2
-    if not found and n % 2 and center not in dropped:
-        retry = consistent(dropped | {center})
-        if retry:
-            found = retry
-            dropped.add(center)
-    if len(found) == 1:
-        return DecodeReport(found[0], dropped_classes=tuple(sorted(dropped)),
-                            consistent_set=found)
-    reason = "no consistent codeword" if not found else \
-        f"ambiguous: {len(found)} consistent codewords"
-    return DecodeReport(None, dropped_classes=tuple(sorted(dropped)),
-                        reason=reason, consistent_set=found)
+def brute_force_decode(r: Readout, spec: CodebookSpec) -> DecodeReport:
+    """Reference decoder: the decoder's drop sets of ``_drop_sets`` and
+    decode rule, with the consistent members found by scanning the whole
+    codebook's signatures instead of the walk."""
+    _check_length(r, spec)
+    return _decode(r, spec, _drop_sets(r), _scanned_members)

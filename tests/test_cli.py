@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import compcodes
-from compcodes import formats
+from compcodes import cli, formats
 from compcodes.core import full_readout
 
 EXAMPLE_S = "001010111"
@@ -123,7 +123,9 @@ def test_decode_modes_are_auto_and_brute():
     assert rc == 2, err
     rc, out, _ = run("decode", "--spec", "SR:9", "--mode", "brute",
                      inp=readout)
-    assert rc == 0 and json.loads(out)["result"] == EXAMPLE_S
+    assert rc == 0
+    assert json.loads(out) == {"result": EXAMPLE_S, "dropped_classes": [],
+                               "backtracks": 0, "max_backtrack_span": 0}
 
 
 def test_reconstruct_failure_exits_one():
@@ -138,7 +140,8 @@ def test_reconstruct_failure_exits_one():
 
 def test_decode_failure_reports_candidates():
     # SR:12's two-pair witness (find_confusable_pair(12, "sym_pair_delete",
-    # 2)) is ambiguous: the failure line names the reference's consistent set
+    # 2)) is ambiguous: the failure line names the consistent codewords,
+    # and the reference prints the very same line
     s, v = "001100101101", "010010110011"
     readout = formats.emit_readout(full_readout(s).restrict({3, 4, 9, 10}))
     rc, out, _ = run("decode", "--spec", "SR:12", inp=readout)
@@ -147,10 +150,23 @@ def test_decode_failure_reports_candidates():
     assert failure["result"] is None
     assert failure["reason"].startswith("UndecodableError")
     assert {s, v} <= set(failure["candidates"])
-    rc, out, _ = run("decode", "--spec", "SR:12", "--mode", "brute",
-                     inp=readout)
+    rc, brute_out, _ = run("decode", "--spec", "SR:12", "--mode", "brute",
+                           inp=readout)
     assert rc == 1
-    assert failure["candidates"] == json.loads(out)["consistent_set"]
+    assert brute_out == out
+
+
+def test_main_reuses_one_parser(capsys):
+    # in-process callers share one parser; no call leaks into the next
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["unrank", "--spec", "SR:4", "2"]) == 0
+    assert cli.main(["rank", "--spec", "SR:4", "0111"]) == 0
+    # a misspelt JSON spec field is a parse error, not a default
+    assert cli.main(["enumerate", "--spec",
+                     '{"family":"SDA","n":12,"T":2}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out.split() == ["0111", "2"]
+    assert "unknown field 'T'" in captured.err
 
 
 def test_decode_fallback_flag_is_gone():

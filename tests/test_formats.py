@@ -183,7 +183,8 @@ def test_spec_roundtrip_and_compact_form():
                 '{"family":"SR","n":9.7}', '{"family":"SR","n":"9"}',
                 '{"family":"SR","n":true}', '{"family":"SDA","n":12,"t":2.0}',
                 '{"family":"SDS2","n":10,"a":false}', '{"family":' + "[" * 5000,
-                "SDS2:12,a=1,a=3", '{"family":"SR","n":9,"n":10}'):
+                "SDS2:12,a=1,a=3", '{"family":"SR","n":9,"n":10}',
+                '{"family":"SDA","n":12,"T":2}'):
         with pytest.raises(ParseError):
             parse_spec(bad)
 
@@ -232,6 +233,7 @@ def test_parse_error_spec_wraps_every_malformed_input():
                 '{"model":"insert","targets":[[7,[1]]]}',
                 '{"model":"skew","targets":[[7,[2,5],[1,6]]]}',
                 '{"model":"asym_delete","targets":[1],"targets":[2]}',
+                '{"model":"insert","count":1,"seed":3,"sede":4}',
                 "[" * 100000):
         with pytest.raises(ParseError, match="error spec|unknown model"):
             parse_error_spec(bad)

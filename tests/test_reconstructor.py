@@ -12,7 +12,6 @@ from compcodes.codebooks import CodebookSpec, enumerate_codebook
 from compcodes.core import bits_to_bytes, full_readout, sigma_from_weights
 from compcodes.errors import (
     CapabilityError,
-    CompCodesError,
     InconsistentReadoutError,
     ResourceCapError,
     UndecodableError,
@@ -38,18 +37,29 @@ from conftest import EXAMPLE_S, sigma_of_string
 SR9 = CodebookSpec("SR", 9)
 
 
-def _assert_matches_brute_force(r, spec, decode=decode_deletions):
-    """The decoder returns the reference's codeword, or fails with the
-    reference's consistent set as its candidates; returns the reference."""
-    bf = brute_force_decode(r, spec)
+def _outcome(decode, r, spec):
+    """decode's report, or the message, candidates and dropped classes of
+    the UndecodableError it raises, so that two outcomes compare by ==."""
     try:
-        got = decode(r, spec).result
+        return decode(r, spec)
     except UndecodableError as exc:
-        assert bf.result is None, (spec, r.classes)
-        assert exc.candidates == bf.consistent_set, (spec, r.classes)
-    else:
-        assert got == bf.result, (spec, r.classes)
-    return bf
+        return str(exc), exc.candidates, exc.dropped_classes
+
+
+def _assert_matches_brute_force(r, spec, decode=decode_deletions):
+    """The decoder returns the reference's codeword and drop set, or fails
+    as the reference does: an UndecodableError with the same message,
+    candidates and dropped classes.  Returns the reference's codeword,
+    None when it fails."""
+    bf = _outcome(brute_force_decode, r, spec)
+    got = _outcome(decode, r, spec)
+    if isinstance(bf, DecodeReport):
+        assert isinstance(got, DecodeReport), (spec, r.classes, got)
+        assert (got.result, got.dropped_classes) == \
+            (bf.result, bf.dropped_classes), (spec, r.classes)
+        return bf.result
+    assert got == bf, (spec, r.classes)
+    return None
 
 
 def test_reconstruct_worked_example(example_readout):
@@ -182,8 +192,7 @@ def test_sda_two_deletions_roundtrip_and_agreement():
             rep = decode_deletions(r.restrict(drop), spec)
             assert rep.result == s
             assert rep.max_backtrack_span <= 3  # detected within t+1 steps
-            bf = brute_force_decode(r.restrict(drop), spec)
-            assert bf.consistent_set == (s,)
+            assert brute_force_decode(r.restrict(drop), spec).result == s
 
 
 def test_sds2_two_pair_roundtrip_sampled():
@@ -232,9 +241,11 @@ def test_sdsprime_nonconsecutive_pairs_agree_with_brute_force():
     r = full_readout("000011010111").restrict({4, 5, 6, 7, 8, 9})
     with pytest.raises(UndecodableError) as exc:
         decode_deletions(r, spec)
-    bf = brute_force_decode(r, spec)
-    assert bf.result is None and len(bf.consistent_set) > 1
-    assert exc.value.candidates == bf.consistent_set
+    with pytest.raises(UndecodableError) as bf:
+        brute_force_decode(r, spec)
+    assert len(bf.value.candidates) > 1
+    assert exc.value.candidates == bf.value.candidates
+    assert exc.value.dropped_classes == bf.value.dropped_classes
 
 
 def test_drop_sets_over_the_guarantee_counts_match_brute_force():
@@ -260,7 +271,7 @@ def test_drop_sets_over_the_guarantee_counts_match_brute_force():
         s = enumerate_codebook(spec)[0]
         r = full_readout(s).restrict(drop)
         for decode in (decode_deletions, decode_insertions):
-            decoded += _assert_matches_brute_force(r, spec, decode).result == s
+            decoded += _assert_matches_brute_force(r, spec, decode) == s
     assert decoded > len(over_guarantee)
     spec = parse_spec("SCA1:11")
     s = enumerate_codebook(spec)[0]
@@ -270,7 +281,9 @@ def test_drop_sets_over_the_guarantee_counts_match_brute_force():
 
 def test_decoder_matches_brute_force_on_every_small_drop_set():
     # every drop set of up to three classes, pairs and singles mixed, on
-    # three seeded members of each family at n = 8..11
+    # three seeded members of each family at n = 8..11; on every failure
+    # both decoders raise an UndecodableError with the same message,
+    # candidates and dropped classes
     rng = SplitMix64(8)
     undecodable = 0
     for n in range(8, 12):
@@ -284,7 +297,7 @@ def test_decoder_matches_brute_force_on_every_small_drop_set():
                 r = full_readout(s)
                 for drop in drops:
                     bf = _assert_matches_brute_force(r.restrict(drop), spec)
-                    undecodable += bf.result is None
+                    undecodable += bf is None
     assert undecodable > 0
 
 
@@ -384,15 +397,14 @@ def test_skew_beyond_capability():
         s = members[seed]
         r = full_readout(s)
         bad = apply(r, resolve(r, random_error("skew", 2, seed, 10)))
-        bf = _assert_matches_brute_force(bad, spec, decode_skewed)
-        decoded += bf.result == s
+        decoded += _assert_matches_brute_force(bad, spec, decode_skewed) == s
     assert decoded > 10
 
 
 def test_mixed_pattern_matches_brute_force(example_readout):
     # a symmetric pair and the centre: no family guarantees the mix
     r = example_readout.restrict({3, 7, 5})
-    assert _assert_matches_brute_force(r, SR9).result == EXAMPLE_S
+    assert _assert_matches_brute_force(r, SR9) == EXAMPLE_S
 
 
 def test_decoder_names_share_one_decoder(example_readout):
@@ -421,8 +433,10 @@ def test_appendix_pattern_is_ambiguous():
     with pytest.raises(UndecodableError) as exc:
         decode_deletions(r, CodebookSpec("SR", 12))
     assert {witness.s, witness.v} <= set(exc.value.candidates)
-    bf = _assert_matches_brute_force(r, CodebookSpec("SR", 12))
-    assert set(bf.consistent_set) == {witness.s, witness.v}
+    assert _assert_matches_brute_force(r, CodebookSpec("SR", 12)) is None
+    with pytest.raises(UndecodableError) as bf:
+        brute_force_decode(r, CodebookSpec("SR", 12))
+    assert set(bf.value.candidates) == {witness.s, witness.v}
 
 
 def test_search_budget_refuses_an_unpruned_walk():
@@ -438,14 +452,12 @@ def test_search_budget_refuses_an_unpruned_walk():
 
 def test_brute_force_on_clean_readout(example_readout):
     rep = brute_force_decode(example_readout, SR9)
-    assert rep.result == EXAMPLE_S
-    assert rep.consistent_set == (EXAMPLE_S,)
+    assert rep == DecodeReport(EXAMPLE_S)
 
 
 def test_brute_force_on_single_deletion(example_readout):
     rep = brute_force_decode(example_readout.restrict({3}), SR9)
-    assert rep.consistent_set == (EXAMPLE_S,)
-    assert rep.result == EXAMPLE_S
+    assert rep == DecodeReport(EXAMPLE_S, dropped_classes=(3,))
 
 
 def test_brute_force_agrees_with_decoders_on_skew(example_readout):
@@ -473,7 +485,7 @@ def test_undecodable_reports_candidates():
 def test_decoders_match_brute_force_on_mixed_corruptions(n, model, decoder):
     # a seeded skew, then one deletion or insertion on top: every decoder
     # drops the classes brute force distrusts, so it must return brute
-    # force's codeword whenever there is one and fail when there is none
+    # force's codeword whenever there is one and fail as it does otherwise
     spec = CodebookSpec("SDA", n, t=2)
     members = enumerate_codebook(spec)
     rng = SplitMix64(n)
@@ -483,13 +495,7 @@ def test_decoders_match_brute_force_on_mixed_corruptions(n, model, decoder):
             r = apply(full_readout(s), ErrorSpec("skew", count=1,
                                                  seed=rng.next_u64()))
             r = apply(r, ErrorSpec(model, count=1, seed=rng.next_u64()))
-            bf = brute_force_decode(r, spec).result
-            if bf is None:
-                with pytest.raises(CompCodesError):
-                    decoder(r, spec)
-                continue
-            assert decoder(r, spec).result == bf, (s, r.classes)
-            recovered += bf == s
+            recovered += _assert_matches_brute_force(r, spec, decoder) == s
     assert recovered > 3 * len(members)
 
 
@@ -499,8 +505,9 @@ def _member_readouts(spec):
 
 
 def _brute_force_by_class(r, spec):
-    # slow reference for brute_force_decode: every member's readout is
-    # compared with the observation one kept class at a time
+    # slow reference for brute_force_decode, with its own center retry:
+    # every member's readout is compared with the observation one kept
+    # class at a time
     n = r.n
     dropped = set(r.untrusted_classes())
     obs = {k: v for k, v in sorted(r.classes.items()) if k not in dropped}
@@ -512,17 +519,15 @@ def _brute_force_by_class(r, spec):
     found = consistent(obs)
     center = (n + 1) // 2
     if not found and n % 2 and center in obs:
-        retry = consistent([k for k in obs if k != center])
-        if retry:
-            found = retry
-            dropped.add(center)
+        # the retry's drop set is the one tried last, found or not
+        found = consistent([k for k in obs if k != center])
+        dropped.add(center)
     if len(found) == 1:
-        return DecodeReport(found[0], dropped_classes=tuple(sorted(dropped)),
-                            consistent_set=found)
-    reason = "no consistent codeword" if not found else \
-        f"ambiguous: {len(found)} consistent codewords"
-    return DecodeReport(None, dropped_classes=tuple(sorted(dropped)),
-                        reason=reason, consistent_set=found)
+        return DecodeReport(found[0], dropped_classes=tuple(sorted(dropped)))
+    what = (f"{len(found)} codewords are" if found
+            else "no codeword is")
+    raise UndecodableError(f"{what} consistent with the surviving classes",
+                           candidates=found, dropped_classes=dropped)
 
 
 _SCAN_SPECS = [CodebookSpec("SR", 11), CodebookSpec("SR", 12),
@@ -552,9 +557,10 @@ def test_brute_force_matches_class_by_class_reference(spec):
         for _ in range(40):
             s = members[rng.below(len(members))]
             r = _seeded_corruption(full_readout(s), model, rng)
-            ref = _brute_force_by_class(r, spec)
-            assert brute_force_decode(r, spec) == ref, (s, model, r.classes)
-            decoded += ref.result == s
+            ref = _outcome(_brute_force_by_class, r, spec)
+            assert _outcome(brute_force_decode, r, spec) == ref, \
+                (s, model, r.classes)
+            decoded += isinstance(ref, DecodeReport) and ref.result == s
     assert decoded > 100
 
 
@@ -575,10 +581,22 @@ def test_brute_force_center_retry_matches_reference(spec):
             (center - new, new)),)))
         if spec.family == "SDA":  # one more asymmetric loss stays in guarantee
             r = apply(r, ErrorSpec("asym_delete", count=1, seed=rng.next_u64()))
-        ref = _brute_force_by_class(r, spec)
-        assert brute_force_decode(r, spec) == ref, (s, r.classes)
-        retries += center in ref.dropped_classes
+        ref = _outcome(_brute_force_by_class, r, spec)
+        assert _outcome(brute_force_decode, r, spec) == ref, (s, r.classes)
+        retries += (isinstance(ref, DecodeReport)
+                    and center in ref.dropped_classes)
     assert retries > 0
+
+
+def test_failed_center_retry_names_the_center():
+    # no SR:9 member has 0^9's readout with or without the center, so both
+    # passes find nothing and the failure names the last drop set
+    r = full_readout("0" * 9)
+    failure = ("no codeword is consistent with the surviving classes", (),
+               (5,))
+    for decode in (decode_deletions, brute_force_decode,
+                   _brute_force_by_class):
+        assert _outcome(decode, r, SR9) == failure
 
 
 def _sigma_candidates_reference(n, known, modulus=None, residue=0):
