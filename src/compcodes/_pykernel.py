@@ -7,10 +7,24 @@ hashable encoding of the full composition multiset.  Layout: classes in
 ascending k, each contributing k+1 count bytes (w = 0..k); class k starts
 at offset (k-1)(k+2)/2.
 
-This module is the reference for the compiled kernel in ``_ckernel.c``,
-which must return the same bytes and raise ValueError on the same inputs,
-and the fallback when that extension was not built.
+``full_signature`` signs one string in prefix-sum lanes.  Byte i of one
+big-endian integer holds pref[i], the ones among the first i bits, so
+``lanes - (lanes >> 8*k)`` holds in bytes k..n every window weight
+pref[j + k] - pref[j] of class k: no lane borrows (prefix sums never
+decrease) and none overflows (n <= 255).  A window of class k is one of
+class k - 1 plus a bit, so each end of the range of weights that occur
+moves by at most one from class to class.  While that range is narrow
+against a class's n - k + 1 windows, each weight in it is counted by one
+``bytes.count``; from the first class where it is not, the remaining
+classes are counted by a loop over their window bytes.  ``signatures``
+signs a batch bit-sliced across rows (see ``_bit_sliced``).
+
+This module is the fallback when the compiled kernel in ``_ckernel.c``
+was not built.  The two must accept the same buffers, return the same
+bytes and raise ValueError on the same inputs.
 """
+
+from math import isqrt
 
 BACKEND = "pure"
 
@@ -20,48 +34,105 @@ MAX_N = 255  # window counts are stored in single bytes
 # with the batch
 _CHUNK_ROWS = 1024
 
+# full_signature counts a class weight by weight while it has at least
+# this many windows per weight it may take (each bytes.count scans them
+# all); measured times barely move between 4 and 8, at n = 11 to 40 and
+# at n = 255
+_WINDOWS_PER_COUNT = 7
+
+# full_signature's loop counts whole classes into one list of at most
+# this many counts at a time, so the list stays small (8 bytes a count);
+# the largest class has 256
+_BLOCK = 2048
+
 # _EQ[w] translates byte w to 1 and every other byte to 0
 _EQ = [bytes(w) + b"\1" + bytes(255 - w) for w in range(256)]
 
 
-def full_signature(bits: bytes) -> bytes:
-    """Signature of a 0/1 byte string; counts of window weights per length."""
-    n = len(bits)
+def _as_bytes(buffer) -> bytes:
+    """The bytes of a buffer, refused as the compiled kernel refuses it:
+    TypeError for a non-buffer, BufferError for a non-contiguous one."""
+    if type(buffer) is bytes:  # the common case, at no cost
+        return buffer
+    view = memoryview(buffer)
+    if not view.c_contiguous:
+        raise BufferError("memoryview: underlying buffer is not C-contiguous")
+    return view.tobytes()
+
+
+def _check_length(n: int) -> None:
     if not 1 <= n <= MAX_N:
         raise ValueError(f"length must be in [1, {MAX_N}], got {n}")
-    pref = [0] * (n + 1)
-    acc = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError("bits must contain only 0 and 1 byte values")
-        acc += b
-        pref[i + 1] = acc
+
+
+def _check_bits(bits: bytes) -> None:
+    if bits.translate(None, b"\0\1"):
+        raise ValueError("bits must contain only 0 and 1 byte values")
+
+
+def full_signature(bits) -> bytes:
+    """Signature of a 0/1 byte string; counts of window weights per length."""
+    bits = _as_bytes(bits)
+    n = len(bits)
+    _check_length(n)
+    _check_bits(bits)
+    size = n + 1
+    # the bits times 0x0101...01 (n ones), shifted down n - 1 bytes, hold
+    # pref[i] in byte i of n + 1 big-endian bytes; no lane carries, since
+    # none exceeds n
+    lanes = (int.from_bytes(bits, "big")
+             * int.from_bytes(b"\1" * n, "big")) >> 8 * (n - 1)
     out = bytearray(n * (n + 3) // 2)
-    base = 0
-    for k in range(1, n + 1):
-        for j in range(n - k + 1):
-            out[base + pref[j + k] - pref[j]] += 1
+    base = 0  # offset of class k
+    # [lo, hi]: the weights that occur in class k - 1, starting from the
+    # one empty window of class 0; class k's lie in [lo, hi + 1]
+    lo = hi = 0
+    k = 1
+    while k <= n and _WINDOWS_PER_COUNT * (hi - lo + 2) <= size - k:
+        windows = (lanes - (lanes >> 8 * k)).to_bytes(size, "big")[k:]
+        out[base + lo:base + hi + 2] = map(windows.count, range(lo, hi + 2))
+        if not out[base + lo]:
+            lo += 1
+        if out[base + hi + 1]:
+            hi += 1
         base += k + 1
+        k += 1
+    while k <= n:
+        # classes k..stop - 1, the most whole classes within _BLOCK counts:
+        # their offsets (s - 1)(s + 2)/2 <= base + _BLOCK.  A list takes an
+        # increment faster than a bytearray; one list per class would cost
+        # a quarter more time at n <= 20
+        stop = min(size, (isqrt(9 + 8 * (base + _BLOCK)) - 1) // 2)
+        end = (stop - 1) * (stop + 2) // 2
+        block = [0] * (end - base)
+        at = 0
+        for k in range(k, stop):
+            for w in (lanes - (lanes >> 8 * k)).to_bytes(size, "big")[k:]:
+                block[at + w] += 1
+            at += k + 1
+        out[base:end] = block
+        base, k = end, stop
     return bytes(out)
 
 
-def signatures(rows: bytes, n: int) -> list[bytes]:
+def signatures(rows, n: int) -> list[bytes]:
     """``full_signature`` of each length-n row of one concatenated 0/1
     buffer, in order."""
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"length must be in [1, {MAX_N}], got {n}")
+    rows = _as_bytes(rows)
+    _check_length(n)
     if len(rows) % n:
         raise ValueError(f"buffer of {len(rows)} bytes is not a whole "
                          f"number of rows of length {n}")
-    if rows.translate(None, b"\0\1"):
-        raise ValueError("bits must contain only 0 and 1 byte values")
+    _check_bits(rows)
     out: list[bytes] = []
     step = _CHUNK_ROWS * n
     for lo in range(0, len(rows), step):
         chunk = rows[lo:lo + step]
         # a bit-sliced pass costs about n^3/6 lane operations per chunk
-        # however few its rows; it beats signing row by row (n^2/2 steps
-        # per row) once a chunk holds about n^2/8 rows
+        # however few its rows, so a small chunk is signed row by row.  It
+        # switches at n^2/8 rows (32, 72, 200 at n = 16, 24, 40); measured,
+        # bit-sliced overtakes row by row at about 19, 33 and 77 rows, and
+        # at n^2/8 rows it takes 0.6-0.65 of the row-by-row time
         if 8 * (len(chunk) // n) < n * n:
             out += [full_signature(chunk[i:i + n])
                     for i in range(0, len(chunk), n)]

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from array import array
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,49 @@ def test_kept_mask_matches_joined_kept_ranges():
                 bytes(b if keep else 0 for b, keep in zip(sig, kept))
 
 
+def _reference_full_signature(bits: bytes) -> bytes:
+    """The signature by its definition: one step per window."""
+    n = len(bits)
+    pref = [0]
+    for b in bits:
+        pref.append(pref[-1] + b)
+    out = bytearray(n * (n + 3) // 2)
+    base = 0
+    for k in range(1, n + 1):
+        for j in range(n - k + 1):
+            out[base + pref[j + k] - pref[j]] += 1
+        base += k + 1
+    return bytes(out)
+
+
+def _run_strings(n: int):
+    """0^a 1^b and 1^a 0^b at a spread of splits, and blocks (0^r 1^r)*."""
+    for a in sorted({0, 1, n // 3, n // 2, (n + 1) // 2, n - 1, n}):
+        yield bytes(a) + bytes([1]) * (n - a)
+        yield bytes([1]) * a + bytes(n - a)
+    for r in (1, 2, 3, 5, 8, 16, 32, 64, 127):
+        yield ((bytes(r) + bytes([1]) * r) * n)[:n]
+
+
+def test_pure_kernel_matches_reference():
+    # needs no compiler; at n = 255 these inputs reach both the classes
+    # counted weight by weight and the classes counted by a loop
+    for n in range(1, 13):
+        for x in range(2 ** n):
+            bits = bytes(int(b) for b in format(x, f"0{n}b"))
+            assert _pykernel.full_signature(bits) == _reference_full_signature(bits)
+    rng = random.Random(23)
+    for n in range(13, _pykernel.MAX_N + 1):
+        for p in (0.5, 0.1, 0.9):
+            bits = bytes(rng.random() < p for _ in range(n))
+            assert _pykernel.full_signature(bits) == _reference_full_signature(bits), (n, p)
+    for n in (13, 20, 64, 127, 128, 200, 254, 255):
+        for bits in _run_strings(n):
+            assert _pykernel.full_signature(bits) == _reference_full_signature(bits), bits
+    for bits in (bytes(255), bytes([1]) * 255):  # fullest count bytes
+        assert _pykernel.full_signature(bits) == _reference_full_signature(bits)
+
+
 def test_backends_agree_exhaustively(ckernel):
     assert (ckernel.BACKEND, ckernel.MAX_N) == ("compiled", _pykernel.MAX_N)
     for n in range(1, 11):
@@ -127,6 +171,28 @@ def backend(request):
 
 
 _LOW_BIT = bytes(b & 1 for b in range(256))
+
+
+def test_backends_accept_the_same_buffers(backend):
+    # every 5-bit row: one batch of 32 rows is bit-sliced, one row alone
+    # is signed row by row
+    n = 5
+    rows = b"".join(bytes(int(b) for b in format(x, f"0{n}b")) for x in range(2 ** n))
+    want = [_reference_full_signature(rows[i:i + n]) for i in range(0, len(rows), n)]
+    for convert in (bytes, bytearray, memoryview, lambda b: array("B", b)):
+        assert backend.full_signature(convert(rows[5:10])) == want[1]
+        assert backend.signatures(convert(rows), n) == want
+        assert backend.signatures(convert(rows[5:10]), n) == want[1:2]
+    for bad in ([0, 1, 1], "011"):
+        with pytest.raises(TypeError):
+            backend.full_signature(bad)
+        with pytest.raises(TypeError):
+            backend.signatures(bad, 3)
+    strided = memoryview(rows)[::2]
+    with pytest.raises(BufferError):
+        backend.full_signature(strided)
+    with pytest.raises(BufferError):
+        backend.signatures(strided, n)
 
 
 def _row_by_row(rows: bytes, n: int) -> list[bytes]:
