@@ -55,9 +55,8 @@ def _failure(args, exc: CompCodesError) -> int:
 
 def cmd_reconstruct(args) -> int:
     r = formats.parse_readout(_read_input(args))
-    spec = formats.parse_spec(args.spec) if args.spec else None
     try:
-        rep = reconstructor.reconstruct(r, spec)
+        rep = reconstructor.reconstruct(r)
     except CompCodesError as exc:
         return _failure(args, exc)
     _write_output(args, formats.emit_report(rep))
@@ -198,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p, needs_input=False)
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("reconstruct", help="decode an uncorrupted readout")
-    p.add_argument("--spec", help="codebook, e.g. SR:9 or SDA:12,t=2")
+    p = sub.add_parser("reconstruct",
+                       help="a string consistent with an uncorrupted readout")
     add_io(p)
     p.set_defaults(func=cmd_reconstruct)
 

@@ -36,6 +36,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
+        # each trial draws this spec under its own seed, so a model or
+        # count that no draw takes is refused here, even with no trials
+        channel.random_error(self.model, self.errors, self.seed, self.spec.n)
 
     def payload(self) -> dict:
         return {"spec": asdict(self.spec), "model": self.model,
@@ -48,8 +51,6 @@ class ExperimentConfig:
 
 def run_experiment(cfg: ExperimentConfig):
     """Yield one record dict per trial, in trial order."""
-    if cfg.model not in _DECODERS:
-        raise ValueError(f"unknown model {cfg.model!r}")
     members = enumerate_codebook(cfg.spec)
     if not members:
         raise CompCodesError(f"codebook {cfg.spec} is empty")

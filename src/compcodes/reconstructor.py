@@ -36,9 +36,10 @@ over all its passes, visits at most ``SEARCH_BUDGET`` nodes of the
 sigma-candidate walk and the inward search, a finished string's
 signature counting as n nodes, and raises ``ResourceCapError`` past that.
 
-``reconstruct`` takes only full readouts.  With a spec it is one pass of
-the decoder with nothing dropped and no center retry, as the readout is
-declared clean.  Without a spec it returns the first string of the walk.
+``reconstruct`` is the paper's unique-reconstruction problem: it takes
+only a full readout, checks no codebook, and returns the first string of
+the walk.  A codeword is asked of the decoder, which takes clean
+readouts as well as corrupted ones.
 """
 
 from __future__ import annotations
@@ -273,11 +274,6 @@ def _consistent_strings(r: Readout, drop: set[int],
     return results
 
 
-def _check_length(r: Readout, spec: CodebookSpec):
-    if spec.n != r.n:
-        raise ValueError(f"spec n={spec.n} does not match readout n={r.n}")
-
-
 def _drop_sets(r: Readout):
     """The drop sets both decoders try, in order: ``r.untrusted_classes()``,
     then, for odd n when the center is trusted, that set plus the center
@@ -289,13 +285,15 @@ def _drop_sets(r: Readout):
         yield drop | {center}
 
 
-def _decode(r: Readout, spec: CodebookSpec, drop_sets, members_under
-            ) -> DecodeReport:
-    """The decode rule over ``members_under(r, spec, drop, stats)``, the
-    members consistent with the classes outside ``drop``.  Each pass
-    reports its own backtracks; all draw on one ``SEARCH_BUDGET``."""
+def _decode(r: Readout, spec: CodebookSpec, members_under) -> DecodeReport:
+    """The decode rule over the drop sets of ``_drop_sets`` and
+    ``members_under(r, spec, drop, stats)``, the members consistent with
+    the classes outside ``drop``.  Each pass reports its own backtracks;
+    all draw on one ``SEARCH_BUDGET``."""
+    if spec.n != r.n:
+        raise ValueError(f"spec n={spec.n} does not match readout n={r.n}")
     stats = _SearchStats()
-    for drop in drop_sets:
+    for drop in _drop_sets(r):
         stats = _SearchStats(nodes=stats.nodes)
         members = members_under(r, spec, drop, stats)
         if members:
@@ -319,27 +317,18 @@ def _walked_members(r: Readout, spec: CodebookSpec, drop: set[int],
     return sorted(s for s in found if is_member(spec, s))
 
 
-def reconstruct(r: Readout, spec: CodebookSpec | None = None) -> DecodeReport:
-    """Recover a string from an uncorrupted readout.
-
-    With a spec this is the decoder's pass with nothing dropped: it
-    returns the one member that matches, or raises ``UndecodableError``;
-    there is no center retry, as the readout is declared clean.  Without
-    a spec it returns the first string the walk finds, the consistent
-    string whose first free mirror bit is 0 (a string and its reversal
-    share a readout, so one must be chosen).
+def reconstruct(r: Readout) -> DecodeReport:
+    """Recover a string from an uncorrupted readout: the consistent
+    string whose first free mirror bit is 0, the first the walk finds (a
+    string and its reversal share a readout, so one must be chosen).
     """
     if not r.is_full():
         raise CapabilityError(
             "readout has missing or mis-sized classes; use decode_deletions "
             "(compcodes decode)")
-    if spec is not None:
-        _check_length(r, spec)
     weights = [r.weight(k) for k in range(1, r.n + 1)]
     # raises InconsistentReadoutError on a tampered full readout
     sigma = sigma_from_weights(weights, r.n)
-    if spec is not None:
-        return _decode(r, spec, [set()], _walked_members)
     stats = _SearchStats()
     found = _consistent_strings(r, set(), [sigma], stats)
     if not found:
@@ -362,8 +351,7 @@ def decode_deletions(r: Readout, spec: CodebookSpec) -> DecodeReport:
     is sure to match; otherwise the ``UndecodableError`` is the one
     ``brute_force_decode`` raises.
     """
-    _check_length(r, spec)
-    return _decode(r, spec, _drop_sets(r), _walked_members)
+    return _decode(r, spec, _walked_members)
 
 
 # one decoder, under the name of each channel model it corrects
@@ -393,5 +381,4 @@ def brute_force_decode(r: Readout, spec: CodebookSpec) -> DecodeReport:
     """Reference decoder: the decoder's drop sets of ``_drop_sets`` and
     decode rule, with the consistent members found by scanning the whole
     codebook's signatures instead of the walk."""
-    _check_length(r, spec)
-    return _decode(r, spec, _drop_sets(r), _scanned_members)
+    return _decode(r, spec, _scanned_members)

@@ -66,7 +66,7 @@ def test_criterion_1_worked_example_fidelity(example_readout):
               and r.total_entries() == 45
               and r.weight(7) == 12
               and sigma_of_string(EXAMPLE_S) == EXAMPLE_SIGMA
-              and reconstruct(r, CodebookSpec("SR", 9)).result == EXAMPLE_S)
+              and reconstruct(r).result == EXAMPLE_S)
     report(1, ok and t.elapsed < 1.0, t.elapsed, "worked-example fidelity")
     assert ok
     assert t.elapsed < 1.0

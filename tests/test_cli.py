@@ -32,9 +32,16 @@ def test_compose_matches_wire_format():
 def test_compose_reconstruct_pipeline():
     rc, readout, _ = run("compose", EXAMPLE_S)
     assert rc == 0
-    rc, out, _ = run("reconstruct", "--spec", "SR:9", inp=readout)
+    rc, out, _ = run("reconstruct", inp=readout)
     assert rc == 0
     assert json.loads(out)["result"] == EXAMPLE_S
+
+
+def test_reconstruct_takes_no_spec():
+    # a codeword is asked of decode, which takes clean readouts too
+    _, readout, _ = run("compose", EXAMPLE_S)
+    rc, out, err = run("reconstruct", "--spec", "SR:9", inp=readout)
+    assert rc == 2 and out == "", err
 
 
 def test_corrupt_decode_pipeline():
@@ -129,9 +136,9 @@ def test_decode_modes_are_auto_and_brute():
 
 
 def test_reconstruct_failure_exits_one():
-    # the same null-result report as decode, with its exit code
-    rc, out, err = run("reconstruct", "--spec", "SR:9",
-                       inp=_center_skewed_sr9())
+    # the same null-result report as decode, with its exit code: the
+    # skewed centre leaves weights no pairwise-weight sequence explains
+    rc, out, err = run("reconstruct", inp=_center_skewed_sr9())
     assert rc == 1 and err == "", err
     report = json.loads(out)
     assert report["result"] is None
@@ -357,6 +364,15 @@ def test_experiment_negative_trials_exit_two():
     rc, out, err = run("experiment", "--spec", "SR:9", "--model", "skew",
                        "--trials", "0", "--seed", "1")
     assert rc == 0 and out == "" and "trials=0 failures=0" in err
+
+
+def test_experiment_errors_over_capacity_exit_two():
+    # refused before any trial, so with no trials too
+    rc, out, err = run("experiment", "--spec", "SR:9", "--model",
+                       "asym_delete", "--t", "9", "--trials", "0",
+                       "--seed", "1")
+    assert rc == 2 and out == "", err
+    assert "InvalidErrorSpecError" in err and "config=" not in err
 
 
 def test_experiment_jsonl_replay(tmp_path):

@@ -2,7 +2,10 @@
 
 import hashlib
 
+import pytest
+
 from compcodes.codebooks import CodebookSpec
+from compcodes.errors import InvalidErrorSpecError
 from compcodes.experiment import (
     ExperimentConfig,
     record_line,
@@ -51,6 +54,16 @@ def test_replay_lines_match_golden_digests():
         assert cfg.hash() == cfg_hash, spec
         lines = [strip_wall_time(line) for line in run_lines(cfg)]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, spec
+
+
+def test_config_refuses_errors_no_trial_can_draw():
+    # asym_delete absorbs at most 4 deletions at n = 9; the config is
+    # refused where it is built, even when it has no trials to draw
+    for model, errors in (("asym_delete", 0), ("asym_delete", 5),
+                          ("asym_delete", 9), ("erase", 1)):
+        with pytest.raises(InvalidErrorSpecError):
+            ExperimentConfig(CodebookSpec("SR", 9), model, errors=errors,
+                             trials=0, seed=1)
 
 
 def test_different_seeds_differ():

@@ -147,6 +147,25 @@ def test_sda_guarantee():
     assert w is None
 
 
+def test_sr_corrects_two_asymmetric_deletions_up_to_sixteen():
+    # SR itself corrects two asymmetric class deletions for n = 6..16, so
+    # SDA's constraint buys nothing there at t = 2.  At t = 3 every even
+    # n = 8..16 has a witness deleting the three classes ending at n/2,
+    # and odd n = 9..15 has none
+    for n in range(6, 17):
+        assert verify_code_property(CodebookSpec("SR", n), "asym_delete", 2) is None
+    witnesses = {n: verify_code_property(CodebookSpec("SR", n), "asym_delete", 3)
+                 for n in range(8, 17)}
+    for n, w in witnesses.items():
+        if n % 2:
+            assert w is None, n
+        else:
+            assert w.deleted_classes == {n // 2 - 2, n // 2 - 1, n // 2}, n
+            assert w.verify(), n
+    assert (witnesses[8].s, witnesses[8].v) == ("00001111", "00010111")
+    assert (witnesses[10].s, witnesses[10].v) == ("0000010111", "0000100111")
+
+
 def test_sds2_guarantee():
     for a in range(7):
         assert verify_code_property(

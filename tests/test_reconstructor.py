@@ -63,7 +63,7 @@ def _assert_matches_brute_force(r, spec, decode=decode_deletions):
 
 
 def test_reconstruct_worked_example(example_readout):
-    assert reconstruct(example_readout, SR9).result == EXAMPLE_S
+    assert reconstruct(example_readout).result == EXAMPLE_S
 
 
 def test_reconstruct_trivial():
@@ -71,13 +71,15 @@ def test_reconstruct_trivial():
 
 
 def test_reconstruct_returns_member_orientation_for_reversals():
+    # an SR codeword starts with 0 and ends with 1, so it is the string of
+    # its readout whose first free mirror bit is 0
     rng = SplitMix64(2024)
     members = enumerate_codebook(CodebookSpec("SR", 10))
     for _ in range(50):
         s = members[rng.below(len(members))]
         rev = s[::-1]
         assert full_readout(rev) == full_readout(s)  # independent check
-        assert reconstruct(full_readout(rev), CodebookSpec("SR", 10)).result == s
+        assert reconstruct(full_readout(rev)).result == s
 
 
 def test_reconstruct_prefers_leading_zero():
@@ -93,24 +95,30 @@ def test_reconstruct_prefers_leading_zero():
 def test_reconstruct_rejects_corrupted_input(example_readout):
     # the message names the one decoder that takes a corrupted readout
     with pytest.raises(CapabilityError, match="decode_deletions"):
-        reconstruct(example_readout.restrict({3}), SR9)
+        reconstruct(example_readout.restrict({3}))
 
 
 def test_reconstruct_with_spec_refuses_a_non_member():
-    # 0110 is consistent with its own readout but is no SR codeword
+    # 0110 is consistent with its own readout but is no SR codeword: the
+    # decoder, which checks the codebook, refuses it, and reconstruct,
+    # which checks none, returns it
+    r = full_readout("0110")
     with pytest.raises(UndecodableError):
-        reconstruct(full_readout("0110"), CodebookSpec("SR", 4))
+        decode_deletions(r, CodebookSpec("SR", 4))
+    assert reconstruct(r).result == "0110"
 
 
 @pytest.mark.parametrize("spec", [
     *(f"SR:{n}" for n in range(4, 15)), "SDA:12,t=2", "SDS2:12,a=3",
     "SDSprime:12,t=2,a=1", "SCA1:11", "SCA1:13"])
 def test_reconstruct_with_spec_is_the_decoder_on_a_clean_readout(spec):
+    # on a member's clean readout, in either orientation, spec-free
+    # reconstruct gives the decoder's report, backtracks included
     spec = parse_spec(spec)
     for s in enumerate_codebook(spec):
         for x in {s, s[::-1]}:
             r = full_readout(x)
-            assert reconstruct(r, spec) == decode_deletions(r, spec), x
+            assert reconstruct(r) == decode_deletions(r, spec), x
 
 
 def test_decode_single_deletion_worked_example(example_readout):
@@ -399,6 +407,39 @@ def test_skew_beyond_capability():
         bad = apply(r, resolve(r, random_error("skew", 2, seed, 10)))
         decoded += _assert_matches_brute_force(bad, spec, decode_skewed) == s
     assert decoded > 10
+
+
+def test_partner_skews_match_brute_force():
+    # a one-unit skew of both partners of one pair leaves their weights
+    # equal, so nothing is dropped for it: no seeded draw makes one, as
+    # the pool loses a skewed class's partner.  Over every such readout
+    # of every member the decoder answers as the reference does, and
+    # only two decode, both at n = 9
+    counts, decoded = {}, {}
+    for n in (8, 9, 10):
+        spec = CodebookSpec("SR", n)
+        counts[n] = 0
+        for s in enumerate_codebook(spec):
+            r = full_readout(s)
+            for k in range(1, n // 2 + 1):
+                skews = [[(c, (c - w, w), (c - w + 1, w - 1))
+                          for w in range(1, c + 1) if r.classes[c][w]]
+                         for c in (k, n - k + 1)]
+                for pair in itertools.product(*skews):
+                    bad = apply(r, ErrorSpec("skew", targets=pair))
+                    counts[n] += 1
+                    got = _assert_matches_brute_force(bad, spec)
+                    if got is not None:
+                        decoded[s, pair] = got
+    assert counts == {8: 499, 9: 1026, 10: 2697}
+    assert len(decoded) == 2
+    assert all(len(s) == 9 for s, _ in decoded)
+    # one centre error explains the readout in fewer errors than the two
+    # skews did, so the answer is another codeword
+    pair = ((4, (2, 2), (3, 1)), (6, (2, 4), (3, 3)))
+    assert decoded["000100111", pair] == "001000111"
+    bad = apply(full_readout("000100111"), ErrorSpec("skew", targets=pair))
+    assert decode_deletions(bad, SR9).dropped_classes == (5,)
 
 
 def test_mixed_pattern_matches_brute_force(example_readout):
