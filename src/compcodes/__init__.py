@@ -15,7 +15,7 @@ from .codebooks import (
     size_lower_bound,
     unrank,
 )
-from .core import Readout, full_readout, sigma_from_weights
+from .core import Readout, full_readout
 from .kernel import BACKEND
 from .oracle import (
     ConfusabilityWitness,

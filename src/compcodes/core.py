@@ -1,4 +1,4 @@
-"""Readouts, signatures and pairwise-weight sequences.
+"""Readouts and signatures.
 
 Strings are plain ``str`` over the alphabet ``{'0','1'}``.  Substring
 positions are 1-based and inclusive, matching the usual coding-theory
@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import kernel
-from .errors import InconsistentReadoutError, MissingClassError
+from .errors import MissingClassError
 
 MAX_LENGTH = kernel.MAX_N
 
@@ -66,9 +65,9 @@ class Readout:
     computed on first use and kept for the life of the instance.
 
     ``Readout(n, classes)`` checks its input: n an exact int in [1, 255],
-    each key k an exact int in [1, n] and its vector a tuple of k+1
-    non-negative exact ints, else ``ValueError``.  The library's own
-    builders, ``full_readout``, ``restrict``, ``formats.parse_readout``,
+    classes a dict, each key k an exact int in [1, n] and its vector a
+    tuple of k+1 non-negative exact ints, else ``ValueError``.  The
+    library's builders, ``full_readout``, ``restrict``, ``parse_readout``,
     ``channel.apply`` and ``oracle.insertion_witness_readouts``, build
     vectors that meet this by construction and hand them over through
     ``_from_valid``, which skips the check.
@@ -82,16 +81,9 @@ class Readout:
         if type(n) is not int or not 1 <= n <= MAX_LENGTH:
             raise ValueError(f"n must be an int in [1, {MAX_LENGTH}], "
                              f"got {n!r}")
-        # every key and vector checked at once with builtins; the loop
-        # below runs only to name the first fault
-        vectors = classes.values()
-        if (set(map(type, classes)) <= {int}
-                and (not classes or 1 <= min(classes) and max(classes) <= n)
-                and set(map(type, vectors)) <= {tuple}
-                and list(map(len, vectors)) == [k + 1 for k in classes]
-                and set(map(type, chain.from_iterable(vectors))) <= {int}
-                and min(chain.from_iterable(vectors), default=0) >= 0):
-            return
+        if not isinstance(classes, dict):
+            raise ValueError(f"classes must be a dict, got "
+                             f"{type(classes).__name__}")
         for k, counts in classes.items():
             if type(k) is not int:
                 raise ValueError(f"class key {k!r} is not an int")
@@ -177,47 +169,3 @@ def full_readout(s: str) -> Readout:
     return Readout._from_valid(n, {k: kernel.class_counts(sig, n, k)
                                    for k in range(1, n + 1)})
 
-
-def sigma_from_weights(weights: Sequence[int], n: int) -> tuple[int, ...]:
-    """Recover the pairwise-weight sequence from cumulative weights.
-
-    ``weights[k-1]`` is the cumulative weight of class k; at least the
-    first ceil(n/2) values must be supplied (fill gaps from the symmetric
-    partner first).  When second-half weights are also present, the
-    symmetry relation w_k = w_{n-k+1} is checked as well.  Any violation
-    raises InconsistentReadoutError: a corrupted readout should be
-    detected, not repaired silently.
-    """
-    m = (n + 1) // 2
-    if len(weights) < m:
-        raise ValueError(f"need at least {m} weights for n={n}")
-    w = list(weights)
-    for k in range(m, len(w)):
-        partner = w[n - (k + 1)]
-        if w[k] != partner:
-            raise InconsistentReadoutError(
-                f"w_{k + 1}={w[k]} != w_{n - k}={partner} violates symmetry")
-
-    def fail(i, value):
-        raise InconsistentReadoutError(
-            f"sigma_{i} = {value} outside its range; weights are inconsistent")
-
-    sigma: list[int] = []
-    w1 = w[0]
-    # w_k = k*w_1 - sum_{j<k} (k-j) sigma_j pins sigma_{k-1} once
-    # sigma_1..sigma_{k-2} are known; over those, the sum is k*s - t with
-    # s = sum(sigma_j) and t = sum(j*sigma_j), both kept running.
-    s = t = 0
-    for k in range(2, m + 1):
-        val = k * (w1 - s) + t - w[k - 1]
-        if val not in (0, 1, 2):
-            fail(k - 1, val)
-        sigma.append(val)
-        s += val
-        t += (k - 1) * val
-    last = w1 - s
-    limit = 1 if n % 2 else 2
-    if not 0 <= last <= limit:
-        fail(m, last)
-    sigma.append(last)
-    return tuple(sigma)

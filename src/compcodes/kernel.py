@@ -7,9 +7,10 @@ benchmark's gated runs).
 
 ``full_signature`` signs one string.  ``signatures`` signs a batch of
 strings of one length, passed as one concatenated buffer; the oracle's
-sweeps sign whole codebooks that way.  The pure kernel bit-slices such a
-batch across rows, which pays once it holds more than about n^2/8 rows,
-and otherwise signs row by row.
+sweeps sign whole codebooks that way.  The pure kernel bit-slices a batch
+across rows when it holds at least n^2/8 rows, else signs row by row.  The
+rule is cautious: bit-slicing was measured to overtake at about 19, 33 and
+77 rows at n = 16, 24 and 40 (2-vCPU Intel Xeon, Python 3.11).
 """
 
 import os

@@ -9,7 +9,7 @@ a surviving class within a bounded number of further steps.  Classes
 whose cumulative weight is unknown (both symmetric partners deleted)
 leave a few pairwise weights undetermined; those are enumerated under the
 linear equations the surviving weights impose, optionally pre-filtered by
-the family's weight-sum residue.
+the family's weight-sum residue; ``_sigma_candidates`` is their one solver.
 
 The walk checks the classes k >= ceil(n/2); the classes below are checked
 on each finished string's signature (the finish filter).  A string and its
@@ -49,9 +49,11 @@ from functools import lru_cache
 from operator import mul
 
 from . import kernel
-from .codebooks import CodebookSpec, enumerate_codebook, is_member
-from .core import Readout, bits_to_bytes, sigma_from_weights
-from .errors import CapabilityError, ResourceCapError, UndecodableError
+from .codebooks import (CodebookSpec, _residue_coefficients,
+                        enumerate_codebook, is_member)
+from .core import Readout, bits_to_bytes
+from .errors import (CapabilityError, InconsistentReadoutError,
+                     ResourceCapError, UndecodableError)
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,8 @@ def _sigma_candidates(n: int, known: dict[int, int],
     Class k's weight is w_k = k*w1 - sum_{j<k} (k-j)*sigma_j, so with
     s = sum(sigma_j) and t = sum(j*sigma_j) over j < k its equation reads
     k*w1 - w_k = k*s - t.  The recursion carries s and t, which makes
-    each node O(1); a leaf's first-half weight sum is one O(m) pass.
+    each node O(1).  A leaf's first-half weight sum, sum_{j<=m} c_j*sigma_j
+    with the codebooks' residue coefficients c_j, is one O(m) pass.
     Every node is drawn from ``stats``'s budget.
     """
     stats = stats or _SearchStats()
@@ -138,9 +141,7 @@ def _sigma_candidates(n: int, known: dict[int, int],
     caps = [2] * (m - 1) + [1 if n % 2 else 2]
     # the most weight the values after depth d can still carry
     room = [sum(caps[d + 1:]) for d in range(m)]
-    # sum_{k<=m} w_k = w1*m(m+1)/2 - sum_j sigma_j * (m-j)(m-j+1)/2
-    spread = [(m - j) * (m - j + 1) // 2 for j in range(1, m + 1)]
-    triangle = m * (m + 1) // 2
+    coefficients = _residue_coefficients(n)[:m]
     w1_options = [known[1]] if 1 in known else range(n + 1)
     found: list[tuple[int, ...]] = []
     sigma: list[int] = []
@@ -148,8 +149,8 @@ def _sigma_candidates(n: int, known: dict[int, int],
     def rec(depth: int, s: int, t: int):
         stats.visit()
         if depth == m:
-            if modulus is None or (w1 * triangle - sum(
-                    map(mul, spread, sigma))) % modulus == residue:
+            if modulus is None or sum(
+                    map(mul, coefficients, sigma)) % modulus == residue:
                 found.append(tuple(sigma))
             return
         k, rhs, j = depth + 2, target[depth], depth + 1
@@ -321,16 +322,26 @@ def reconstruct(r: Readout) -> DecodeReport:
     """Recover a string from an uncorrupted readout: the consistent
     string whose first free mirror bit is 0, the first the walk finds (a
     string and its reversal share a readout, so one must be chosen).
+    A full readout that the trust set does not wholly trust, or that no
+    sigma explains, raises ``InconsistentReadoutError``.
     """
     if not r.is_full():
         raise CapabilityError(
             "readout has missing or mis-sized classes; use decode_deletions "
             "(compcodes decode)")
-    weights = [r.weight(k) for k in range(1, r.n + 1)]
-    # raises InconsistentReadoutError on a tampered full readout
-    sigma = sigma_from_weights(weights, r.n)
+    n, untrusted = r.n, r.untrusted_classes()
+    if untrusted:
+        # name the unequal partner pair whose upper class is lowest
+        k = min(max(c, n - c + 1) for c in untrusted)
+        raise InconsistentReadoutError(
+            f"w_{k}={r.weight(k)} != w_{n - k + 1}={r.weight(n - k + 1)} "
+            "violates symmetry")
     stats = _SearchStats()
-    found = _consistent_strings(r, set(), [sigma], stats)
+    sigmas = _sigma_candidates(n, _first_half_weights(r, set()), stats=stats)
+    if not sigmas:
+        raise InconsistentReadoutError(
+            "no pairwise-weight sequence meets the class weights")
+    found = _consistent_strings(r, set(), sigmas, stats)
     if not found:
         raise UndecodableError("no string is consistent with the readout")
     return DecodeReport(found[0], backtracks=stats.backtracks,

@@ -1,6 +1,7 @@
 """Readouts and pairwise weights: worked-example values and structural
 invariants."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -8,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compcodes.channel import SplitMix64, apply, random_error
-from compcodes.core import Readout, bits_to_bytes, full_readout, sigma_from_weights
-from compcodes.errors import InconsistentReadoutError, MissingClassError
+from compcodes.core import Readout, bits_to_bytes, full_readout
+from compcodes.errors import (
+    CompCodesError,
+    InconsistentReadoutError,
+    MissingClassError,
+)
+from compcodes.reconstructor import _sigma_candidates, reconstruct
 from conftest import EXAMPLE_S, EXAMPLE_SIGMA, EXAMPLE_WEIGHTS, sigma_of_string
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=14)
@@ -66,6 +72,12 @@ def test_readout_rejects_malformed_classes():
     for n in (2.0, True, "2", None):  # n too must be an exact int
         with pytest.raises(ValueError, match="n must be an int"):
             Readout(n, {1: (1, 1)})
+
+
+def test_readout_refuses_classes_that_are_not_a_dict():
+    for classes in ([(1, 0)], None, ((1, (1, 1)),), "1", 3):
+        with pytest.raises(ValueError, match="classes must be a dict"):
+            Readout(3, classes)
 
 
 def test_replace_on_a_library_readout_is_checked():
@@ -287,23 +299,32 @@ def test_sigma_of_string_examples():
     assert sigma_of_string("0011") == (1, 1)
 
 
-def test_sigma_from_weights_examples():
-    assert sigma_from_weights(EXAMPLE_WEIGHTS, 9) == EXAMPLE_SIGMA
-    assert sigma_from_weights((1, 1), 2) == (1,)
+def _first_half(weights):
+    # the known-weight map of every class k <= ceil(n/2)
+    return dict(enumerate(weights[:(len(weights) + 1) // 2], 1))
 
 
-def test_sigma_from_weights_detects_tampering():
-    # lowering w_7 by one unit (a skew on class 7) breaks w_3 = w_7
-    tampered = list(EXAMPLE_WEIGHTS)
-    tampered[6] = 11
-    with pytest.raises(InconsistentReadoutError):
-        sigma_from_weights(tampered, 9)
+def test_sigma_candidates_examples():
+    # every first-half weight known pins exactly one sigma
+    assert _sigma_candidates(9, _first_half(EXAMPLE_WEIGHTS)) == [EXAMPLE_SIGMA]
+    assert _sigma_candidates(2, {1: 1}) == [(1,)]
 
 
-def test_sigma_from_weights_detects_out_of_range():
+def test_reconstruct_detects_tampering(example_readout):
+    # a skew on class 7 moves one window from weight 5 to weight 4, which
+    # lowers w_7 by one unit and breaks w_3 = w_7
+    assert example_readout.classes[7] == (0, 0, 0, 1, 1, 1, 0, 0)
+    skewed = replace(example_readout, classes={
+        **example_readout.classes, 7: (0, 0, 0, 1, 2, 0, 0, 0)})
+    assert skewed.is_full()
+    with pytest.raises(InconsistentReadoutError,
+                       match=r"^w_7=11 != w_3=12 violates symmetry$"):
+        reconstruct(skewed)
+
+
+def test_sigma_candidates_detect_out_of_range():
     # impossible first-half weights: sigma_1 = 2*w_1 - w_2 escapes {0,1,2}
-    with pytest.raises(InconsistentReadoutError):
-        sigma_from_weights((5, 2, 12, 13, 14), 9)
+    assert _sigma_candidates(9, _first_half((5, 2, 12, 13, 14))) == []
 
 
 def _sigma_from_weights_reference(w, n):
@@ -330,25 +351,49 @@ def _sigma_from_weights_reference(w, n):
     return tuple(sigma + [last])
 
 
-def test_sigma_from_weights_matches_quadratic_reference():
+def _inconsistency(f, *args):
+    # the text of the InconsistentReadoutError f raises, else None
+    try:
+        f(*args)
+    except InconsistentReadoutError as exc:
+        return str(exc)
+    except CompCodesError:  # a consistent readout no string matches
+        pass
+    return None
+
+
+def test_reconstruct_refuses_where_quadratic_reference_does():
+    # clean and tampered full readouts: a tampered one has a window of
+    # class k, and half the time one of its partner n-k+1 too, moved by
+    # the same step.  reconstruct finds the readout inconsistent exactly
+    # when the reference finds its weights so, and names an unequal
+    # partner pair in the reference's words
     rng = SplitMix64(33)
-    failures = 0
+    kinds = Counter()
     for _ in range(400):
         n = rng.below(40) + 1
         s = format(rng.below(2 ** n), f"0{n}b")
-        r = full_readout(s)
-        w = [r.weight(k) for k in range(1, n + 1)][:rng.choice(((n + 1) // 2, n))]
+        classes = dict(full_readout(s).classes)
         if rng.below(2):
-            w[rng.below(len(w))] += rng.choice((-2, -1, 1, 2))
-        outcomes = []
-        for f in (sigma_from_weights, _sigma_from_weights_reference):
-            try:
-                outcomes.append(f(w, n))
-            except InconsistentReadoutError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1], (n, w)
-        failures += isinstance(outcomes[0], str)
-    assert 100 < failures < 300
+            k, step = rng.below(n) + 1, rng.choice((-2, -1, 1, 2))
+            for c in {k, n - k + 1} if rng.below(2) else {k}:
+                counts = list(classes[c])
+                w = rng.choice([w for w, count in enumerate(counts) if count])
+                counts[w] -= 1
+                counts[min(c, max(0, w + step))] += 1
+                classes[c] = tuple(counts)
+        r = Readout(n, classes)
+        w = [r.weight(k) for k in range(1, n + 1)]
+        expected = _inconsistency(_sigma_from_weights_reference, w, n)
+        got = _inconsistency(reconstruct, r)
+        if expected is None or "symmetry" in expected:
+            assert got == expected, (n, classes)
+        else:
+            assert got is not None and "symmetry" not in got, (n, classes)
+        kinds[None if expected is None else "symmetry" in expected] += 1
+    # consistent weights, an unequal pair and a sigma out of range each
+    # come up often
+    assert len(kinds) == 3 and min(kinds.values()) > 50, kinds
 
 
 def exhaustive_strings(lengths):
@@ -383,7 +428,8 @@ def test_weight_sigma_relation_exhaustive():
 def test_sigma_roundtrip(s):
     r = full_readout(s)
     weights = [r.weight(k) for k in range(1, len(s) + 1)]
-    assert sigma_from_weights(weights, len(s)) == sigma_of_string(s)
+    assert _sigma_candidates(len(s), _first_half(weights)) == \
+        [sigma_of_string(s)]
 
 
 @settings(max_examples=200)

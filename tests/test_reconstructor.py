@@ -8,11 +8,10 @@ import pytest
 
 from compcodes import kernel, reconstructor
 from compcodes.channel import ErrorSpec, SplitMix64, apply, random_error, resolve
-from compcodes.codebooks import CodebookSpec, enumerate_codebook
-from compcodes.core import bits_to_bytes, full_readout, sigma_from_weights
+from compcodes.codebooks import CodebookSpec, enumerate_codebook, weight_sum_mod
+from compcodes.core import bits_to_bytes, full_readout
 from compcodes.errors import (
     CapabilityError,
-    InconsistentReadoutError,
     ResourceCapError,
     UndecodableError,
 )
@@ -663,8 +662,7 @@ def _sigma_candidates_reference(n, known, modulus=None, residue=0):
 
 def test_sigma_candidates_match_brute_force():
     # each draw also goes in once with every first-half weight known, as
-    # a clean readout gives them: the one sigma sigma_from_weights finds,
-    # or none where it finds the weights inconsistent
+    # a clean readout gives them, tampered or not: one sigma or none
     rng = SplitMix64(77)
     nonempty = inconsistent = 0
     for n in range(1, 15):  # m = ceil(n/2) <= 7
@@ -685,15 +683,31 @@ def test_sigma_candidates_match_brute_force():
                 assert got == _sigma_candidates_reference(
                     n, known, modulus, residue), (n, known, modulus, residue)
                 nonempty += bool(got)
-            try:
-                expected = [sigma_from_weights(weights, n)]
-            except InconsistentReadoutError:
-                expected = []
-                inconsistent += 1
-            assert _sigma_candidates(n, dict(enumerate(weights, 1))) == \
-                expected, (n, weights)
+            full = dict(enumerate(weights, 1))
+            expected = _sigma_candidates_reference(n, full)
+            assert _sigma_candidates(n, full) == expected, (n, weights)
+            assert len(expected) <= 1
+            inconsistent += not expected
     assert nonempty > 150
     assert inconsistent > 0
+
+
+def test_sigma_candidates_residue_filter_at_every_length():
+    # the linear residue of the leaves against the codebooks' weight sum
+    # of the string, beyond the reference's reach: with every first-half
+    # weight known, the string's own residue keeps its sigma, and every
+    # other residue keeps none
+    rng = SplitMix64(27)
+    for n in range(1, 256):
+        s = "".join(rng.choice("01") for _ in range(n))
+        r = full_readout(s)
+        known = {k: r.weight(k) for k in range(1, (n + 1) // 2 + 1)}
+        for modulus in (3, 5, 7, 31):
+            own = weight_sum_mod(s, modulus)
+            for residue in range(modulus):
+                expected = [sigma_of_string(s)] if residue == own else []
+                assert _sigma_candidates(n, known, modulus, residue) == \
+                    expected, (s, modulus, residue)
 
 
 @lru_cache(maxsize=None)
