@@ -39,9 +39,12 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Unbiased draw from [0, bound) by rejection."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Unbiased draw from [0, bound) by rejection, 1 <= bound <= 2**64.
+
+        A larger bound would leave no 64-bit draw to accept.
+        """
+        if not 1 <= bound <= 1 << 64:
+            raise ValueError(f"bound must be in [1, 2**64], got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             x = self.next_u64()

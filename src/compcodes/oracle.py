@@ -9,6 +9,25 @@ big-endian integer.  Per deletion pattern it ANDs every signature with
 of the masked integers shows whether any two codewords collide: the sweep
 is linear in the codebook's size per pattern.
 
+Before it masks any pattern, the scan keeps only the members that can
+collide at all, by the pigeonhole filter of approximate matching (split
+the key into t + 1 pieces, one of which must match exactly; Wu and
+Manber, CACM 1992).  Class k has the pair index i = min(k, n + 1 - k).
+No pattern touches more than t pair indices: asym_delete and skew delete
+at most t classes and never a class with its partner, the pair models
+at most t pairs, and t is read off the patterns themselves.  So each
+pattern misses one of the t + 1 groups of classes whose pair index is g
+modulo t + 1, and two members that it confuses agree on that whole
+group.  One mask per group, over the classes of the group, keeps every
+member whose masked signature another member shares.  Every colliding
+pair of every pattern lies among the kept members, which stay in
+lexicographic order, so the scan below finds the same witness on them.
+With fewer than two kept, nothing collides: a clean sweep of
+SDSprime:16 under two consecutive pairs masks its 3 groups and no
+pattern, and ``find_confusable_pair(16, "sym_pair_delete", 2)`` keeps
+427 of SR(16)'s 3 872 members.  With fewer than t + 1 pair indices a
+group is empty, every member agrees on it, and all are kept.
+
 Deleting more classes never separates two strings, so a pattern
 collides only if every pattern containing it does.  The scan therefore
 masks the maximal patterns first: those of the largest size, plus any
@@ -17,13 +36,12 @@ under asym_delete).  If none collides, the codebook is clean.  Otherwise
 it rescans in the fixed order (patterns ascending, strings
 lexicographic), masking only the unchecked patterns that no clean
 maximal one contains, so the first witness is the one a plain in-order
-scan finds.  A clean sweep of SDSprime:16 under two consecutive pairs
-masks 7 of its 16 patterns.  The cost is every maximal pattern that
-lies after the first witness in scan order: SR:16 under three symmetric
-pairs, whose first witness lies under two, masks 57 patterns where an
-in-order scan that stops at the witness masks 37.  When every non-empty
-pattern is maximal (t = 1), checking them first saves at most the empty
-pattern's mask, so that scan runs in order.
+scan finds.  The cost is every maximal pattern that lies after the
+first witness in scan order: SR:16 under three symmetric pairs, whose
+first witness lies under two, masks 57 patterns after its 4 groups,
+where an in-order scan that stops at the witness masks 37.  When every
+non-empty pattern is maximal (t = 1), checking them first saves at most
+the empty pattern's mask, so that scan runs in order.
 
 Only the first colliding pattern is bucketed, to pick its
 lexicographically smallest pair, and that witness is checked again with
@@ -34,8 +52,9 @@ all its strings in one batch.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 from . import kernel
 from .codebooks import CodebookSpec, enumerate_codebook
@@ -126,9 +145,40 @@ def deletion_patterns(model: str, t: int, n: int):
             yield frozenset(k for i in run for k in (i, n - i + 1))
 
 
+def _may_collide(sigs, n, patterns) -> list[bool]:
+    """Flag each member that agrees with another on a whole group of
+    classes, pair index modulo t + 1: only those can collide."""
+    groups = 1 + max(len({min(k, n + 1 - k) for k in p}) for p in patterns)
+    flags = [False] * len(sigs)
+    for g in range(groups):
+        mask = kernel.kept_mask(n, [k for k in range(1, n + 1)
+                                    if min(k, n + 1 - k) % groups != g])
+        twice = _shared_keys(sigs, mask)
+        if twice:
+            flags = [f or sig & mask in twice for f, sig in zip(flags, sigs)]
+    return flags
+
+
+def _shared_keys(sigs, mask) -> set[int]:
+    """The masked signatures that two or more members share."""
+    # counted in a call of its own, so that one group's counts are freed
+    # before the next group's are built
+    counts = Counter(map(mask.__and__, sigs))
+    if len(counts) == len(sigs):
+        return set()
+    return {key for key, count in counts.items() if count > 1}
+
+
 def _collision_scan(members, n, patterns) -> ConfusabilityWitness | None:
     sigs = [int.from_bytes(sig, "big")
             for sig in kernel.signatures(bits_to_bytes("".join(members)), n)]
+    patterns = list(patterns)
+    # every colliding pair lies among the flagged members, which keep
+    # their lexicographic order
+    flags = _may_collide(sigs, n, patterns)
+    members, sigs = list(compress(members, flags)), list(compress(sigs, flags))
+    if len(sigs) < 2:
+        return None
 
     def colliding_mask(pattern) -> int | None:
         mask = kernel.kept_mask(n, pattern)
@@ -136,7 +186,6 @@ def _collision_scan(members, n, patterns) -> ConfusabilityWitness | None:
 
     # a pattern inside a larger one never collides alone: check the
     # largest patterns and the smaller ones none of them contains first
-    patterns = list(patterns)
     top = max(map(len, patterns))
     largest = [p for p in patterns if len(p) == top]
     checked = {p for p in patterns

@@ -254,3 +254,18 @@ def test_splitmix_reference_values():
 def test_splitmix_below_is_in_range(seed, bound):
     rng = SplitMix64(seed)
     assert 0 <= rng.below(bound) < bound
+
+
+def test_splitmix_below_seeded_draws():
+    # the draw for 2**63 + 1 rejects the first output, 0xE220A8397B1DCDAF,
+    # and takes the second; 2**64 takes the fifth output as it is
+    rng = SplitMix64(0)
+    assert [rng.below(b) for b in (2 ** 63 + 1, 10, 97, 2 ** 64, 1)] == [
+        0x6E789E6AA1B965F4, 9, 35, 0x1B39896A51A8749B, 0]
+
+
+@pytest.mark.parametrize("bound", [0, -1, 2 ** 64 + 1, 2 ** 65])
+def test_splitmix_below_refuses_bounds_out_of_range(bound):
+    # above 2**64 no 64-bit draw could be accepted, so the draw never ended
+    with pytest.raises(ValueError, match=r"\[1, 2\*\*64\]"):
+        SplitMix64(0).below(bound)

@@ -267,6 +267,9 @@ def test_collision_scan_matches_pairwise_reference(monkeypatch):
     cases += [(CodebookSpec("SDSprime", n, t=t), "consecutive_sym_pair_delete", 3)
               for n in (10, 12) for t in (2, 3)]
     cases += [(CodebookSpec("SR", n), "asym_delete", 3) for n in range(4, 10)]
+    # four groups of classes over three to five pair indices: at n = 6
+    # one group is empty and every member is kept
+    cases += [(CodebookSpec("SR", n), "sym_pair_delete", 3) for n in (6, 8, 9)]
     outcomes = set()
     for spec, model, t in cases:
         got = verify_code_property(spec, model, t)
@@ -275,9 +278,7 @@ def test_collision_scan_matches_pairwise_reference(monkeypatch):
     assert outcomes == {True, False}  # both witnesses and clean sweeps
 
 
-def test_collision_scan_masks_maximal_patterns_first(monkeypatch):
-    # with no collision, only the seven runs of two consecutive pairs are
-    # masked: each of the other nine patterns lies inside one of them
+def _counting_kept_mask(monkeypatch):
     calls = []
     real_mask = kernel.kept_mask
 
@@ -286,32 +287,41 @@ def test_collision_scan_masks_maximal_patterns_first(monkeypatch):
         return real_mask(n, drop)
 
     monkeypatch.setattr(kernel, "kept_mask", counting_mask)
+    return calls
+
+
+# the classes each group mask keeps at n = 16 under two pairs: pair
+# index i = min(k, 17 - k) is 0, 1 and 2 modulo 3
+_GROUPS_16 = [{3, 6, 11, 14}, {1, 4, 7, 10, 13, 16}, {2, 5, 8, 9, 12, 15}]
+
+
+def test_collision_scan_masks_maximal_patterns_first(monkeypatch):
+    # with no collision, no two members agree on any of the three groups,
+    # so no deletion pattern is masked at all
+    calls = _counting_kept_mask(monkeypatch)
     spec = CodebookSpec("SDSprime", 16, t=2, a=0)
     assert verify_code_property(spec, "consecutive_sym_pair_delete", 2) is None
-    assert len(calls) == 7 and all(len(p) == 4 for p in calls)
-    # with a witness, the 28 two-pair patterns; each earlier pattern lies
-    # inside a clean one, and the first witness is one of the 28
+    assert [set(range(1, 17)) - p for p in calls] == _GROUPS_16
+    # with a witness, the group masks, then the 28 two-pair patterns; each
+    # earlier pattern lies inside a clean one, and the first witness is
+    # one of the 28
     calls.clear()
     w = find_confusable_pair(16, "sym_pair_delete", 2)
     assert w.deleted_classes == frozenset({7, 8, 9, 10})
-    assert len(calls) == 28 and all(len(p) == 4 for p in calls)
+    assert [set(range(1, 17)) - p for p in calls[:3]] == _GROUPS_16
+    assert len(calls) == 3 + 28 and all(len(p) == 4 for p in calls[3:])
 
 
 def test_collision_scan_runs_in_order_when_every_pattern_is_maximal(
         monkeypatch):
     # at t = 1 checking the maximal patterns first could save only the
-    # empty pattern: the scan masks in order and stops at the witness
-    calls = []
-    real_mask = kernel.kept_mask
-
-    def counting_mask(n, drop):
-        calls.append(frozenset(drop))
-        return real_mask(n, drop)
-
-    monkeypatch.setattr(kernel, "kept_mask", counting_mask)
+    # empty pattern: after the two group masks (pair index even, odd) the
+    # scan masks in order and stops at the witness
+    calls = _counting_kept_mask(monkeypatch)
     w = verify_code_property(CodebookSpec("SR", 6), "sym_pair_delete", 1)
     assert w.deleted_classes == frozenset({3, 4})
-    assert calls == list(deletion_patterns("sym_pair_delete", 1, 6))
+    assert calls == [frozenset({1, 3, 4, 6}), frozenset({2, 5}),
+                     *deletion_patterns("sym_pair_delete", 1, 6)]
 
 
 def test_collision_scan_checks_patterns_no_largest_one_contains():
