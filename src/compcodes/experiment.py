@@ -34,6 +34,11 @@ class ExperimentConfig:
     cross_check_cap: int = DEFAULT_CROSS_CHECK_CAP
 
     def __post_init__(self):
+        # errors and seed are checked as exact ints by channel below
+        for field in ("trials", "cross_check_cap"):
+            value = getattr(self, field)
+            if type(value) is not int:
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
         # each trial draws this spec under its own seed, so a model or

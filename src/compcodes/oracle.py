@@ -28,26 +28,18 @@ pattern, and ``find_confusable_pair(16, "sym_pair_delete", 2)`` keeps
 427 of SR(16)'s 3 872 members.  With fewer than t + 1 pair indices a
 group is empty, every member agrees on it, and all are kept.
 
-Deleting more classes never separates two strings, so a pattern
-collides only if every pattern containing it does.  The scan therefore
-masks the maximal patterns first: those of the largest size, plus any
-smaller one that none of them contains (the lone centre class of odd n
-under asym_delete).  If none collides, the codebook is clean.  Otherwise
-it rescans in the fixed order (patterns ascending, strings
-lexicographic), masking only the unchecked patterns that no clean
-maximal one contains, so the first witness is the one a plain in-order
-scan finds.  The cost is every maximal pattern that lies after the
-first witness in scan order: SR:16 under three symmetric pairs, whose
-first witness lies under two, masks 57 patterns after its 4 groups,
-where an in-order scan that stops at the witness masks 37.  When every
-non-empty pattern is maximal (t = 1), checking them first saves at most
-the empty pattern's mask, so that scan runs in order.
+The scan then masks the patterns in the fixed order (patterns
+ascending, strings lexicographic) and stops at the first whose masked
+keys repeat.  No pass over the largest patterns runs first: deleting
+more classes never separates two strings, so such a pass would show a
+codebook clean early, but the filter already ends clean sweeps like
+SDSprime:16's before any pattern is masked.
 
-Only the first colliding pattern is bucketed, to pick its
-lexicographically smallest pair, and that witness is checked again with
-``ConfusabilityWitness.verify``, which signs its two strings one at a
-time with ``kernel.full_signature``.  ``count_classes`` likewise signs
-all its strings in one batch.
+The witness is the colliding pattern's lexicographically smallest pair:
+the first kept member whose key repeats and the next with that key.  It
+is checked again with ``ConfusabilityWitness.verify``, which signs its
+two strings one at a time with ``kernel.full_signature``.
+``count_classes`` likewise signs all its strings in one batch.
 """
 
 from __future__ import annotations
@@ -107,6 +99,13 @@ def count_classes(n: int, cap: int = DEFAULT_CAP) -> tuple[int, list[str]]:
     return len(reps), sorted(reps.values())
 
 
+def _check_model(model: str, t: int) -> None:
+    if model not in PROPERTY_MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    if t < 1:
+        raise ValueError(f"deletion patterns need t >= 1, got t={t}")
+
+
 def deletion_patterns(model: str, t: int, n: int):
     """Deletion patterns of the error model, ascending, empty set included.
 
@@ -117,10 +116,7 @@ def deletion_patterns(model: str, t: int, n: int):
     indices.  skew uses the asymmetric pattern universe (one corrupted
     class per symmetric pair, localized and dropped by the decoder).
     """
-    if model not in PROPERTY_MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    if t < 1:
-        raise ValueError(f"deletion patterns need t >= 1, got t={t}")
+    _check_model(model, t)
     yield frozenset()
     if model in ("asym_delete", "skew"):
         center = (n + 1) // 2 if n % 2 else None
@@ -179,54 +175,20 @@ def _collision_scan(members, n, patterns) -> ConfusabilityWitness | None:
     members, sigs = list(compress(members, flags)), list(compress(sigs, flags))
     if len(sigs) < 2:
         return None
-
-    def colliding_mask(pattern) -> int | None:
-        mask = kernel.kept_mask(n, pattern)
-        return mask if len(set(map(mask.__and__, sigs))) < len(sigs) else None
-
-    # a pattern inside a larger one never collides alone: check the
-    # largest patterns and the smaller ones none of them contains first
-    top = max(map(len, patterns))
-    largest = [p for p in patterns if len(p) == top]
-    checked = {p for p in patterns
-               if len(p) == top or not any(p <= q for q in largest)}
-    hits: dict[frozenset, int] = {}
-    clean: list[frozenset] = []
-    if len(checked) + 1 < len(patterns):
-        for p in checked:
-            mask = colliding_mask(p)
-            if mask is None:
-                clean.append(p)
-            else:
-                hits[p] = mask
-        if not hits:
-            return None
-    else:
-        # every non-empty pattern is maximal (t = 1): checking them first
-        # saves at most the empty pattern's mask, so scan in order
-        checked = set()
-    # in scan order, masking only what no clean pattern contains
     for pattern in patterns:
-        mask = hits.get(pattern)
-        if mask is None and pattern not in checked and not any(
-                pattern <= q for q in clean):
-            mask = colliding_mask(pattern)
-        if mask is not None:
+        mask = kernel.kept_mask(n, pattern)
+        if len(set(map(mask.__and__, sigs))) < len(sigs):
             break
     else:
         return None
-    buckets: dict[int, str] = {}
-    best: tuple[str, str] | None = None
-    for s, sig in zip(members, sigs):
-        key = sig & mask
-        other = buckets.get(key)
-        if other is not None:
-            pair = (other, s) if other < s else (s, other)
-            if best is None or pair < best:
-                best = pair
-        else:
-            buckets[key] = s
-    witness = ConfusabilityWitness(best[0], best[1], frozenset(pattern))
+    # members are in lexicographic order, so the smallest pair is the
+    # first member whose key repeats and the next one with that key
+    twice = _shared_keys(sigs, mask)
+    keys = [sig & mask for sig in sigs]
+    first = next(i for i, key in enumerate(keys) if key in twice)
+    second = keys.index(keys[first], first + 1)
+    witness = ConfusabilityWitness(members[first], members[second],
+                                   frozenset(pattern))
     # verify() signs the pair again with full_signature: a fault in
     # the batch kernel must not pass as a finding
     if not witness.verify():
@@ -243,6 +205,9 @@ def verify_code_property(spec: CodebookSpec, model: str, t: int,
     pattern of the model with at most t errors, otherwise the first
     witness in scan order.
     """
+    # deletion_patterns checks these only once iterated, after the
+    # codebook is enumerated and signed
+    _check_model(model, t)
     if spec.n > cap:
         raise ResourceCapError(f"verification capped at n <= {cap}")
     members = enumerate_codebook(spec)

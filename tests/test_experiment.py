@@ -66,6 +66,16 @@ def test_config_refuses_errors_no_trial_can_draw():
                              trials=0, seed=1)
 
 
+def test_config_refuses_non_integer_trials_and_cap():
+    # 2.5 and None fail only inside run_experiment, and True would run
+    # one trial with "trials": true in the config hash
+    for field, value in (("trials", 2.5), ("trials", True),
+                         ("cross_check_cap", None), ("cross_check_cap", 12.0)):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(CodebookSpec("SR", 9), "asym_delete", errors=1,
+                             seed=1, **{"trials": 3, field: value})
+
+
 def test_different_seeds_differ():
     base = dict(spec=CodebookSpec("SR", 9), model="asym_delete",
                 errors=1, trials=10)

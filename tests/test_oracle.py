@@ -127,6 +127,18 @@ def test_deletion_patterns_reject_t_below_one():
                 verify_code_property(CodebookSpec("SR", 8), model, t)
 
 
+def test_verify_refuses_model_and_t_before_enumerating(monkeypatch):
+    def no_enumeration(spec):
+        raise AssertionError("enumerated before checking model and t")
+
+    monkeypatch.setattr(oracle, "enumerate_codebook", no_enumeration)
+    spec = CodebookSpec("SR", 22)
+    with pytest.raises(ValueError, match="t=0"):
+        verify_code_property(spec, "asym_delete", 0, cap=22)
+    with pytest.raises(ValueError, match="unknown model 'erase'"):
+        verify_code_property(spec, "erase", 1, cap=22)
+
+
 def test_single_error_guarantees_midrange():
     for n in (7, 8, 9, 10):
         assert verify_code_property(CodebookSpec("SR", n), "asym_delete", 1) is None
@@ -259,8 +271,8 @@ def test_collision_scan_matches_pairwise_reference(monkeypatch):
     # here the first colliding member in scan order is not in the
     # lexicographically smallest colliding pair
     cases.append((CodebookSpec("SDSprime", 10, t=2), "sym_pair_delete", 3))
-    # the first witness {3, 4} lies under a pattern that no maximal one
-    # rules out, so the scan finds it only by rescanning in order
+    # the first witness {3, 4} lies under one pair, inside two of the
+    # two-pair patterns that follow it in scan order
     cases.append((CodebookSpec("SR", 6), "sym_pair_delete", 2))
     # t = 3: most patterns sit inside a larger one; the lone odd centre
     # of asym_delete sits inside none
@@ -295,28 +307,28 @@ def _counting_kept_mask(monkeypatch):
 _GROUPS_16 = [{3, 6, 11, 14}, {1, 4, 7, 10, 13, 16}, {2, 5, 8, 9, 12, 15}]
 
 
-def test_collision_scan_masks_maximal_patterns_first(monkeypatch):
+def test_collision_scan_masks_patterns_in_scan_order(monkeypatch):
     # with no collision, no two members agree on any of the three groups,
     # so no deletion pattern is masked at all
     calls = _counting_kept_mask(monkeypatch)
     spec = CodebookSpec("SDSprime", 16, t=2, a=0)
     assert verify_code_property(spec, "consecutive_sym_pair_delete", 2) is None
     assert [set(range(1, 17)) - p for p in calls] == _GROUPS_16
-    # with a witness, the group masks, then the 28 two-pair patterns; each
-    # earlier pattern lies inside a clean one, and the first witness is
-    # one of the 28
+    # with a witness, the group masks, then the patterns in scan order up
+    # to the first that collides
     calls.clear()
     w = find_confusable_pair(16, "sym_pair_delete", 2)
     assert w.deleted_classes == frozenset({7, 8, 9, 10})
     assert [set(range(1, 17)) - p for p in calls[:3]] == _GROUPS_16
-    assert len(calls) == 3 + 28 and all(len(p) == 4 for p in calls[3:])
+    patterns = list(deletion_patterns("sym_pair_delete", 2, 16))
+    assert calls[3:] == patterns[:patterns.index(w.deleted_classes) + 1]
+    assert len(calls) == 3 + 37
 
 
 def test_collision_scan_runs_in_order_when_every_pattern_is_maximal(
         monkeypatch):
-    # at t = 1 checking the maximal patterns first could save only the
-    # empty pattern: after the two group masks (pair index even, odd) the
-    # scan masks in order and stops at the witness
+    # after the two group masks (pair index even, odd) the scan masks in
+    # order and stops at the witness
     calls = _counting_kept_mask(monkeypatch)
     w = verify_code_property(CodebookSpec("SR", 6), "sym_pair_delete", 1)
     assert w.deleted_classes == frozenset({3, 4})
@@ -359,6 +371,10 @@ def test_collision_scan_matches_joined_key_scan():
     cases += [(CodebookSpec("SDSprime", 12, t=2, a=a), model, 2)
               for a in (0, 1, 2) for model in ("consecutive_sym_pair_delete",
                                                 "asym_delete")]
+    # t = 3: the first witness {7, 8, 9, 10} lies under a two-pair pattern
+    # that three-pair ones contain, and {5, 6, 7} under three classes
+    cases += [(CodebookSpec("SR", 16), "sym_pair_delete", 3),
+              (CodebookSpec("SR", 14), "asym_delete", 3)]
     outcomes = set()
     for spec, model, t in cases:
         got = verify_code_property(spec, model, t)
