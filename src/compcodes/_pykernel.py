@@ -45,8 +45,13 @@ _WINDOWS_PER_COUNT = 7
 # the largest class has 256
 _BLOCK = 2048
 
-# _EQ[w] translates byte w to 1 and every other byte to 0
-_EQ = [bytes(w) + b"\1" + bytes(255 - w) for w in range(256)]
+# _PAIR[p] translates byte 2p to 1, byte 2p + 1 to 16 and every other
+# byte to 0: one translate counts two weights, in a lane's two nibbles
+_PAIR = [bytes(2 * p) + b"\1\x10" + bytes(254 - 2 * p) for p in range(128)]
+
+# _bit_sliced adds at most this many windows into a nibble, the most a
+# nibble holds, before it splits the two counts into byte lanes
+_RUN = 15
 
 
 def _as_bytes(buffer) -> bytes:
@@ -128,12 +133,14 @@ def signatures(rows, n: int) -> list[bytes]:
     step = _CHUNK_ROWS * n
     for lo in range(0, len(rows), step):
         chunk = rows[lo:lo + step]
-        # a bit-sliced pass costs about n^3/6 lane operations per chunk
-        # however few its rows, so a small chunk is signed row by row.  It
-        # switches at n^2/8 rows (32, 72, 200 at n = 16, 24, 40); measured,
-        # bit-sliced overtakes row by row at about 19, 33 and 77 rows, and
-        # at n^2/8 rows it takes 0.6-0.65 of the row-by-row time
-        if 8 * (len(chunk) // n) < n * n:
+        # a bit-sliced pass costs about n^3/12 lane operations per chunk
+        # however few its rows, so a small chunk is signed row by row.
+        # Measured, bit-slicing overtakes at about 12, 16, 23, 42, 88 and
+        # 230 rows at n = 11, 16, 24, 40, 64 and 100; at n = 128 a whole
+        # chunk gains 6%, and from n = 160 none gains.  It switches at
+        # 120n/(140 - n) rows: 11, 16, 25, 48, 102 and 300 at those n, and
+        # never within a chunk from n = 126
+        if len(chunk) // n * (140 - n) < 120 * n:
             out += [full_signature(chunk[i:i + n])
                     for i in range(0, len(chunk), n)]
         else:
@@ -148,20 +155,31 @@ def _bit_sliced(chunk: bytes, n: int) -> list[bytes]:
     plane i is ``chunk[i::n]``, prefix sums add planes, and a window's
     weights are a difference of two prefix sums.  No lane borrows (prefix
     sums never decrease) and none carries (a count is at most n - k + 1).
+    Weights 2p and 2p + 1 are counted together, in the low and high
+    nibble of each lane, over runs of at most ``_RUN`` windows; after each
+    run the nibbles are split into the two weights' byte lanes.
     """
     rows = len(chunk) // n
     from_bytes = int.from_bytes
+    low = from_bytes(b"\x0f" * rows, "big")
     pref = [0]
     for i in range(n):
         pref.append(pref[-1] + from_bytes(chunk[i::n], "big"))
     planes = []
     for k in range(1, n + 1):
-        counts = [0] * (k + 1)
-        for j in range(n - k + 1):
-            window = (pref[j + k] - pref[j]).to_bytes(rows, "big")
-            for w in range(k + 1):
-                counts[w] += from_bytes(window.translate(_EQ[w]), "big")
-        planes += [c.to_bytes(rows, "big") for c in counts]
+        tables = _PAIR[:k // 2 + 1]
+        counts = [0] * (2 * len(tables))
+        for start in range(0, n - k + 1, _RUN):
+            packed = [0] * len(tables)
+            for j in range(start, min(start + _RUN, n - k + 1)):
+                window = (pref[j + k] - pref[j]).to_bytes(rows, "big")
+                for p, table in enumerate(tables):
+                    packed[p] += from_bytes(window.translate(table), "big")
+            for p, both in enumerate(packed):
+                counts[2 * p] += both & low
+                counts[2 * p + 1] += both >> 4 & low
+        # an even k has no weight k + 1: its count is always 0
+        planes += [c.to_bytes(rows, "big") for c in counts[:k + 1]]
     # plane by plane, in signature order: row s's signature is every
     # rows-th byte from s
     joined = b"".join(planes)

@@ -7,10 +7,11 @@ benchmark's gated runs).
 
 ``full_signature`` signs one string.  ``signatures`` signs a batch of
 strings of one length, passed as one concatenated buffer; the oracle's
-sweeps sign whole codebooks that way.  The pure kernel bit-slices a batch
-across rows when it holds at least n^2/8 rows, else signs row by row.  The
-rule is cautious: bit-slicing was measured to overtake at about 19, 33 and
-77 rows at n = 16, 24 and 40 (2-vCPU Intel Xeon, Python 3.11).
+sweeps sign whole codebooks that way.  The pure kernel bit-slices a chunk
+of a batch across rows when it holds at least 120n/(140 - n) rows (16, 25
+and 48 rows at n = 16, 24 and 40; never from n = 126), else signs row by
+row.  Bit-slicing was measured to overtake at about 16, 23 and 42 rows at
+those n (2-vCPU Intel Xeon, Python 3.11).
 """
 
 import os

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 
 from . import kernel
 from .codebooks import CodebookSpec, enumerate_codebook
@@ -89,14 +89,25 @@ def count_classes(n: int, cap: int = DEFAULT_CAP) -> tuple[int, list[str]]:
         raise ValueError(f"count_classes needs n >= 1, got n={n}")
     if n > cap:
         raise ResourceCapError(f"count_classes capped at n <= {cap}")
-    # a string and its reversal share a readout, so a class's smallest
-    # member is never larger than its reversal: skip the strings that are
-    strings = [s for s in map(f"{{:0{n}b}}".format, range(2 ** n)) if s <= s[::-1]]
-    strings.reverse()
-    # dict() keeps each key's last value: scanning downward, the smallest
+    strings = _class_candidates(n)
+    # dict() keeps each key's last value: listed downward, the smallest
     sigs = kernel.signatures(bits_to_bytes("".join(strings)), n)
     reps = dict(zip(sigs, strings))
     return len(reps), sorted(reps.values())
+
+
+def _class_candidates(n: int) -> list[str]:
+    """The length-n strings no larger than their reversal, downward.
+
+    A string and its reversal share a readout, so a class's smallest
+    member is never larger than its reversal.  s = a + m + b, from halves
+    a and b and the middle bit m of odd n, is no larger than its reversal
+    exactly when a <= b[::-1]: only the halves are formatted and reversed.
+    """
+    halves = list(map("".join, product("10", repeat=n // 2)))  # downward
+    mirrored = [(b, b[::-1]) for b in halves]
+    return [a + m + b for a in halves for m in ("10" if n % 2 else [""])
+            for b, b_reversed in mirrored if a <= b_reversed]
 
 
 def _check_model(model: str, t: int) -> None:

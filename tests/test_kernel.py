@@ -213,9 +213,9 @@ def test_signatures_of_random_batches(backend):
             rows = rng.randbytes(n * count).translate(_LOW_BIT)
             assert backend.signatures(rows, n) == _row_by_row(rows, n), (n, count)
     # past one chunk, and on both sides of the pure kernel's switch from
-    # row by row to bit-sliced at n^2/8 rows
+    # row by row to bit-sliced at 120n/(140 - n) rows
     for n, count in ((11, _pykernel._CHUNK_ROWS + 1), (16, _pykernel._CHUNK_ROWS + 1),
-                     (24, 71), (24, 72), (40, 199), (40, 200)):
+                     (24, 24), (24, 25), (40, 47), (40, 48)):
         rows = rng.randbytes(n * count).translate(_LOW_BIT)
         assert backend.signatures(rows, n) == _row_by_row(rows, n), (n, count)
 
@@ -227,6 +227,19 @@ def test_signatures_of_constant_rows(backend):
         rows = (bytes(n) + bytes([1]) * n) * (count // 2)
         assert backend.signatures(rows, n) == _row_by_row(rows, n), n
     assert max(backend.signatures(bytes(255), 255)[0]) == 255
+
+
+def test_signatures_of_constant_and_periodic_rows(backend):
+    # one or two weights fill each class.  The pure kernel's packed pass
+    # adds up to 15 windows per nibble: class 1 has one full run of 15
+    # windows at n = 15, a run of 15 and one of 1 at n = 16, and two full
+    # runs plus 0, 1 or 2 windows at n = 30, 31 and 32
+    for n in (15, 16, 30, 31, 32):
+        rows = b"".join([bytes(n), bytes([1]) * n, (b"\0\1" * n)[:n],
+                         (b"\0\0\1\1" * n)[:n]]) * 16
+        want = _row_by_row(rows, n)
+        assert backend.signatures(rows, n) == want, n
+        assert _pykernel._bit_sliced(rows, n) == want, n
 
 
 def test_signatures_reject_bad_input_alike(ckernel):

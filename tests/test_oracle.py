@@ -86,6 +86,15 @@ def test_count_classes_matches_plain_loop():
         assert count_classes(n) == (len(reps), sorted(reps.values())), n
 
 
+def test_class_candidates_match_the_reversal_filter():
+    # the strings built from halves are those no larger than their
+    # reversal, downward, for odd and even n
+    for n in range(1, 17):
+        strings = [format(x, f"0{n}b") for x in range(2 ** n)]
+        assert oracle._class_candidates(n) == [s for s in reversed(strings)
+                                               if s <= s[::-1]], n
+
+
 def test_count_classes_cap():
     with pytest.raises(ResourceCapError):
         count_classes(17)
@@ -325,8 +334,7 @@ def test_collision_scan_masks_patterns_in_scan_order(monkeypatch):
     assert len(calls) == 3 + 37
 
 
-def test_collision_scan_runs_in_order_when_every_pattern_is_maximal(
-        monkeypatch):
+def test_collision_scan_stops_at_the_first_colliding_pattern(monkeypatch):
     # after the two group masks (pair index even, odd) the scan masks in
     # order and stops at the witness
     calls = _counting_kept_mask(monkeypatch)
