@@ -10,17 +10,22 @@ An entry of class k is named by its wire pair (z, w), z zeros and w ones
 with z + w = k; only its weight w decides where it lands in the readout.
 ``ErrorSpec`` holds the one validator of every spec, wherever it comes
 from: ``formats.parse_error_spec`` hands it the decoded JSON unchanged.
+
+``ERROR_MODELS`` is the one place where an error model is defined; the
+models the channel draws (``MODELS``) and those the oracle scans
+(``oracle.PROPERTY_MODELS``) are read off it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
 from typing import Sequence
 
 from .core import Readout
 from .errors import InvalidErrorSpecError, InvalidSkewError
-
-MODELS = ("asym_delete", "sym_pair_delete", "insert", "skew")
 
 _MASK = (1 << 64) - 1
 
@@ -86,7 +91,7 @@ class ErrorSpec:
                 "exactly one of explicit targets or count+seed is required")
         if explicit:
             object.__setattr__(self, "targets",
-                               _TARGET_CHECKS[self.model](self.targets))
+                               ERROR_MODELS[self.model].check(self.targets))
             return
         if self.count is None or self.seed is None:
             raise InvalidErrorSpecError("seeded specs need both count and seed")
@@ -125,10 +130,11 @@ def _entry(value) -> tuple[int, int]:
     return z, w
 
 
-# One validator per model.  With n=None (at ErrorSpec construction) they
-# check everything that does not depend on the readout length; apply()
-# calls them again with n to add the range and partner checks.  Each
-# returns the targets as nested tuples, in the order given.
+def _partner(k: int, n: int) -> int | None:
+    """The other class of k's symmetric pair, None for the centre of odd
+    n.  A single-class model never corrupts a class with its partner."""
+    return None if 2 * k == n + 1 else n - k + 1
+
 
 def _asym_targets(targets, n=None) -> tuple[int, ...]:
     classes = tuple(_exact_int(k, "class index")
@@ -143,8 +149,8 @@ def _asym_targets(targets, n=None) -> tuple[int, ...]:
             continue
         if k > n:
             raise InvalidErrorSpecError(f"class {k} outside [1, {n}]")
-        p = n - k + 1
-        if p != k and p in seen:
+        p = _partner(k, n)
+        if p in seen:
             raise InvalidErrorSpecError(
                 f"classes {k} and {p} are mutually symmetric")
     return classes
@@ -198,22 +204,9 @@ def _skew_targets(targets, n=None) -> tuple[tuple[int, tuple, tuple], ...]:
     return tuple(out)
 
 
-_TARGET_CHECKS = {
-    "asym_delete": _asym_targets,
-    "sym_pair_delete": _pair_targets,
-    "insert": _insert_targets,
-    "skew": _skew_targets,
-}
-
-
 def _check_capacity(e: ErrorSpec, n: int):
     """Refuse a seeded spec with more errors than length n can absorb."""
-    capacity = {
-        "asym_delete": n // 2,
-        "sym_pair_delete": n // 2,
-        "skew": n // 2 + n % 2,
-        "insert": n,
-    }[e.model]
+    capacity = ERROR_MODELS[e.model].capacity(n)
     if e.count > capacity:
         raise InvalidErrorSpecError(
             f"{e.model} supports at most {capacity} errors at n={n}")
@@ -226,58 +219,55 @@ def random_error(model: str, count: int, seed: int, n: int) -> ErrorSpec:
     return spec
 
 
-def _draw_targets(r: Readout, e: ErrorSpec) -> tuple:
-    n = r.n
-    rng = SplitMix64(e.seed)
-    if e.model == "asym_delete":
-        # drawing a class burns its partner too; center excluded (it is
-        # its own partner, so deleting it is never asymmetric)
-        pool = [k for k in range(1, n + 1) if n - k + 1 != k]
-        picked = []
-        for _ in range(e.count):
-            k = rng.choice(sorted(pool))
-            picked.append(k)
-            pool.remove(k)
-            pool.remove(n - k + 1)
-        return tuple(sorted(picked))
-    if e.model == "sym_pair_delete":
-        pool = list(range(1, n // 2 + 1))
-        picked = []
-        for _ in range(e.count):
-            i = rng.choice(pool)
-            picked.append((i, n - i + 1))
-            pool.remove(i)
-        return tuple(sorted(picked))
-    if e.model == "insert":
-        out = []
-        for _ in range(e.count):
-            k = rng.below(n) + 1
-            w = rng.below(k + 1)
-            out.append((k, (k - w, w)))
-        return tuple(out)
-    # skew: distinct classes, no two mutually symmetric, resampling
-    # classes that offer no weight to shed
-    pool = [k for k in range(1, n + 1) if k in r.classes]
+def _draw_asym(rng: SplitMix64, r: Readout, count: int) -> tuple:
+    # drawing a class burns its partner too; the centre is excluded (it
+    # is its own partner, so deleting it is never asymmetric)
+    pool = [k for k in range(1, r.n + 1) if _partner(k, r.n)]
+    picked = []
+    for _ in range(count):
+        k = rng.choice(sorted(pool))
+        picked.append(k)
+        pool = [j for j in pool if j not in (k, _partner(k, r.n))]
+    return tuple(sorted(picked))
+
+
+def _draw_pairs(rng: SplitMix64, r: Readout, count: int) -> tuple:
+    pool = list(range(1, r.n // 2 + 1))
+    picked = []
+    for _ in range(count):
+        i = rng.choice(pool)
+        picked.append((i, r.n - i + 1))
+        pool.remove(i)
+    return tuple(sorted(picked))
+
+
+def _draw_inserts(rng: SplitMix64, r: Readout, count: int) -> tuple:
     out = []
-    for _ in range(e.count):
+    for _ in range(count):
+        k = rng.below(r.n) + 1
+        w = rng.below(k + 1)
+        out.append((k, (k - w, w)))
+    return tuple(out)
+
+
+def _draw_skews(rng: SplitMix64, r: Readout, count: int) -> tuple:
+    # distinct classes, none with its partner, the centre allowed with
+    # others; classes that offer no weight to shed are resampled
+    pool = [k for k in range(1, r.n + 1) if k in r.classes]
+    out = []
+    for _ in range(count):
         while True:
             if not pool:
                 raise InvalidErrorSpecError("no skewable class available")
             k = rng.choice(sorted(pool))
             counts = r.classes[k]
             total = sum(counts) - counts[0]
-            if not total:
-                pool.remove(k)
-                continue
-            break
-        pool.remove(k)
-        p = n - k + 1
-        if p in pool:
-            pool.remove(p)
+            if total:
+                break
+            pool.remove(k)
+        pool = [j for j in pool if j not in (k, _partner(k, r.n))]
         pick = rng.below(total)
-        # weights from k down to 1: seeded draws are pinned across
-        # versions, so this order must not change
-        for old_w in range(k, 0, -1):
+        for old_w in range(k, 0, -1):  # weights from k down to 1
             if pick < counts[old_w]:
                 break
             pick -= counts[old_w]
@@ -286,44 +276,89 @@ def _draw_targets(r: Readout, e: ErrorSpec) -> tuple:
     return tuple(out)
 
 
+def _delete(r: Readout, classes) -> Readout:
+    for k in classes:
+        if k not in r.classes:
+            raise InvalidErrorSpecError(f"class {k} already absent")
+    return r.restrict(classes)
+
+
+def _recount(r: Readout, moves) -> Readout:
+    """r with each (k, old, new) move made: an entry ``old`` of class k, if
+    given, read as ``new``.  A count is lowered only when it is at least 1,
+    so every vector is valid and the copy skips ``Readout``'s check."""
+    classes = dict(r.classes)
+    for k, old, new in moves:
+        counts = list(classes.get(k, (0,) * (k + 1)))
+        if old:
+            if counts[old[1]] < 1:
+                raise InvalidErrorSpecError(f"no entry {old} in class {k}")
+            counts[old[1]] -= 1
+        counts[new[1]] += 1
+        classes[k] = tuple(counts)
+    return Readout._from_valid(r.n, classes)
+
+
+def _classes_apart(t: int, n: int, centre_alone: bool = False):
+    """At most t classes, none with its partner; with centre_alone, the
+    centre of odd n only by itself."""
+    for size in range(1, t + 1):
+        for combo in combinations(range(1, n + 1), size):
+            partners = [_partner(k, n) for k in combo]
+            if not any(p in combo for p in partners) and (
+                    size == 1 or not centre_alone or None not in partners):
+                yield frozenset(combo)
+
+
+def _pairs(t: int, n: int, consecutive: bool = False):
+    """At most t symmetric pairs; with consecutive, only runs of pairs
+    with consecutive first-half indices."""
+    for size in range(1, t + 1):
+        for combo in combinations(range(1, n // 2 + 1), size):
+            if not consecutive or combo[-1] - combo[0] == size - 1:
+                yield frozenset(k for i in combo for k in (i, n - i + 1))
+
+
+# Per model: check(targets, n=None) validates explicit targets, without n
+# at ErrorSpec construction and again in apply() with n, which adds the
+# range and partner checks, and returns them as nested tuples in the order
+# given; capacity(n) is the most errors a seeded spec may ask at length n;
+# draw(rng, r, count), whose use of the generator seeded specs pin,
+# resolves one against r; corrupt(r, targets) is what apply() does; and
+# patterns(t, n) is the universe of t errors, ascending.  A side that a
+# model lacks is None.
+ErrorModel = namedtuple("ErrorModel", "check capacity draw corrupt patterns",
+                        defaults=(None,) * 5)
+ERROR_MODELS = {
+    "asym_delete": ErrorModel(_asym_targets, lambda n: n // 2, _draw_asym,
+                              _delete, partial(_classes_apart,
+                                               centre_alone=True)),
+    "sym_pair_delete": ErrorModel(
+        _pair_targets, lambda n: n // 2, _draw_pairs,
+        lambda r, pairs: _delete(r, [k for pair in pairs for k in pair]),
+        _pairs),
+    "insert": ErrorModel(
+        _insert_targets, lambda n: n, _draw_inserts,
+        lambda r, targets: _recount(r, [(k, None, e) for k, e in targets])),
+    "consecutive_sym_pair_delete": ErrorModel(
+        patterns=partial(_pairs, consecutive=True)),
+    "skew": ErrorModel(_skew_targets, lambda n: n // 2 + n % 2, _draw_skews,
+                       _recount, _classes_apart),
+}
+MODELS = tuple(name for name, model in ERROR_MODELS.items() if model.draw)
+
+
 def resolve(r: Readout, e: ErrorSpec) -> ErrorSpec:
     """Explicit-target equivalent of e against readout r (for logging)."""
     if not e.is_seeded():
         return e
     _check_capacity(e, r.n)
-    return ErrorSpec(e.model, targets=_draw_targets(r, e))
+    draw = ERROR_MODELS[e.model].draw
+    return ErrorSpec(e.model, targets=draw(SplitMix64(e.seed), r, e.count))
 
 
 def apply(r: Readout, e: ErrorSpec) -> Readout:
-    """Corrupted copy of r; untargeted classes are untouched.
-
-    The targets are checked against r.n before any vector changes, and a
-    skew lowers a count only when it is at least 1, so every vector built
-    here is valid and the copy skips ``Readout``'s check.
-    """
+    """Corrupted copy of r; untargeted classes are untouched."""
     e = resolve(r, e)
-    n = r.n
-    targets = _TARGET_CHECKS[e.model](e.targets, n)
-    if e.model == "sym_pair_delete":
-        targets = [k for pair in targets for k in pair]
-    if e.model in ("asym_delete", "sym_pair_delete"):
-        for k in targets:
-            if k not in r.classes:
-                raise InvalidErrorSpecError(f"class {k} already absent")
-        return r.restrict(targets)
-    classes = dict(r.classes)
-    if e.model == "insert":
-        for k, (_, w) in targets:
-            counts = list(classes.get(k, (0,) * (k + 1)))
-            counts[w] += 1
-            classes[k] = tuple(counts)
-        return Readout._from_valid(n, classes)
-    for k, old, new in targets:
-        old_w, new_w = old[1], new[1]
-        if k not in r.classes or classes[k][old_w] < 1:
-            raise InvalidErrorSpecError(f"no entry {old} in class {k}")
-        counts = list(classes[k])
-        counts[old_w] -= 1
-        counts[new_w] += 1
-        classes[k] = tuple(counts)
-    return Readout._from_valid(n, classes)
+    model = ERROR_MODELS[e.model]
+    return model.corrupt(r, model.check(e.targets, r.n))

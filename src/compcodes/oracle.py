@@ -1,6 +1,8 @@
 """Brute-force ground truth: class counts, code property verification
 and confusable-pair search.  Two strings share their full composition
 multiset exactly when their ``core.signature_of`` bytes are equal.
+Each error model's deletion patterns are its universe in
+``channel.ERROR_MODELS``, the one place where an error model is defined.
 
 Verification signs the whole codebook in one ``kernel.signatures`` call
 on its concatenated strings, and reads each signature once, as a
@@ -46,15 +48,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress, product
+from itertools import compress, product
 
-from . import kernel
+from . import channel, kernel
 from .codebooks import CodebookSpec, enumerate_codebook
 from .core import Readout, bits_to_bytes, full_readout, signature_of
 from .errors import ResourceCapError
 
-PROPERTY_MODELS = ("asym_delete", "sym_pair_delete",
-                   "consecutive_sym_pair_delete", "skew")
+PROPERTY_MODELS = tuple(name for name, model in channel.ERROR_MODELS.items()
+                        if model.patterns)
 
 DEFAULT_CAP = 16
 
@@ -118,38 +120,11 @@ def _check_model(model: str, t: int) -> None:
 
 
 def deletion_patterns(model: str, t: int, n: int):
-    """Deletion patterns of the error model, ascending, empty set included.
-
-    asym_delete: up to t classes, no two mutually symmetric; the
-    self-symmetric center class of odd n only ever alone.
-    sym_pair_delete: up to t symmetric pairs.
-    consecutive_sym_pair_delete: up to t pairs with consecutive first-half
-    indices.  skew uses the asymmetric pattern universe (one corrupted
-    class per symmetric pair, localized and dropped by the decoder).
-    """
+    """The empty set, then the model's universe in ``channel.ERROR_MODELS``:
+    the class sets that at most t errors at length n corrupt, ascending."""
     _check_model(model, t)
     yield frozenset()
-    if model in ("asym_delete", "skew"):
-        center = (n + 1) // 2 if n % 2 else None
-        for size in range(1, t + 1):
-            for combo in combinations(range(1, n + 1), size):
-                chosen = set(combo)
-                if any(n - k + 1 in chosen and n - k + 1 != k for k in combo):
-                    continue
-                if center in chosen and size > 1:
-                    continue
-                yield frozenset(chosen)
-        return
-    half = n // 2
-    if model == "sym_pair_delete":
-        for size in range(1, t + 1):
-            for combo in combinations(range(1, half + 1), size):
-                yield frozenset(k for i in combo for k in (i, n - i + 1))
-        return
-    for size in range(1, t + 1):
-        for start in range(1, half - size + 2):
-            run = range(start, start + size)
-            yield frozenset(k for i in run for k in (i, n - i + 1))
+    yield from channel.ERROR_MODELS[model].patterns(t, n)
 
 
 def _may_collide(sigs, n, patterns) -> list[bool]:

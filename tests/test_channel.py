@@ -1,12 +1,16 @@
 """Channel corruption: worked examples, invariants, seeded determinism."""
 
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compcodes.channel import ErrorSpec, SplitMix64, apply, random_error, resolve
+from compcodes import oracle
+from compcodes.channel import (MODELS, ErrorSpec, SplitMix64, apply,
+                               random_error, resolve)
+from compcodes.codebooks import CodebookSpec, enumerate_codebook
 from compcodes.core import full_readout
 from compcodes.errors import InvalidErrorSpecError, InvalidSkewError
 from compcodes.formats import emit_error_spec
@@ -170,6 +174,46 @@ def test_seeded_specs_over_capacity_are_refused_wherever_they_come_from():
         assert str(got.value) == \
             f"{model} supports at most {count - 1} errors at n=9"
         resolve(r, ErrorSpec(model, count=count - 1, seed=1))
+
+
+def test_capacities_at_even_and_odd_n():
+    # a skew takes one class per symmetric pair, the centre of odd n
+    # included, so its capacity differs from the deletions' at odd n only
+    capacities = {8: {"asym_delete": 4, "sym_pair_delete": 4, "skew": 4,
+                      "insert": 8},
+                  9: {"asym_delete": 4, "sym_pair_delete": 4, "skew": 5,
+                      "insert": 9}}
+    for s in ("00101011", "001010111"):
+        r = full_readout(s)
+        for model, capacity in capacities[r.n].items():
+            resolve(r, random_error(model, capacity, 3, r.n))
+            resolve(r, ErrorSpec(model, count=capacity, seed=3))
+            message = f"{model} supports at most {capacity} errors at n={r.n}"
+            with pytest.raises(InvalidErrorSpecError) as refused:
+                random_error(model, capacity + 1, 3, r.n)
+            assert str(refused.value) == message
+            with pytest.raises(InvalidErrorSpecError) as refused:
+                resolve(r, ErrorSpec(model, count=capacity + 1, seed=3))
+            assert str(refused.value) == message
+
+
+def test_seeded_draws_land_in_their_models_universe():
+    # the oracle vouches for a codebook under a model by scanning that
+    # model's universe, so every class set a seeded draw corrupts must
+    # be one of its patterns: the skews of odd n reach the centre
+    # together with another class
+    models = [m for m in MODELS if m in oracle.PROPERTY_MODELS]
+    assert models == ["asym_delete", "sym_pair_delete", "skew"]
+    for n in range(8, 13):
+        for s in enumerate_codebook(CodebookSpec("SR", n))[:20]:
+            r = full_readout(s)
+            for model, count in itertools.product(models, (1, 2)):
+                universe = set(oracle.deletion_patterns(model, count, n))
+                for seed in range(40):
+                    corrupted = apply(r, random_error(model, count, seed, n))
+                    hit = frozenset(k for k in r.classes
+                                    if corrupted.classes.get(k) != r.classes[k])
+                    assert hit in universe, (s, model, count, seed, hit)
 
 
 def test_seeded_draws_are_deterministic(example_readout):

@@ -241,6 +241,18 @@ def test_corrupt_seeded_targets_over_capacity_exit_two():
                    "most 4 errors at n=9")
 
 
+def test_model_choices_follow_each_side_of_the_model_table(capsys):
+    # insert has no pattern universe to verify, and the consecutive
+    # pairs are an oracle universe with no channel draw
+    for argv in (["verify", "--spec", "SR:8", "--model", "insert"],
+                 ["corrupt", "--model", "consecutive_sym_pair_delete"],
+                 ["experiment", "--spec", "SR:8", "--model",
+                  "consecutive_sym_pair_delete", "--trials", "1",
+                  "--seed", "1"]):
+        assert cli.main(argv) == 2, argv
+        assert "invalid choice" in capsys.readouterr().err, argv
+
+
 def test_enumerate_rank_unrank():
     rc, out, _ = run("enumerate", "--spec", "SR:4")
     assert rc == 0 and out.splitlines() == ["0001", "0011", "0111"]

@@ -198,6 +198,32 @@ def test_skew_property_uses_asymmetric_patterns():
     assert verify_code_property(CodebookSpec("SDA", 10, t=2), "skew", 2) is None
 
 
+def test_skew_universe_is_what_the_channel_draws():
+    # a seeded skew may hit the centre m of odd n together with another
+    # class, so the skew universe holds {m - 1, m}, which the asymmetric
+    # one lacks; SR's first witness deletes exactly those two classes
+    witnesses = {7: ("0000101", "0001001"), 9: ("000001001", "000010001"),
+                 11: ("00000010001", "00000100001"),
+                 13: ("0000000100001", "0000001000001")}
+    for n, pair in witnesses.items():
+        m = (n + 1) // 2
+        assert frozenset({m - 1, m}) in set(deletion_patterns("skew", 2, n))
+        assert frozenset({m - 1, m}) not in set(
+            deletion_patterns("asym_delete", 2, n))
+        w = verify_code_property(CodebookSpec("SR", n), "skew", 2)
+        assert (w.s, w.v, w.deleted_classes) == (*pair, {m - 1, m}), n
+        assert w.verify(), n
+        assert verify_code_property(CodebookSpec("SR", n), "skew", 1) is None
+        # SDA's t skewed substitutions hold against the centre-plus-other
+        # skews too
+        assert verify_code_property(
+            CodebookSpec("SDA", n, t=2), "skew", 2) is None, n
+    # at even n there is no centre, and skew scans the asymmetric universe
+    for n in range(6, 13, 2):
+        assert list(deletion_patterns("skew", 3, n)) == list(
+            deletion_patterns("asym_delete", 3, n))
+
+
 def test_find_confusable_pair_negative_results():
     for n in range(4, 13):
         assert find_confusable_pair(n, "asym_delete", 1) is None

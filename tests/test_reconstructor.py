@@ -148,6 +148,17 @@ def test_decode_center_plus_one_deletion_sda():
             assert rep.result == s
 
 
+def test_explicit_asym_targets_may_name_the_centre_with_another_class():
+    # the asymmetric universe deletes the centre of odd n only alone,
+    # which is where SR corrects two asymmetric class deletions; the
+    # validator takes the centre with another class, and SR:9 then has
+    # two codewords that agree outside {4, 5}
+    r = apply(full_readout("000010001"), ErrorSpec("asym_delete", targets=(4, 5)))
+    with pytest.raises(UndecodableError) as failed:
+        decode_deletions(r, CodebookSpec("SR", 9))
+    assert failed.value.candidates == ("000001001", "000010001")
+
+
 def test_double_skew_with_center_hit():
     spec = CodebookSpec("SDA", 11, t=2)
     members = enumerate_codebook(spec)
