@@ -225,7 +225,7 @@ def _draw_asym(rng: SplitMix64, r: Readout, count: int) -> tuple:
     pool = [k for k in range(1, r.n + 1) if _partner(k, r.n)]
     picked = []
     for _ in range(count):
-        k = rng.choice(sorted(pool))
+        k = rng.choice(pool)
         picked.append(k)
         pool = [j for j in pool if j not in (k, _partner(k, r.n))]
     return tuple(sorted(picked))
@@ -259,7 +259,7 @@ def _draw_skews(rng: SplitMix64, r: Readout, count: int) -> tuple:
         while True:
             if not pool:
                 raise InvalidErrorSpecError("no skewable class available")
-            k = rng.choice(sorted(pool))
+            k = rng.choice(pool)
             counts = r.classes[k]
             total = sum(counts) - counts[0]
             if total:

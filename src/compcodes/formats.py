@@ -12,19 +12,18 @@ counts are written.  A class present with no entries is ``"k":{}``, which
 differs from a missing class.  ``emit_readout`` does Python-level work
 per class and per occupied weight, not per composition.
 
-``parse_readout`` reads any text through ``json.loads``, where a key may
-not repeat in an object.  It reads the count form under ``"counts"``
-and, so that older files still parse, the entry-list form under
-``"classes"``: each class a list of ``[z,w]`` entries.  A text with both
-keys or neither is an error.  Both forms are checked as strictly: a
-class or weight key goes through ``int()`` and may not repeat after it,
-k <= n is checked before any vector is allocated, a weight lies in
-[0, k], a count is an exact int >= 1, and an entry is a list of two exact
-ints z, w with 0 <= w <= k and z = k - w (JSON ``true`` is not 1, nor is
-``1.0``).  The first entry or count that fails is named in the error.
-These checks are the whole check of a wire readout: they refuse, with a
-``ParseError``, everything ``Readout(...)`` would refuse, so the vectors
-they build go into the ``Readout`` unchecked again.
+``parse_readout`` reads the count form only, through ``json.loads``,
+where a key may not repeat in an object.  The entry-list form of older
+files, each class a list of ``[z,w]`` entries under ``"classes"``, is
+refused with a ``ParseError`` that names ``"counts"``, with or without a
+``"counts"`` beside it.  A class or weight key goes through ``int()`` and
+may not repeat after it, k <= n is checked before any vector is
+allocated, a weight lies in [0, k], and a count is an exact int >= 1
+(JSON ``true`` is not 1, nor is ``1.0``).  The first weight or count that
+fails is named in the error.  These checks are the whole check of a wire
+readout: they refuse, with a ``ParseError``, everything ``Readout(...)``
+would refuse, so the vectors they build go into the ``Readout``
+unchecked again.
 
 An error spec's JSON carries the ``ErrorSpec`` fields, its targets as
 nested lists of wire pairs.  ``parse_error_spec`` hands the decoded fields
@@ -92,19 +91,17 @@ def parse_readout(text: str) -> Readout:
     # ValueError: a JSONDecodeError, or an int over Python's digit limit
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    if (not isinstance(obj, dict) or "n" not in obj
-            or ("counts" in obj) == ("classes" in obj)):
-        raise ParseError("readout JSON needs 'n' and exactly one of "
-                         "'counts' and 'classes'")
+    if (not isinstance(obj, dict) or "n" not in obj or "counts" not in obj
+            or "classes" in obj):
+        raise ParseError("readout JSON needs 'n' and 'counts' (weight counts); "
+                         "the entry-list form under 'classes' is not read")
     n = obj["n"]
     if type(n) is not int or not 1 <= n <= MAX_LENGTH:
         raise ParseError(f"invalid n: {n!r}, not an int in [1, {MAX_LENGTH}]")
-    form, read_class = (("counts", _read_counts) if "counts" in obj
-                        else ("classes", _read_entries))
-    if not isinstance(obj[form], dict):
-        raise ParseError(f"'{form}' must be an object keyed by class")
+    if not isinstance(obj["counts"], dict):
+        raise ParseError("'counts' must be an object keyed by class")
     classes: dict[int, tuple[int, ...]] = {}
-    for key, value in obj[form].items():
+    for key, value in obj["counts"].items():
         try:
             k = int(key)
         except (TypeError, ValueError):
@@ -113,7 +110,7 @@ def parse_readout(text: str) -> Readout:
             raise ParseError(f"class {k} outside [1, {n}]")
         if k in classes:
             raise ParseError(f"class {k} repeats (key {key!r})")
-        classes[k] = read_class(k, value)
+        classes[k] = _read_counts(k, value)
     return Readout._from_valid(n, classes)
 
 
@@ -138,35 +135,6 @@ def _read_counts(k: int, weights) -> tuple[int, ...]:
                              f"is not an int >= 1")
         counts[w] = count
     return tuple(counts)
-
-
-def _read_entries(k: int, entries) -> tuple[int, ...]:
-    """Class k's vector from its list of ``[z, w]`` entries."""
-    if not isinstance(entries, list):
-        raise ParseError(f"class {k} must be a list of entries")
-    counts = [0] * (k + 1)
-    for entry in entries:
-        if type(entry) is list and len(entry) == 2:
-            z, w = entry
-            # exact ints only (JSON true and 1.0 equal 1); z = k - w,
-            # so both are non-negative iff 0 <= w <= k
-            if type(z) is int and type(w) is int \
-                    and 0 <= w <= k and z == k - w:
-                counts[w] += 1
-                continue
-        raise ParseError(_bad_entry_message(k, entry))
-    return tuple(counts)
-
-
-def _bad_entry_message(k: int, entry) -> str:
-    """Why ``entry`` is no entry of class k (error path)."""
-    if (type(entry) is not list or len(entry) != 2
-            or {*map(type, entry)} != {int}):
-        return f"bad entry {entry!r} in class {k}"
-    z, w = entry
-    if z < 0 or w < 0:
-        return f"negative counts in entry {entry!r} in class {k}"
-    return f"entry {entry!r} in class {k} has length {z + w}"
 
 
 def emit_spec(spec: CodebookSpec) -> str:

@@ -343,18 +343,23 @@ def test_verify_t_below_one_exit_two():
 
 
 def test_usage_errors_exit_two():
-    rc, _, _ = run("decode", "--spec", "nonsense:9", inp='{"n":1,"classes":{}}')
+    rc, _, _ = run("decode", "--spec", "nonsense:9", inp='{"n":1,"counts":{}}')
     assert rc == 2
     rc, _, _ = run("classes", "--n", "25")
     assert rc == 3  # resource cap
 
 
 def test_malformed_readout_exits_two():
-    for text in ('{"n":3,"classes":[1]}', '{"n":3,"classes":{"1":5}}', "[" * 5000,
-                 '{"n":256,"classes":{}}', '{"n":1000000000,"classes":{}}'):
+    for text in ('{"n":3,"counts":[1]}', '{"n":3,"counts":{"1":5}}', "[" * 5000,
+                 '{"n":256,"counts":{}}', '{"n":1000000000,"counts":{}}'):
         rc, _, err = run("decode", "--spec", "SR:3", inp=text)
         assert rc == 2, err
         assert "Traceback" not in err
+    # the entry-list form of older files is refused, naming the count form
+    rc, out, err = run("decode", "--spec", "SR:3",
+                       inp='{"n":3,"classes":{"3":[[2,1]]}}')
+    assert rc == 2 and out == "", err
+    assert "'counts'" in err and "Traceback" not in err
 
 
 def test_file_errors_exit_two(tmp_path):

@@ -159,6 +159,20 @@ def test_explicit_asym_targets_may_name_the_centre_with_another_class():
     assert failed.value.candidates == ("000001001", "000010001")
 
 
+def test_centre_skew_beside_another_can_decode_to_another_member():
+    # a finding beyond the guarantee: skews at SR:9's centre class 5 and
+    # at class 4 leave only class 4 untrusted, and the readout without
+    # class 4 already fits 000001001 alone, so both the decoder and the
+    # brute-force reference return that other member
+    r = full_readout("000010001")
+    err = ErrorSpec("skew", count=2, seed=7)
+    assert [k for k, _, _ in resolve(r, err).targets] == [4, 5]
+    corrupted = apply(r, err)
+    for decode in (decode_deletions, brute_force_decode):
+        rep = decode(corrupted, SR9)
+        assert (rep.result, rep.dropped_classes) == ("000001001", (4,))
+
+
 def test_double_skew_with_center_hit():
     spec = CodebookSpec("SDA", 11, t=2)
     members = enumerate_codebook(spec)
@@ -499,6 +513,15 @@ def test_search_budget_refuses_an_unpruned_walk():
     r = full_readout(s).restrict(set(range(129, n + 1)))
     with pytest.raises(ResourceCapError, match=str(SEARCH_BUDGET)):
         decode_deletions(r, CodebookSpec("SR", n))
+
+
+def test_search_budget_is_two_hundred_thousand_nodes():
+    # README states the figure; the refusal names it and comes at the
+    # node after it
+    stats = _SearchStats()
+    stats.visit(200_000)
+    with pytest.raises(ResourceCapError, match="budget of 200000 nodes"):
+        stats.visit()
 
 
 def test_brute_force_on_clean_readout(example_readout):
