@@ -21,10 +21,31 @@ check_length(Py_ssize_t n)
     return 0;
 }
 
-/* Write the n(n+3)/2 signature bytes of the n bits at bits to out;
- * -1 with ValueError set if a byte is not 0 or 1. */
+/* The class bound top_arg into *top: n for None, else an index in
+ * [0, n]; -1 with an error set otherwise. */
 static int
-sign(const unsigned char *bits, Py_ssize_t n, unsigned char *out)
+check_top(PyObject *top_arg, Py_ssize_t n, Py_ssize_t *top)
+{
+    if (top_arg == Py_None) {
+        *top = n;
+        return 0;
+    }
+    *top = PyNumber_AsSsize_t(top_arg, NULL);
+    if (*top == -1 && PyErr_Occurred())
+        return -1;
+    if (*top < 0 || *top > n) {
+        PyErr_Format(PyExc_ValueError,
+                     "class bound must be in [0, %zd], got %R", n, top_arg);
+        return -1;
+    }
+    return 0;
+}
+
+/* Write the top(top+3)/2 signature bytes of classes 1..top of the n bits
+ * at bits to out; -1 with ValueError set if a byte is not 0 or 1. */
+static int
+sign(const unsigned char *bits, Py_ssize_t n, Py_ssize_t top,
+     unsigned char *out)
 {
     int pref[MAX_N + 1]; /* pref[i]: ones among the first i bits */
 
@@ -37,10 +58,10 @@ sign(const unsigned char *bits, Py_ssize_t n, unsigned char *out)
         }
         pref[i + 1] = pref[i] + bits[i];
     }
-    memset(out, 0, n * (n + 3) / 2);
+    memset(out, 0, top * (top + 3) / 2);
     /* class k occupies k+1 bytes, one per window weight w = 0..k */
     Py_ssize_t base = 0;
-    for (Py_ssize_t k = 1; k <= n; k++) {
+    for (Py_ssize_t k = 1; k <= top; k++) {
         for (Py_ssize_t j = 0; j + k <= n; j++)
             out[base + pref[j + k] - pref[j]]++;
         base += k + 1;
@@ -49,18 +70,21 @@ sign(const unsigned char *bits, Py_ssize_t n, unsigned char *out)
 }
 
 static PyObject *
-full_signature(PyObject *Py_UNUSED(module), PyObject *arg)
+full_signature(PyObject *Py_UNUSED(module), PyObject *args)
 {
+    PyObject *arg, *top_arg = Py_None;
     Py_buffer view;
+    Py_ssize_t top;
     PyObject *sig = NULL;
 
-    if (PyObject_GetBuffer(arg, &view, PyBUF_SIMPLE) < 0)
+    if (!PyArg_ParseTuple(args, "O|O:full_signature", &arg, &top_arg)
+        || PyObject_GetBuffer(arg, &view, PyBUF_SIMPLE) < 0)
         return NULL;
     Py_ssize_t n = view.len;
-    if (check_length(n) == 0)
-        sig = PyBytes_FromStringAndSize(NULL, n * (n + 3) / 2);
+    if (check_length(n) == 0 && check_top(top_arg, n, &top) == 0)
+        sig = PyBytes_FromStringAndSize(NULL, top * (top + 3) / 2);
     if (sig != NULL
-        && sign(view.buf, n, (unsigned char *)PyBytes_AS_STRING(sig)) < 0)
+        && sign(view.buf, n, top, (unsigned char *)PyBytes_AS_STRING(sig)) < 0)
         Py_CLEAR(sig);
     PyBuffer_Release(&view);
     return sig;
@@ -95,7 +119,7 @@ signatures(PyObject *Py_UNUSED(module), PyObject *args)
             goto done;
         }
         PyList_SET_ITEM(sigs, r, sig);
-        if (sign(bits + r * n, n, (unsigned char *)PyBytes_AS_STRING(sig)) < 0) {
+        if (sign(bits + r * n, n, n, (unsigned char *)PyBytes_AS_STRING(sig)) < 0) {
             Py_CLEAR(sigs);
             goto done;
         }
@@ -106,8 +130,9 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"full_signature", full_signature, METH_O,
-     "Signature of a 0/1 byte string; counts of window weights per length."},
+    {"full_signature", full_signature, METH_VARARGS,
+     "Signature of a 0/1 byte string; counts of window weights per length.\n"
+     "With top, only classes 1..top: the first top(top+3)/2 bytes."},
     {"signatures", signatures, METH_VARARGS,
      "full_signature of each length-n row of one concatenated 0/1 buffer."},
     {NULL, NULL, 0, NULL},

@@ -16,8 +16,9 @@ class k - 1 plus a bit, so each end of the range of weights that occur
 moves by at most one from class to class.  While that range is narrow
 against a class's n - k + 1 windows, each weight in it is counted by one
 ``bytes.count``; from the first class where it is not, the remaining
-classes are counted by a loop over their window bytes.  ``signatures``
-signs a batch bit-sliced across rows (see ``_bit_sliced``).
+classes are counted by a loop over their window bytes.  With a class
+bound top, both stop after class top.  ``signatures`` signs a batch
+bit-sliced across rows (see ``_bit_sliced``).
 
 This module is the fallback when the compiled kernel in ``_ckernel.c``
 was not built.  The two must accept the same buffers, return the same
@@ -25,6 +26,7 @@ bytes and raise ValueError on the same inputs.
 """
 
 from math import isqrt
+from operator import index
 
 BACKEND = "pure"
 
@@ -75,11 +77,23 @@ def _check_bits(bits: bytes) -> None:
         raise ValueError("bits must contain only 0 and 1 byte values")
 
 
-def full_signature(bits) -> bytes:
-    """Signature of a 0/1 byte string; counts of window weights per length."""
+def _check_top(bound, n: int) -> int:
+    """The class bound as an index, refused outside [0, n]."""
+    top = index(bound)
+    if not 0 <= top <= n:
+        raise ValueError(f"class bound must be in [0, {n}], got {bound!r}")
+    return top
+
+
+def full_signature(bits, top=None, /) -> bytes:
+    """Signature of a 0/1 byte string; counts of window weights per length.
+
+    With ``top``, only classes 1..top: the first top(top+3)/2 bytes.
+    """
     bits = _as_bytes(bits)
     n = len(bits)
     _check_length(n)
+    top = n if top is None else _check_top(top, n)
     _check_bits(bits)
     size = n + 1
     # the bits times 0x0101...01 (n ones), shifted down n - 1 bytes, hold
@@ -87,13 +101,13 @@ def full_signature(bits) -> bytes:
     # none exceeds n
     lanes = (int.from_bytes(bits, "big")
              * int.from_bytes(b"\1" * n, "big")) >> 8 * (n - 1)
-    out = bytearray(n * (n + 3) // 2)
+    out = bytearray(top * (top + 3) // 2)
     base = 0  # offset of class k
     # [lo, hi]: the weights that occur in class k - 1, starting from the
     # one empty window of class 0; class k's lie in [lo, hi + 1]
     lo = hi = 0
     k = 1
-    while k <= n and _WINDOWS_PER_COUNT * (hi - lo + 2) <= size - k:
+    while k <= top and _WINDOWS_PER_COUNT * (hi - lo + 2) <= size - k:
         windows = (lanes - (lanes >> 8 * k)).to_bytes(size, "big")[k:]
         out[base + lo:base + hi + 2] = map(windows.count, range(lo, hi + 2))
         if not out[base + lo]:
@@ -102,12 +116,12 @@ def full_signature(bits) -> bytes:
             hi += 1
         base += k + 1
         k += 1
-    while k <= n:
+    while k <= top:
         # classes k..stop - 1, the most whole classes within _BLOCK counts:
         # their offsets (s - 1)(s + 2)/2 <= base + _BLOCK.  A list takes an
         # increment faster than a bytearray; one list per class would cost
         # a quarter more time at n <= 20
-        stop = min(size, (isqrt(9 + 8 * (base + _BLOCK)) - 1) // 2)
+        stop = min(top + 1, (isqrt(9 + 8 * (base + _BLOCK)) - 1) // 2)
         end = (stop - 1) * (stop + 2) // 2
         block = [0] * (end - base)
         at = 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from itertools import accumulate
 from typing import Iterable
 
 from . import kernel
@@ -109,7 +109,9 @@ class Readout:
 
     @cached_property
     def _weights(self) -> dict[int, int]:
-        return {k: sum(map(mul, range(k + 1), counts))
+        # sum(w * counts[w]) as the sum over t >= 1 of the windows of
+        # weight >= t, each a suffix sum of counts[1:]
+        return {k: sum(accumulate(counts[:0:-1]))
                 for k, counts in self.classes.items()}
 
     @cached_property

@@ -5,7 +5,11 @@ Imports the compiled signature kernel, which setup.py builds from
 twin.  Set COMPCODES_PURE=1 to force the fallback (used by the
 benchmark's gated runs).
 
-``full_signature`` signs one string.  ``signatures`` signs a batch of
+``full_signature(bits)`` signs one string.  ``full_signature(bits, top)``
+signs only classes 1..top, for top in [0, n]: the first top(top+3)/2
+bytes of the whole signature, computed at the cost of those classes
+alone (the decoder's finish filter reads only the lower classes).  A
+bound outside [0, n] raises ValueError.  ``signatures`` signs a batch of
 strings of one length, passed as one concatenated buffer; the oracle's
 sweeps sign whole codebooks that way.  The pure kernel bit-slices a chunk
 of a batch across rows when it holds at least 120n/(140 - n) rows (16, 25
@@ -22,11 +26,12 @@ if os.environ.get("COMPCODES_PURE"):
     from compcodes._pykernel import BACKEND, full_signature, signatures
 else:
     try:
-        # an extension built before a name was added lacks it, and then
-        # the whole pure kernel is used
+        # an extension built before a name or the class bound was added
+        # lacks it, and then the whole pure kernel is used
         from compcodes._ckernel import (  # type: ignore[no-redef]
             BACKEND, full_signature, signatures)
-    except ImportError:
+        full_signature(b"\0", 0)
+    except (ImportError, TypeError):
         from compcodes._pykernel import BACKEND, full_signature, signatures
 
 

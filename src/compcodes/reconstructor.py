@@ -11,15 +11,17 @@ leave a few pairwise weights undetermined; those are enumerated under the
 linear equations the surviving weights impose, optionally pre-filtered by
 the family's weight-sum residue; ``_sigma_candidates`` is their one solver.
 
-The walk checks the classes k >= ceil(n/2); the classes below are checked
-on each finished string's signature (the finish filter).  A string and its
-reversal share a readout and a sigma, and below the first weight-1 pair
-the walk's (1, 0) subtree is the reversal of its (0, 1) subtree.  So only
-the (0, 1) subtree is walked: its consistent strings, reversed and in
-reverse order, are what the (1, 0) walk would find, and its backtracks
-are counted from the nodes of the walked subtree.  Codewords of the
-SR-shaped families start with 0 and end with 1, so sigma_1 = 1 and the
-search for one of them walks half the tree.
+The walk checks the classes k >= ceil(n/2), each from window weights
+carried down the recursion in prefix-sum lanes; the classes below are
+checked on each finished string's signature of those classes alone (the
+finish filter).  A string and its reversal share a readout and a sigma,
+and below the first weight-1 pair the walk's (1, 0) subtree is the
+reversal of its (0, 1) subtree.  So only the (0, 1) subtree is walked:
+its consistent strings, reversed and in reverse order, are what the
+(1, 0) walk would find, and its backtracks are counted from the nodes of
+the walked subtree.  Codewords of the SR-shaped families start with 0
+and end with 1, so sigma_1 = 1 and the search for one of them walks half
+the tree.
 
 Both decoders follow one decode rule.  They try the drop sets of
 ``_drop_sets`` in turn: ``Readout.untrusted_classes()`` (missing,
@@ -169,6 +171,38 @@ def _sigma_candidates(n: int, known: dict[int, int],
     return found
 
 
+def _matches(windows: bytes, counts: tuple[int, ...]) -> bool:
+    """Whether ``counts`` is the weight-count vector of ``windows``, one
+    weight a byte, given that it adds up to as many windows.
+
+    The windows lie at consecutive offsets of one string, so their weights
+    form one interval around the first window's.  Each weight is counted
+    up from there, to the first weight no window has, then down, and the
+    check ends at the first count that differs or once every window is
+    counted: ``counts`` then has nothing left to hold elsewhere.
+    """
+    left = len(windows)
+    w = first = windows[0]
+    while w < len(counts):
+        c = windows.count(w)
+        if c != counts[w]:
+            return False
+        left -= c
+        if not left:
+            return True
+        if not c:
+            break
+        w += 1
+    for w in range(first - 1, -1, -1):
+        c = windows.count(w)
+        if c != counts[w]:
+            return False
+        left -= c
+        if not left:
+            return True
+    return False
+
+
 def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
             sigma: tuple[int, ...], stats: _SearchStats, results: list[str]):
     """Inward pairwise assignment; appends consistent strings to results.
@@ -177,7 +211,15 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
     weight-count vector; every such class has its expected size.  The
     walk enforces the classes k >= ceil(n/2); ``finish_ranges`` holds the
     ``_observed_ranges`` of the rest, which each finished string's
-    signature must match.
+    signature of classes 1..ceil(n/2)-1 must match.
+
+    With i pairs placed, window a = 0..i of class n - i is the string
+    less its first a and last i - a bits.  Two lane integers carry that
+    down the recursion: byte a of ``ahead`` holds total_w less the ones
+    among the first a bits, ``rem`` being its top byte, and byte a of
+    ``behind`` the ones among the last i - a bits, ``suf`` being byte 0.
+    Their difference holds the window weights, one a byte, with no
+    borrow since each is a weight.
     """
     m = (n + 1) // 2
     half = n // 2
@@ -186,25 +228,14 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
         return
     pre_bits: list[str] = []
     suf_bits: list[str] = []          # suf_bits[0] is s_n
-    pre_w = [0]
-    suf_w = [0]
     decisions: list[int] = []
-
-    def class_matches(i: int) -> bool:
-        k = n - i
-        if k not in trusted:
-            return True
-        pred = [0] * (k + 1)
-        for j in range(1, i + 2):
-            pred[total_w - pre_w[j - 1] - suf_w[i - j + 1]] += 1
-        return tuple(pred) == trusted[k]
 
     def finish():
         center = str(sigma[m - 1]) if n % 2 else ""
         s = "".join(pre_bits) + center + "".join(reversed(suf_bits))
-        # a signature computes all n classes, where a node checks one
+        # a signature counts as n nodes, where a node checks one class
         stats.visit(n)
-        sig = kernel.full_signature(bits_to_bytes(s))
+        sig = kernel.full_signature(bits_to_bytes(s), m - 1)
         if all(sig[lo:hi] == part for lo, hi, part in finish_ranges):
             results.append(s)
 
@@ -224,7 +255,7 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
         stats.backtracks += empty_seconds
         results.extend([s[::-1] for s in reversed(results[start:])])
 
-    def rec(i: int):
+    def rec(i: int, ahead: int, behind: int, rem: int, suf: int):
         nonlocal empty_seconds
         stats.visit()
         if i > half:
@@ -232,6 +263,7 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
             return
         options = _PAIR_OPTIONS[sigma[i - 1]]
         branching = len(options) == 2
+        counts = trusted.get(n - i)
         results_at_entry = len(results)
         for oi, (a, b) in enumerate(options):
             if oi == 1:
@@ -244,24 +276,26 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
             if branching:
                 decisions.append(i)
             pre_bits.append(a)
-            pre_w.append(pre_w[-1] + (a == "1"))
             suf_bits.append(b)
-            suf_w.append(suf_w[-1] + (b == "1"))
-            if class_matches(i):
-                rec(i + 1)
+            next_rem = rem - (a == "1")
+            next_suf = suf + (b == "1")
+            next_ahead = ahead | next_rem << 8 * i
+            next_behind = behind << 8 | next_suf
+            if counts is None or _matches(
+                    (next_ahead - next_behind).to_bytes(i + 1, "little"),
+                    counts):
+                rec(i + 1, next_ahead, next_behind, next_rem, next_suf)
             elif decisions:
                 stats.max_span = max(stats.max_span, i - decisions[-1])
             pre_bits.pop()
-            pre_w.pop()
             suf_bits.pop()
-            suf_w.pop()
             if branching:
                 decisions.pop()
         else:
             if branching and len(results) == second_at:
                 empty_seconds += 1
 
-    rec(1)
+    rec(1, total_w, 0, total_w, 0)
 
 
 def _consistent_strings(r: Readout, drop: set[int],

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compcodes.channel import SplitMix64, apply, random_error
+from compcodes.channel import ErrorSpec, SplitMix64, apply, random_error
 from compcodes.core import Readout, bits_to_bytes, full_readout
 from compcodes.errors import (
     CompCodesError,
     InconsistentReadoutError,
     MissingClassError,
 )
+from compcodes.formats import emit_readout, parse_readout
 from compcodes.reconstructor import _sigma_candidates, reconstruct
 from conftest import EXAMPLE_S, EXAMPLE_SIGMA, EXAMPLE_WEIGHTS, sigma_of_string
 
@@ -286,6 +287,33 @@ def test_cumulative_weight_worked_example(example_readout):
     assert example_readout.weight(3) == 12
     assert tuple(map(example_readout.weight, range(1, 10))) == (
         5, 9, 12, 13, 14, 13, 12, 9, 5)
+
+
+def test_weight_is_the_weighted_count_sum_on_any_class_size():
+    # the suffix-sum form must hold whatever a class holds: counts above
+    # 255 (class 1 at n = 255 after insertions), oversized, undersized and
+    # empty classes, built by the channel, directly and from the wire
+    n = 255
+    rng = SplitMix64(31)
+    inserted = apply(full_readout("0" * n), ErrorSpec(
+        "insert", targets=[[1, [1, 0]], [1, [0, 1]], [1, [0, 1]]]))
+    assert inserted.classes[1] == (256, 2)
+    classes = dict(inserted.classes)
+    classes[2] = (0, 0, 0)                               # empty
+    classes[3] = (150, 0, 2, 0)                          # undersized
+    classes[4] = (70_000, 1, 0, 0, 3)                    # oversized
+    for k in (17, 128, 254):
+        classes[k] = tuple(rng.below(400) * rng.below(2) for _ in range(k + 1))
+    built = Readout(n, classes)
+    wire = parse_readout(emit_readout(built))
+    assert wire.classes == built.classes
+    for r in (inserted, built, wire):
+        for k, counts in r.classes.items():
+            assert r.weight(k) == sum(w * c for w, c in enumerate(counts)), k
+    assert [built.weight(k) for k in (1, 2, 3, 4)] == [2, 0, 4, 13]
+    r = parse_readout('{"n":3,"counts":{"1":{"0":300,"1":256},"2":{},'
+                      '"3":{"3":1}}}')
+    assert [r.weight(k) for k in (1, 2, 3)] == [256, 0, 3]
 
 
 def test_cumulative_weight_missing_class(example_readout):

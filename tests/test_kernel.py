@@ -170,6 +170,44 @@ def backend(request):
     return request.getfixturevalue("ckernel")
 
 
+def test_class_bound_signs_the_signature_prefix(backend):
+    # full_signature(bits, top) is the first top(top+3)/2 bytes of the
+    # whole signature for every top in [0, n]; at n = 64 and 255 the pure
+    # kernel stops in its weight-by-weight classes or in its loop
+    rng = random.Random(29)
+    for n in [*range(1, 41), 64, 255]:
+        for bits in (bytes(rng.getrandbits(1) for _ in range(n)),
+                     bytes(n // 3) + bytes([1]) * (n - n // 3)):
+            whole = backend.full_signature(bits)
+            assert whole == _reference_full_signature(bits)
+            assert backend.full_signature(bits, None) == whole
+            for top in range(n + 1):
+                assert backend.full_signature(bits, top) == \
+                    whole[:top * (top + 3) // 2], (n, top)
+
+
+def test_backends_refuse_a_bad_bound_alike(ckernel):
+    # the bound is checked after the length and before the bits
+    bad_values = ((bytes(5), -1), (bytes(5), 6), (bytes(255), 256),
+                  (bytes(3), 10 ** 30), (bytes([0, 2]), 3), (b"", 0),
+                  (bytes([2]), 1))
+    for bits, top in bad_values:
+        with pytest.raises(ValueError) as pure:
+            _pykernel.full_signature(bits, top)
+        with pytest.raises(ValueError) as compiled:
+            ckernel.full_signature(bits, top)
+        assert str(compiled.value) == str(pure.value), (bits, top)
+    for top in (1.0, "2", [1]):
+        with pytest.raises(TypeError) as pure:
+            _pykernel.full_signature(bytes(3), top)
+        with pytest.raises(TypeError) as compiled:
+            ckernel.full_signature(bytes(3), top)
+        assert str(compiled.value) == str(pure.value), top
+    for module in (_pykernel, ckernel):
+        with pytest.raises(TypeError):
+            module.full_signature(bytes(3), 1, 2)
+
+
 _LOW_BIT = bytes(b & 1 for b in range(256))
 
 
@@ -255,6 +293,16 @@ def test_signatures_reject_bad_input_alike(ckernel):
     assert _pykernel.signatures(b"", 7) == ckernel.signatures(b"", 7) == []
 
 
+def _run_in_fresh_interpreter(code: str) -> None:
+    """Run code in a new interpreter free to pick the compiled kernel."""
+    env = {k: v for k, v in os.environ.items() if k != "COMPCODES_PURE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(Path(_pykernel.__file__).parents[1]), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_stale_extension_falls_back_to_pure_kernel():
     # an extension built before signatures() existed: the import must not
     # break, and the pure kernel must serve both functions
@@ -268,9 +316,27 @@ def test_stale_extension_falls_back_to_pure_kernel():
         "assert kernel.BACKEND == 'pure', kernel.BACKEND\n"
         "assert kernel.full_signature is _pykernel.full_signature\n"
         "assert kernel.signatures is _pykernel.signatures\n")
-    env = {k: v for k, v in os.environ.items() if k != "COMPCODES_PURE"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
-        str(Path(_pykernel.__file__).parents[1]), env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    _run_in_fresh_interpreter(code)
+
+
+def test_extension_without_the_class_bound_falls_back_to_pure_kernel():
+    # an extension built before full_signature took a class bound: the
+    # whole pure kernel serves, and a decode, whose finish filter passes
+    # the bound, raises no TypeError
+    code = (
+        "import sys, types\n"
+        "stale = types.ModuleType('compcodes._ckernel')\n"
+        "stale.BACKEND = 'compiled'\n"
+        "stale.full_signature = lambda bits: bytes(bits)\n"
+        "stale.signatures = lambda rows, n: []\n"
+        "sys.modules['compcodes._ckernel'] = stale\n"
+        "from compcodes import _pykernel, kernel\n"
+        "assert kernel.BACKEND == 'pure', kernel.BACKEND\n"
+        "assert kernel.full_signature is _pykernel.full_signature\n"
+        "assert kernel.signatures is _pykernel.signatures\n"
+        "from compcodes.codebooks import CodebookSpec\n"
+        "from compcodes.core import full_readout\n"
+        "from compcodes.reconstructor import decode_deletions\n"
+        "r = full_readout('001010111').restrict({3})\n"
+        "assert decode_deletions(r, CodebookSpec('SR', 9)).result == '001010111'\n")
+    _run_in_fresh_interpreter(code)

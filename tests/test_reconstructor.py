@@ -758,9 +758,9 @@ def test_consistent_strings_match_full_scan(monkeypatch):
     calls = []
     real_signature = kernel.full_signature
 
-    def counting_signature(bits):
+    def counting_signature(bits, *bound):
         calls.append(bits)
-        return real_signature(bits)
+        return real_signature(bits, *bound)
 
     rng = SplitMix64(12)
     found_total = skipped = 0
@@ -873,16 +873,20 @@ def _reference_search(n, trusted, finish_ranges, sigma, stats, results):
 
 def test_search_matches_unpruned_walk(monkeypatch):
     # the (1, 0) subtree of the first weight-1 pair is derived, not
-    # walked: the strings, their order and the stats must not move
+    # walked: the strings, their order and the stats must not move.  The
+    # reference checks each class by its histogram, _search by its lanes
     rng = SplitMix64(15)
     pruned_search = reconstructor._search
-    nonempty = 0
-    for n in range(5, 17):
+    nonempty = large_nonempty = 0
+    for n in [*range(5, 17), 33, 64, 255]:
         for model in ("none", "asym_delete", "sym_pair_delete", "insert",
                       "skew", "mixed"):
-            for _ in range(4):
+            for _ in range(4 if n <= 16 else 2):
                 # nonzero, so a skew always finds a class to lower
-                s = format(rng.below(2 ** n - 1) + 1, f"0{n}b")
+                if n <= 16:
+                    s = format(rng.below(2 ** n - 1) + 1, f"0{n}b")
+                else:
+                    s = "".join("01"[rng.below(2)] for _ in range(n - 1)) + "1"
                 r = full_readout(s)
                 if model != "none":
                     r = _seeded_corruption(r, model, rng)
@@ -899,4 +903,5 @@ def test_search_matches_unpruned_walk(monkeypatch):
                                                      stats), stats))
                 assert runs[0] == runs[1], (s, model, r.classes)
                 nonempty += bool(runs[0][0])
-    assert nonempty > 100
+                large_nonempty += n > 16 and bool(runs[0][0])
+    assert nonempty > 100 and large_nonempty > 10
