@@ -41,11 +41,40 @@ check_top(PyObject *top_arg, Py_ssize_t n, Py_ssize_t *top)
     return 0;
 }
 
-/* Write the top(top+3)/2 signature bytes of classes 1..top of the n bits
- * at bits to out; -1 with ValueError set if a byte is not 0 or 1. */
+/* The lower class bound bottom_arg into *bottom: 1 for None, else an
+ * index in [1, top + 1] (top + 1 is the empty range); -1 with an error
+ * set otherwise. */
 static int
-sign(const unsigned char *bits, Py_ssize_t n, Py_ssize_t top,
-     unsigned char *out)
+check_bottom(PyObject *bottom_arg, Py_ssize_t top, Py_ssize_t *bottom)
+{
+    if (bottom_arg == Py_None) {
+        *bottom = 1;
+        return 0;
+    }
+    *bottom = PyNumber_AsSsize_t(bottom_arg, NULL);
+    if (*bottom == -1 && PyErr_Occurred())
+        return -1;
+    if (*bottom < 1 || *bottom > top + 1) {
+        PyErr_Format(PyExc_ValueError,
+                     "lower class bound must be in [1, %zd], got %R",
+                     top + 1, bottom_arg);
+        return -1;
+    }
+    return 0;
+}
+
+/* Bytes of classes 1..k, the offset of class k + 1. */
+static Py_ssize_t
+prefix_size(Py_ssize_t k)
+{
+    return k * (k + 3) / 2;
+}
+
+/* Write the signature bytes of classes bottom..top of the n bits at bits
+ * to out; -1 with ValueError set if a byte is not 0 or 1. */
+static int
+sign(const unsigned char *bits, Py_ssize_t n, Py_ssize_t bottom,
+     Py_ssize_t top, unsigned char *out)
 {
     int pref[MAX_N + 1]; /* pref[i]: ones among the first i bits */
 
@@ -58,10 +87,10 @@ sign(const unsigned char *bits, Py_ssize_t n, Py_ssize_t top,
         }
         pref[i + 1] = pref[i] + bits[i];
     }
-    memset(out, 0, top * (top + 3) / 2);
+    memset(out, 0, prefix_size(top) - prefix_size(bottom - 1));
     /* class k occupies k+1 bytes, one per window weight w = 0..k */
     Py_ssize_t base = 0;
-    for (Py_ssize_t k = 1; k <= top; k++) {
+    for (Py_ssize_t k = bottom; k <= top; k++) {
         for (Py_ssize_t j = 0; j + k <= n; j++)
             out[base + pref[j + k] - pref[j]]++;
         base += k + 1;
@@ -82,9 +111,9 @@ full_signature(PyObject *Py_UNUSED(module), PyObject *args)
         return NULL;
     Py_ssize_t n = view.len;
     if (check_length(n) == 0 && check_top(top_arg, n, &top) == 0)
-        sig = PyBytes_FromStringAndSize(NULL, top * (top + 3) / 2);
+        sig = PyBytes_FromStringAndSize(NULL, prefix_size(top));
     if (sig != NULL
-        && sign(view.buf, n, top, (unsigned char *)PyBytes_AS_STRING(sig)) < 0)
+        && sign(view.buf, n, 1, top, (unsigned char *)PyBytes_AS_STRING(sig)) < 0)
         Py_CLEAR(sig);
     PyBuffer_Release(&view);
     return sig;
@@ -94,10 +123,12 @@ static PyObject *
 signatures(PyObject *Py_UNUSED(module), PyObject *args)
 {
     Py_buffer view;
-    Py_ssize_t n;
+    Py_ssize_t n, top, bottom;
+    PyObject *top_arg = Py_None, *bottom_arg = Py_None;
     PyObject *sigs = NULL;
 
-    if (!PyArg_ParseTuple(args, "y*n:signatures", &view, &n))
+    if (!PyArg_ParseTuple(args, "y*n|OO:signatures", &view, &n, &top_arg,
+                          &bottom_arg))
         return NULL;
     if (check_length(n) < 0)
         goto done;
@@ -107,19 +138,24 @@ signatures(PyObject *Py_UNUSED(module), PyObject *args)
                      "of length %zd", view.len, n);
         goto done;
     }
+    if (check_top(top_arg, n, &top) < 0
+        || check_bottom(bottom_arg, top, &bottom) < 0)
+        goto done;
+    Py_ssize_t size = prefix_size(top) - prefix_size(bottom - 1);
     Py_ssize_t rows = view.len / n;
     sigs = PyList_New(rows);
     if (sigs == NULL)
         goto done;
     const unsigned char *bits = view.buf;
     for (Py_ssize_t r = 0; r < rows; r++) {
-        PyObject *sig = PyBytes_FromStringAndSize(NULL, n * (n + 3) / 2);
+        PyObject *sig = PyBytes_FromStringAndSize(NULL, size);
         if (sig == NULL) {
             Py_CLEAR(sigs);
             goto done;
         }
         PyList_SET_ITEM(sigs, r, sig);
-        if (sign(bits + r * n, n, n, (unsigned char *)PyBytes_AS_STRING(sig)) < 0) {
+        if (sign(bits + r * n, n, bottom, top,
+                 (unsigned char *)PyBytes_AS_STRING(sig)) < 0) {
             Py_CLEAR(sigs);
             goto done;
         }
@@ -134,7 +170,8 @@ static PyMethodDef methods[] = {
      "Signature of a 0/1 byte string; counts of window weights per length.\n"
      "With top, only classes 1..top: the first top(top+3)/2 bytes."},
     {"signatures", signatures, METH_VARARGS,
-     "full_signature of each length-n row of one concatenated 0/1 buffer."},
+     "full_signature of each length-n row of one concatenated 0/1 buffer.\n"
+     "With top and bottom, only classes bottom..top (by default 1..n)."},
     {NULL, NULL, 0, NULL},
 };
 

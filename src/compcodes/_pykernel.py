@@ -18,7 +18,9 @@ against a class's n - k + 1 windows, each weight in it is counted by one
 ``bytes.count``; from the first class where it is not, the remaining
 classes are counted by a loop over their window bytes.  With a class
 bound top, both stop after class top.  ``signatures`` signs a batch
-bit-sliced across rows (see ``_bit_sliced``).
+bit-sliced across rows (see ``_bit_sliced``), over a class range
+bottom..top: the bytes [(bottom-1)(bottom+2)/2, top(top+3)/2) of each
+whole signature.
 
 This module is the fallback when the compiled kernel in ``_ckernel.c``
 was not built.  The two must accept the same buffers, return the same
@@ -85,6 +87,16 @@ def _check_top(bound, n: int) -> int:
     return top
 
 
+def _check_bottom(bound, top: int) -> int:
+    """The lower class bound as an index, refused outside [1, top + 1]
+    (top + 1 is the empty range)."""
+    bottom = index(bound)
+    if not 1 <= bottom <= top + 1:
+        raise ValueError(f"lower class bound must be in [1, {top + 1}], "
+                         f"got {bound!r}")
+    return bottom
+
+
 def full_signature(bits, top=None, /) -> bytes:
     """Signature of a 0/1 byte string; counts of window weights per length.
 
@@ -134,15 +146,23 @@ def full_signature(bits, top=None, /) -> bytes:
     return bytes(out)
 
 
-def signatures(rows, n: int) -> list[bytes]:
+def signatures(rows, n: int, top=None, bottom=None, /) -> list[bytes]:
     """``full_signature`` of each length-n row of one concatenated 0/1
-    buffer, in order."""
+    buffer, in order.
+
+    With ``top`` and ``bottom``, only classes bottom..top (by default
+    1..n): the bytes [(bottom-1)(bottom+2)/2, top(top+3)/2) of each whole
+    signature, empty when bottom = top + 1.
+    """
     rows = _as_bytes(rows)
     _check_length(n)
     if len(rows) % n:
         raise ValueError(f"buffer of {len(rows)} bytes is not a whole "
                          f"number of rows of length {n}")
+    top = n if top is None else _check_top(top, n)
+    bottom = 1 if bottom is None else _check_bottom(bottom, top)
     _check_bits(rows)
+    start = (bottom - 1) * (bottom + 2) // 2
     out: list[bytes] = []
     step = _CHUNK_ROWS * n
     for lo in range(0, len(rows), step):
@@ -153,17 +173,20 @@ def signatures(rows, n: int) -> list[bytes]:
         # 230 rows at n = 11, 16, 24, 40, 64 and 100; at n = 128 a whole
         # chunk gains 6%, and from n = 160 none gains.  It switches at
         # 120n/(140 - n) rows: 11, 16, 25, 48, 102 and 300 at those n, and
-        # never within a chunk from n = 126
+        # never within a chunk from n = 126.  All of this was measured
+        # on whole signatures
         if len(chunk) // n * (140 - n) < 120 * n:
-            out += [full_signature(chunk[i:i + n])
+            out += [full_signature(chunk[i:i + n], top)[start:]
                     for i in range(0, len(chunk), n)]
         else:
-            out += _bit_sliced(chunk, n)
+            out += _bit_sliced(chunk, n, bottom, top)
     return out
 
 
-def _bit_sliced(chunk: bytes, n: int) -> list[bytes]:
-    """Signatures of the rows of ``chunk``, all rows at once.
+def _bit_sliced(chunk: bytes, n: int, bottom: int = 1,
+                top: int | None = None) -> list[bytes]:
+    """Classes bottom..top (by default 1..n) of the signatures of the rows
+    of ``chunk``, all rows at once.
 
     Byte s of every big-endian integer below is a lane holding row s: bit
     plane i is ``chunk[i::n]``, prefix sums add planes, and a window's
@@ -180,7 +203,7 @@ def _bit_sliced(chunk: bytes, n: int) -> list[bytes]:
     for i in range(n):
         pref.append(pref[-1] + from_bytes(chunk[i::n], "big"))
     planes = []
-    for k in range(1, n + 1):
+    for k in range(bottom, (n if top is None else top) + 1):
         tables = _PAIR[:k // 2 + 1]
         counts = [0] * (2 * len(tables))
         for start in range(0, n - k + 1, _RUN):

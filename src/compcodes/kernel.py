@@ -9,13 +9,20 @@ benchmark's gated runs).
 signs only classes 1..top, for top in [0, n]: the first top(top+3)/2
 bytes of the whole signature, computed at the cost of those classes
 alone (the decoder's finish filter reads only the lower classes).  A
-bound outside [0, n] raises ValueError.  ``signatures`` signs a batch of
-strings of one length, passed as one concatenated buffer; the oracle's
-sweeps sign whole codebooks that way.  The pure kernel bit-slices a chunk
-of a batch across rows when it holds at least 120n/(140 - n) rows (16, 25
-and 48 rows at n = 16, 24 and 40; never from n = 126), else signs row by
-row.  Bit-slicing was measured to overtake at about 16, 23 and 42 rows at
-those n (2-vCPU Intel Xeon, Python 3.11).
+bound outside [0, n] raises ValueError.  ``signatures(rows, n)`` signs a
+batch of strings of one length, passed as one concatenated buffer; the
+oracle's sweeps sign whole codebooks that way.
+``signatures(rows, n, top, bottom)`` signs only classes bottom..top, by
+default 1..n: the bytes [(bottom-1)(bottom+2)/2, top(top+3)/2) of each
+whole signature, empty for bottom = top + 1, and ValueError for a bottom
+outside [1, top + 1].  The oracle signs the lower classes of a codebook
+first and the upper ones only of the members that may still collide.
+The pure kernel bit-slices a chunk of a batch across rows when it holds
+at least 120n/(140 - n) rows (16, 25 and 48 rows at n = 16, 24 and 40;
+never from n = 126), else signs row by row.  Bit-slicing was measured,
+on whole signatures, to overtake at about 16, 23 and 42 rows at those n
+(2-vCPU Intel Xeon, Python 3.11); a range's pass costs less, and the
+switch was not measured again for it.
 """
 
 import os
@@ -26,11 +33,12 @@ if os.environ.get("COMPCODES_PURE"):
     from compcodes._pykernel import BACKEND, full_signature, signatures
 else:
     try:
-        # an extension built before a name or the class bound was added
-        # lacks it, and then the whole pure kernel is used
+        # an extension built before a name, the class bound or the class
+        # range was added lacks it, and then the whole pure kernel is used
         from compcodes._ckernel import (  # type: ignore[no-redef]
             BACKEND, full_signature, signatures)
         full_signature(b"\0", 0)
+        signatures(b"\0", 1, 1, 2)
     except (ImportError, TypeError):
         from compcodes._pykernel import BACKEND, full_signature, signatures
 

@@ -4,9 +4,9 @@ multiset exactly when their ``core.signature_of`` bytes are equal.
 Each error model's deletion patterns are its universe in
 ``channel.ERROR_MODELS``, the one place where an error model is defined.
 
-Verification signs the whole codebook in one ``kernel.signatures`` call
-on its concatenated strings, and reads each signature once, as a
-big-endian integer.  Per deletion pattern it ANDs every signature with
+Verification signs the codebook in two ``kernel.signatures`` calls on
+its concatenated strings, and reads each signature as a big-endian
+integer.  Per deletion pattern it ANDs every signature with
 ``kernel.kept_mask``, which zeroes the deleted classes' bytes, and a set
 of the masked integers shows whether any two codewords collide: the sweep
 is linear in the codebook's size per pattern.
@@ -24,11 +24,24 @@ group.  One mask per group, over the classes of the group, keeps every
 member whose masked signature another member shares.  Every colliding
 pair of every pattern lies among the kept members, which stay in
 lexicographic order, so the scan below finds the same witness on them.
-With fewer than two kept, nothing collides: a clean sweep of
-SDSprime:16 under two consecutive pairs masks its 3 groups and no
-pattern, and ``find_confusable_pair(16, "sym_pair_delete", 2)`` keeps
-427 of SR(16)'s 3 872 members.  With fewer than t + 1 pair indices a
-group is empty, every member agrees on it, and all are kept.
+With fewer than two kept, nothing collides.  With fewer than t + 1 pair
+indices a group is empty, every member agrees on it, and all are kept.
+
+The filter runs in two stages, so that no class of a member is signed
+twice.  Classes 1..m, m = ceil(n/2), hold exactly one class of each pair
+index.  The first stage signs only those, for every member, and keeps
+per group the members that share the group's lower classes with
+another: two members that agree on a whole group agree on its lower
+classes too, so each group keeps a superset of what it keeps on whole
+signatures.  The second stage signs classes m+1..n of the members kept
+by some group only, joins the two parts into whole signatures, and
+filters each group again among the members that group kept, which gives
+exactly the members a one-stage filter keeps, in the same order, and so
+the same witness.  ``find_confusable_pair(16, "sym_pair_delete", 2)``
+keeps 1 016 of SR(16)'s 3 872 members in the first stage and 427 in the
+second.  Clean sweeps of SDSprime:16,t=2 under two consecutive pairs
+keep 22-31 of their 763-784 members in the first stage (a = 0..4),
+none in the second, and mask no pattern.
 
 The scan then masks the patterns in the fixed order (patterns
 ascending, strings lexicographic) and stops at the first whose masked
@@ -41,14 +54,20 @@ The witness is the colliding pattern's lexicographically smallest pair:
 the first kept member whose key repeats and the next with that key.  It
 is checked again with ``ConfusabilityWitness.verify``, which signs its
 two strings one at a time with ``kernel.full_signature``.
-``count_classes`` likewise signs all its strings in one batch.
+
+``count_classes`` likewise signs classes 1..m of all its strings in one
+batch.  A string whose lower classes no other string shares is alone in
+its class; only the strings that share them get classes m+1..n signed
+and are partitioned by whole signature (153 of the 8 256 strings at
+n = 14).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress, count, product, repeat
+from operator import ne
 
 from . import channel, kernel
 from .codebooks import CodebookSpec, enumerate_codebook
@@ -92,9 +111,21 @@ def count_classes(n: int, cap: int = DEFAULT_CAP) -> tuple[int, list[str]]:
     if n > cap:
         raise ResourceCapError(f"count_classes capped at n <= {cap}")
     strings = _class_candidates(n)
+    m = (n + 1) // 2
+    lower = kernel.signatures(bits_to_bytes("".join(strings)), n, m)
     # dict() keeps each key's last value: listed downward, the smallest
-    sigs = kernel.signatures(bits_to_bytes("".join(strings)), n)
-    reps = dict(zip(sigs, strings))
+    reps = dict(zip(lower, strings))
+    if len(reps) < len(strings):
+        # only strings that share their lower classes with another may
+        # share a readout.  Those that are not their lower key's smallest
+        # come first, downward, then the smallest of each such key, so
+        # that the dict of whole signatures again keeps the smallest
+        pairs = list(compress(zip(lower, strings),
+                              map(ne, map(reps.__getitem__, lower), strings)))
+        pairs += [(key, reps.pop(key)) for key in dict(pairs)]
+        keys, shared = zip(*pairs)
+        upper = kernel.signatures(bits_to_bytes("".join(shared)), n, n, m + 1)
+        reps.update(zip(map(bytes.__add__, keys, upper), shared))
     return len(reps), sorted(reps.values())
 
 
@@ -127,40 +158,57 @@ def deletion_patterns(model: str, t: int, n: int):
     yield from channel.ERROR_MODELS[model].patterns(t, n)
 
 
-def _may_collide(sigs, n, patterns) -> list[bool]:
-    """Flag each member that agrees with another on a whole group of
-    classes, pair index modulo t + 1: only those can collide."""
+def _group_masks(n, patterns) -> list[int]:
+    """One ``kernel.kept_mask`` per group of classes whose pair index is g
+    modulo t + 1, over that group's classes."""
     groups = 1 + max(len({min(k, n + 1 - k) for k in p}) for p in patterns)
-    flags = [False] * len(sigs)
-    for g in range(groups):
-        mask = kernel.kept_mask(n, [k for k in range(1, n + 1)
-                                    if min(k, n + 1 - k) % groups != g])
-        twice = _shared_keys(sigs, mask)
-        if twice:
-            flags = [f or sig & mask in twice for f, sig in zip(flags, sigs)]
-    return flags
+    return [kernel.kept_mask(n, [k for k in range(1, n + 1)
+                                 if min(k, n + 1 - k) % groups != g])
+            for g in range(groups)]
 
 
-def _shared_keys(sigs, mask) -> set[int]:
-    """The masked signatures that two or more members share."""
-    # counted in a call of its own, so that one group's counts are freed
-    # before the next group's are built
-    counts = Counter(map(mask.__and__, sigs))
-    if len(counts) == len(sigs):
-        return set()
-    return {key for key, count in counts.items() if count > 1}
+def _repeated(keys) -> list[int]:
+    """The positions, ascending, of the keys that occur more than once."""
+    counts = Counter(keys)
+    if len(counts) == len(keys):
+        return []
+    return list(compress(count(), map((1).__lt__,
+                                      map(counts.__getitem__, keys))))
 
 
 def _collision_scan(members, n, patterns) -> ConfusabilityWitness | None:
-    sigs = [int.from_bytes(sig, "big")
-            for sig in kernel.signatures(bits_to_bytes("".join(members)), n)]
     patterns = list(patterns)
-    # every colliding pair lies among the flagged members, which keep
-    # their lexicographic order
-    flags = _may_collide(sigs, n, patterns)
-    members, sigs = list(compress(members, flags)), list(compress(sigs, flags))
-    if len(sigs) < 2:
+    masks = _group_masks(n, patterns)
+    # classes 1..m hold one class of each pair index: each group is first
+    # filtered on them alone, by its mask shifted past classes m+1..n
+    m = (n + 1) // 2
+    shift = 8 * (kernel.class_slice_bounds(n, n)[1]
+                 - kernel.class_slice_bounds(n, m)[1])
+    lower = kernel.signatures(bits_to_bytes("".join(members)), n, m)
+    keys = list(map(int.from_bytes, lower, repeat("big")))
+    groups = [_repeated(list(map((mask >> shift).__and__, keys)))
+              for mask in masks]
+    kept = sorted(set().union(*groups))
+    if len(kept) < 2:
         return None
+    # only the members a group kept get classes m+1..n signed, and each
+    # group is filtered again on whole signatures among those it kept:
+    # two members that agree on a whole group agree on its lower classes
+    upper = kernel.signatures(
+        bits_to_bytes("".join(map(members.__getitem__, kept))), n, n, m + 1)
+    sig_at = dict(zip(kept, map(int.from_bytes, map(
+        bytes.__add__, map(lower.__getitem__, kept), upper), repeat("big"))))
+    kept = set()
+    for mask, group in zip(masks, groups):
+        keys = list(map(mask.__and__, map(sig_at.__getitem__, group)))
+        kept.update(map(group.__getitem__, _repeated(keys)))
+    if len(kept) < 2:
+        return None
+    # every colliding pair lies among the kept members, which keep their
+    # lexicographic order
+    kept = sorted(kept)
+    members = list(map(members.__getitem__, kept))
+    sigs = list(map(sig_at.__getitem__, kept))
     for pattern in patterns:
         mask = kernel.kept_mask(n, pattern)
         if len(set(map(mask.__and__, sigs))) < len(sigs):
@@ -169,9 +217,8 @@ def _collision_scan(members, n, patterns) -> ConfusabilityWitness | None:
         return None
     # members are in lexicographic order, so the smallest pair is the
     # first member whose key repeats and the next one with that key
-    twice = _shared_keys(sigs, mask)
-    keys = [sig & mask for sig in sigs]
-    first = next(i for i, key in enumerate(keys) if key in twice)
+    keys = list(map(mask.__and__, sigs))
+    first = _repeated(keys)[0]
     second = keys.index(keys[first], first + 1)
     witness = ConfusabilityWitness(members[first], members[second],
                                    frozenset(pattern))

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 
 from . import kernel
@@ -141,8 +142,9 @@ def _sigma_candidates(n: int, known: dict[int, int],
     stats = stats or _SearchStats()
     m = (n + 1) // 2
     caps = [2] * (m - 1) + [1 if n % 2 else 2]
-    # the most weight the values after depth d can still carry
-    room = [sum(caps[d + 1:]) for d in range(m)]
+    # the most weight the values after depth d can still carry: the
+    # suffix sums of caps[1:], then 0
+    room = [*accumulate(caps[:0:-1], initial=0)][::-1]
     coefficients = _residue_coefficients(n)[:m]
     w1_options = [known[1]] if 1 in known else range(n + 1)
     found: list[tuple[int, ...]] = []

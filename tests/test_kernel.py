@@ -256,6 +256,74 @@ def test_signatures_of_random_batches(backend):
                      (24, 24), (24, 25), (40, 47), (40, 48)):
         rows = rng.randbytes(n * count).translate(_LOW_BIT)
         assert backend.signatures(rows, n) == _row_by_row(rows, n), (n, count)
+        # the lower and upper classes the oracle signs apart, one class
+        # and an empty range
+        m = (n + 1) // 2
+        _assert_ranges(backend, rows, n, [(m, 1), (n, m + 1), (n // 3, n // 3),
+                                          (n // 3, n // 3 + 1)])
+
+
+def _range_of(sig: bytes, top: int, bottom: int) -> bytes:
+    """Classes bottom..top of a whole signature."""
+    return sig[(bottom - 1) * (bottom + 2) // 2:top * (top + 3) // 2]
+
+
+def _assert_ranges(backend, rows: bytes, n: int, ranges) -> None:
+    whole = _row_by_row(rows, n)
+    for top, bottom in ranges:
+        assert backend.signatures(rows, n, top, bottom) == \
+            [_range_of(sig, top, bottom) for sig in whole], (n, top, bottom)
+
+
+def test_signatures_sign_a_class_range(backend):
+    # every range at n = 1..12, empty ones (bottom = top + 1) included, on
+    # a batch the pure kernel bit-slices and on one row it signs alone;
+    # sampled ranges at n = 16, 31, 64 and 255
+    rng = random.Random(31)
+    for n in range(1, 13):
+        every = [(top, bottom) for top in range(n + 1)
+                 for bottom in range(1, top + 2)]
+        for count in (1, 40):
+            rows = rng.randbytes(n * count).translate(_LOW_BIT)
+            _assert_ranges(backend, rows, n, every)
+    for n, count in ((16, 40), (31, 60), (64, 3), (64, 120), (255, 2)):
+        rows = rng.randbytes(n * count).translate(_LOW_BIT)
+        sampled = [(n, 1), (n, n + 1), (0, 1), (n, n), (1, 1)]
+        for _ in range(6):
+            bottom, top = sorted(rng.sample(range(1, n + 1), 2))
+            sampled += [(top, bottom), (top, top + 1), (bottom, bottom)]
+        _assert_ranges(backend, rows, n, sampled)
+        whole = _row_by_row(rows, n)
+        assert backend.signatures(rows, n, None, None) == whole
+        assert backend.signatures(rows, n, None, 2) == [sig[2:] for sig in whole]
+    assert backend.signatures(b"", 7, 3, 2) == []
+
+
+def test_signatures_refuse_a_bad_range_alike(ckernel):
+    # the range is checked after the length and the row count and before
+    # the bits: top in [0, n], then bottom in [1, top + 1]
+    bad_values = ((bytes(5), 5, -1, None), (bytes(5), 5, 6, None),
+                  (bytes(5), 5, 3, 5), (bytes(5), 5, 3, 0), (bytes(5), 5, None, 7),
+                  (bytes(5), 5, 0, 2), (bytes(5), 5, 2, 10 ** 30),
+                  (bytes(255), 255, 256, 1), (bytes([0, 2]), 2, 3, 1),
+                  (bytes([0, 2]), 2, 1, 3), (bytes([0, 2]), 2, 1, 2),
+                  (bytes(7), 2, 9, 9), (b"", 0, 9, 9))
+    for rows, n, top, bottom in bad_values:
+        with pytest.raises(ValueError) as pure:
+            _pykernel.signatures(rows, n, top, bottom)
+        with pytest.raises(ValueError) as compiled:
+            ckernel.signatures(rows, n, top, bottom)
+        assert str(compiled.value) == str(pure.value), (rows, n, top, bottom)
+    for bound in (1.0, "2", [1]):
+        for top, bottom in ((bound, 1), (3, bound)):
+            with pytest.raises(TypeError) as pure:
+                _pykernel.signatures(bytes(3), 3, top, bottom)
+            with pytest.raises(TypeError) as compiled:
+                ckernel.signatures(bytes(3), 3, top, bottom)
+            assert str(compiled.value) == str(pure.value), (top, bottom)
+    for module in (_pykernel, ckernel):
+        with pytest.raises(TypeError):
+            module.signatures(bytes(3), 3, 3, 1, 0)
 
 
 def test_signatures_of_constant_rows(backend):
@@ -278,6 +346,10 @@ def test_signatures_of_constant_and_periodic_rows(backend):
         want = _row_by_row(rows, n)
         assert backend.signatures(rows, n) == want, n
         assert _pykernel._bit_sliced(rows, n) == want, n
+        for top, bottom in ((n // 2, 1), (n, n // 2 + 1), (1, 1), (n, n)):
+            part = [_range_of(sig, top, bottom) for sig in want]
+            assert backend.signatures(rows, n, top, bottom) == part, (n, top, bottom)
+            assert _pykernel._bit_sliced(rows, n, bottom, top) == part, (n, top, bottom)
 
 
 def test_signatures_reject_bad_input_alike(ckernel):
@@ -339,4 +411,25 @@ def test_extension_without_the_class_bound_falls_back_to_pure_kernel():
         "from compcodes.reconstructor import decode_deletions\n"
         "r = full_readout('001010111').restrict({3})\n"
         "assert decode_deletions(r, CodebookSpec('SR', 9)).result == '001010111'\n")
+    _run_in_fresh_interpreter(code)
+
+
+def test_extension_without_the_class_range_falls_back_to_pure_kernel():
+    # an extension built before signatures took a class range: the whole
+    # pure kernel serves, and the oracle, which signs the lower and the
+    # upper classes apart, raises no TypeError
+    code = (
+        "import sys, types\n"
+        "stale = types.ModuleType('compcodes._ckernel')\n"
+        "stale.BACKEND = 'compiled'\n"
+        "stale.full_signature = lambda bits, top=None: bytes(bits)\n"
+        "stale.signatures = lambda rows, n: []\n"
+        "sys.modules['compcodes._ckernel'] = stale\n"
+        "from compcodes import _pykernel, kernel, oracle\n"
+        "assert kernel.BACKEND == 'pure', kernel.BACKEND\n"
+        "assert kernel.full_signature is _pykernel.full_signature\n"
+        "assert kernel.signatures is _pykernel.signatures\n"
+        "assert oracle.count_classes(8)[0] == 135\n"
+        "w = oracle.find_confusable_pair(6, 'sym_pair_delete', 1)\n"
+        "assert w.deleted_classes == {3, 4}, w\n")
     _run_in_fresh_interpreter(code)

@@ -2,12 +2,13 @@
 
 import functools
 import itertools
+from collections import Counter
 
 import pytest
 
 from compcodes import kernel, oracle
 from compcodes.codebooks import CodebookSpec, enumerate_codebook
-from compcodes.core import full_readout, signature_of
+from compcodes.core import bits_to_bytes, full_readout, signature_of
 from compcodes.errors import ResourceCapError
 from compcodes.oracle import (
     ConfusabilityWitness,
@@ -84,6 +85,16 @@ def test_count_classes_matches_plain_loop():
             s = format(x, f"0{n}b")
             reps.setdefault(signature_of(s), s)
         assert count_classes(n) == (len(reps), sorted(reps.values())), n
+
+
+def test_count_classes_matches_one_stage_reference():
+    # reference: every candidate signed whole in one batch, one dict of
+    # whole signatures; listed downward, the dict keeps the smallest
+    for n in range(1, 17):
+        strings = oracle._class_candidates(n)
+        sigs = kernel.signatures(bits_to_bytes("".join(strings)), n)
+        reps = dict(zip(sigs, strings))
+        assert count_classes(n, cap=16) == (len(reps), sorted(reps.values())), n
 
 
 def test_class_candidates_match_the_reversal_filter():
@@ -267,12 +278,82 @@ def test_verify_empty_codebook():
 
 
 def test_collision_scan_rechecks_its_witness(monkeypatch):
-    # a batch kernel that signs every member alike makes a pair that
-    # verify(), signing one string at a time, rejects
-    monkeypatch.setattr(kernel, "signatures",
-                        lambda rows, n: [bytes(n * (n + 3) // 2)] * (len(rows) // n))
+    # a batch kernel that signs every member alike, in both stages, makes
+    # a pair that verify(), signing one string at a time, rejects
+    def alike(rows, n, top=None, bottom=1):
+        top = n if top is None else top
+        size = top * (top + 3) // 2 - (bottom - 1) * (bottom + 2) // 2
+        return [bytes(size)] * (len(rows) // n)
+
+    monkeypatch.setattr(kernel, "signatures", alike)
     with pytest.raises(RuntimeError, match="disagree"):
         verify_code_property(CodebookSpec("SR", 8), "asym_delete", 1)
+
+
+def _counting_signatures(monkeypatch):
+    """Record each batch call as (rows as strings, classes signed)."""
+    calls = []
+    real_signatures = kernel.signatures
+
+    def counting(rows, n, top=None, bottom=None):
+        strings = ["".join(map(str, rows[i:i + n])) for i in range(0, len(rows), n)]
+        classes = range(bottom or 1, (n if top is None else top) + 1)
+        calls.append((strings, classes))
+        return real_signatures(rows, n, top, bottom)
+
+    monkeypatch.setattr(kernel, "signatures", counting)
+    return calls
+
+
+def _lower_group_sharers(members, n, groups):
+    """The members that share the classes 1..ceil(n/2) of one group of
+    pair indices (modulo ``groups``) with another, in order."""
+    m = (n + 1) // 2
+    sigs = [signature_of(s) for s in members]
+    kept = set()
+    for g in range(groups):
+        keys = [tuple(kernel.class_counts(sig, n, k)
+                      for k in range(1, m + 1) if k % groups == g)
+                for sig in sigs]
+        counts = Counter(keys)
+        kept |= {s for s, key in zip(members, keys) if counts[key] > 1}
+    return [s for s in members if s in kept]
+
+
+def test_oracle_signs_each_class_once(monkeypatch):
+    # the first call signs the lower classes of every member, the second
+    # the upper classes of the members the first stage kept, and no
+    # member has a class signed twice
+    calls = _counting_signatures(monkeypatch)
+    cases = [(CodebookSpec("SR", 16), "sym_pair_delete", 2, 3),
+             (CodebookSpec("SDSprime", 16, t=2, a=0), "consecutive_sym_pair_delete", 2, 3),
+             (CodebookSpec("SR", 11), "asym_delete", 3, 4),
+             (CodebookSpec("SR", 7), "asym_delete", 1, 2)]
+    for spec, model, t, groups in cases:
+        calls.clear()
+        verify_code_property(spec, model, t)
+        members, n, m = list(enumerate_codebook(spec)), spec.n, (spec.n + 1) // 2
+        survivors = _lower_group_sharers(members, n, groups)
+        assert calls[0] == (members, range(1, m + 1)), spec
+        if len(survivors) < 2:
+            assert len(calls) == 1, spec
+            continue
+        assert calls[1:] == [(survivors, range(m + 1, n + 1))], spec
+        assert 2 < len(survivors) < len(members), spec
+    # count_classes signs the upper classes of the strings whose lower
+    # classes another string shares, each once
+    for n in (8, 13, 14):
+        calls.clear()
+        count_classes(n)
+        strings = oracle._class_candidates(n)
+        m = (n + 1) // 2
+        lower = {s: signature_of(s)[:m * (m + 3) // 2] for s in strings}
+        counts = Counter(lower.values())
+        assert calls[0] == (strings, range(1, m + 1)), n
+        (shared, upper), = calls[1:]
+        assert upper == range(m + 1, n + 1), n
+        assert sorted(shared) == sorted(s for s in strings
+                                        if counts[lower[s]] > 1), n
 
 
 def test_verification_cap():
@@ -343,8 +424,9 @@ _GROUPS_16 = [{3, 6, 11, 14}, {1, 4, 7, 10, 13, 16}, {2, 5, 8, 9, 12, 15}]
 
 
 def test_collision_scan_masks_patterns_in_scan_order(monkeypatch):
-    # with no collision, no two members agree on any of the three groups,
-    # so no deletion pattern is masked at all
+    # the three group masks are made once, for the filter on the lower
+    # classes and again on whole signatures.  With no collision, no two
+    # members agree on any whole group, so no deletion pattern is masked
     calls = _counting_kept_mask(monkeypatch)
     spec = CodebookSpec("SDSprime", 16, t=2, a=0)
     assert verify_code_property(spec, "consecutive_sym_pair_delete", 2) is None
@@ -361,8 +443,9 @@ def test_collision_scan_masks_patterns_in_scan_order(monkeypatch):
 
 
 def test_collision_scan_stops_at_the_first_colliding_pattern(monkeypatch):
-    # after the two group masks (pair index even, odd) the scan masks in
-    # order and stops at the witness
+    # after the two group masks (pair index even, odd), made once for
+    # both stages of the filter, the scan masks in order and stops at the
+    # witness
     calls = _counting_kept_mask(monkeypatch)
     w = verify_code_property(CodebookSpec("SR", 6), "sym_pair_delete", 1)
     assert w.deleted_classes == frozenset({3, 4})
