@@ -16,16 +16,17 @@ collide at all, by the pigeonhole filter of approximate matching (split
 the key into t + 1 pieces, one of which must match exactly; Wu and
 Manber, CACM 1992).  Class k has the pair index i = min(k, n + 1 - k).
 No pattern touches more than t pair indices: asym_delete and skew delete
-at most t classes and never a class with its partner, the pair models
-at most t pairs, and t is read off the patterns themselves.  So each
-pattern misses one of the t + 1 groups of classes whose pair index is g
-modulo t + 1, and two members that it confuses agree on that whole
-group.  One mask per group, over the classes of the group, keeps every
-member whose masked signature another member shares.  Every colliding
-pair of every pattern lies among the kept members, which stay in
-lexicographic order, so the scan below finds the same witness on them.
-With fewer than two kept, nothing collides.  With fewer than t + 1 pair
-indices a group is empty, every member agrees on it, and all are kept.
+at most t classes and never a class with its partner, and the pair models
+at most t pairs.  So the groups are made from the t that the sweep is
+asked for, and no pattern is read to make them.  Each pattern misses one
+of the t + 1 groups of classes whose pair index is g modulo t + 1, and
+two members that it confuses agree on that whole group.  One mask per
+group, over the classes of the group, keeps every member whose masked
+signature another member shares.  Every colliding pair of every pattern
+lies among the kept members, which stay in lexicographic order, so the
+scan below finds the same witness on them.  With fewer than two kept,
+nothing collides.  With fewer than t + 1 pair indices a group is empty,
+every member agrees on it, and all are kept.
 
 The filter runs in two stages, so that no class of a member is signed
 twice.  Classes 1..m, m = ceil(n/2), hold exactly one class of each pair
@@ -158,13 +159,12 @@ def deletion_patterns(model: str, t: int, n: int):
     yield from channel.ERROR_MODELS[model].patterns(t, n)
 
 
-def _group_masks(n, patterns) -> list[int]:
+def _group_masks(n, t) -> list[int]:
     """One ``kernel.kept_mask`` per group of classes whose pair index is g
     modulo t + 1, over that group's classes."""
-    groups = 1 + max(len({min(k, n + 1 - k) for k in p}) for p in patterns)
     return [kernel.kept_mask(n, [k for k in range(1, n + 1)
-                                 if min(k, n + 1 - k) % groups != g])
-            for g in range(groups)]
+                                 if min(k, n + 1 - k) % (t + 1) != g])
+            for g in range(t + 1)]
 
 
 def _repeated(keys) -> list[int]:
@@ -176,9 +176,8 @@ def _repeated(keys) -> list[int]:
                                       map(counts.__getitem__, keys))))
 
 
-def _collision_scan(members, n, patterns) -> ConfusabilityWitness | None:
-    patterns = list(patterns)
-    masks = _group_masks(n, patterns)
+def _collision_scan(members, n, t, patterns) -> ConfusabilityWitness | None:
+    masks = _group_masks(n, t)
     # classes 1..m hold one class of each pair index: each group is first
     # filtered on them alone, by its mask shifted past classes m+1..n
     m = (n + 1) // 2
@@ -244,7 +243,7 @@ def verify_code_property(spec: CodebookSpec, model: str, t: int,
     if spec.n > cap:
         raise ResourceCapError(f"verification capped at n <= {cap}")
     members = enumerate_codebook(spec)
-    return _collision_scan(members, spec.n,
+    return _collision_scan(members, spec.n, t,
                            deletion_patterns(model, t, spec.n))
 
 

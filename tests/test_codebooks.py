@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -332,6 +333,63 @@ def test_kept_member_tuple_is_correct_and_invisible(key):
     assert vars(used) == vars(fresh)
     assert pickle.dumps(used) == pickle.dumps(fresh)
     assert pickle.loads(pickle.dumps(used)) == used
+
+
+def _bisect_rank(spec, members, s):
+    """Reference rank: bisection over the sorted member tuple."""
+    pos = bisect_left(members, s)
+    if pos == len(members) or members[pos] != s:
+        raise ValueError(f"{s} is not a member of {spec}")
+    return pos
+
+
+def _value_error(f, *args):
+    try:
+        f(*args)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("key", _KEPT_SPECS + [("SDS2", 20, 1, 0)], ids=str)
+def test_rank_table_matches_bisect_reference(key):
+    spec = CodebookSpec(*key)
+    members = enumerate_codebook(spec)
+    for i, s in enumerate(members):
+        assert rank(spec, s) == _bisect_rank(spec, members, s) == i
+    n = spec.n
+    flip = {"0": "1", "1": "0"}
+    strangers = {s[:j] + flip[s[j]] + s[j + 1:]
+                 for s in members for j in range(n)} - set(members)
+    strangers |= {members[0] + "1", members[0][:-1], "0" * (n - 1) + "2"}
+    for s in strangers:
+        want = _value_error(_bisect_rank, spec, members, s)
+        assert want == f"{s} is not a member of {spec}"
+        assert _value_error(rank, spec, s) == want
+    # every spec of the codebook ranks through one shared table, which
+    # stays out of the spec's value like the member tuple
+    ranked, fresh = CodebookSpec(*key), CodebookSpec(*key)
+    assert rank(ranked, members[-1]) == len(members) - 1
+    assert ranked._index is spec._index
+    assert ranked == fresh and hash(ranked) == hash(fresh)
+    assert repr(ranked) == repr(fresh)
+    assert dataclasses.asdict(ranked) == dataclasses.asdict(fresh)
+    assert vars(ranked) == vars(fresh)
+    assert pickle.dumps(ranked) == pickle.dumps(fresh)
+
+
+def test_rank_checks_cap_then_type_then_membership():
+    empty = CodebookSpec("SCA1", 3)
+    assert enumerate_codebook(empty) == ()
+    with pytest.raises(ValueError, match="^001 is not a member of "):
+        rank(empty, "001")
+    capped = CodebookSpec("SR", 27)
+    for _ in range(2):  # a capped spec keeps no table, so it raises again
+        with pytest.raises(ResourceCapError):
+            rank(capped, 5)
+    for s, name in ((["0011"], "list"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"^expected str of bits, got {name}$"):
+            rank(CodebookSpec("SR", 4), s)
 
 
 def test_modulus_values():

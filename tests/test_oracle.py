@@ -456,9 +456,24 @@ def test_collision_scan_stops_at_the_first_colliding_pattern(monkeypatch):
 def test_collision_scan_checks_patterns_no_largest_one_contains():
     # the two strings differ only in the centre class of n = 5, which
     # asym_delete deletes only alone: no two-class pattern contains it
-    w = oracle._collision_scan(["00010", "00100"], 5,
+    w = oracle._collision_scan(["00010", "00100"], 5, 2,
                                deletion_patterns("asym_delete", 2, 5))
     assert w == ConfusabilityWitness("00010", "00100", frozenset({3}))
+
+
+def test_no_pattern_touches_more_pair_indices_than_t():
+    # the filter makes its t + 1 groups from t alone, so every pattern
+    # must miss one of them; only short universes touch fewer than t
+    fewer = []
+    for model in oracle.PROPERTY_MODELS:
+        for t in range(1, 5):
+            for n in range(3, 19):
+                touched = max(len({min(k, n + 1 - k) for k in p})
+                              for p in deletion_patterns(model, t, n))
+                assert touched <= t, (model, t, n)
+                if touched < t:
+                    fewer.append(n)
+    assert len(fewer) == 33 and max(fewer) == 7
 
 
 def _joined_key_first_witness(spec, model, t):
