@@ -6,55 +6,60 @@ Each error model's deletion patterns are its universe in
 
 Verification signs the codebook in two ``kernel.signatures`` calls on
 its concatenated strings, and reads each signature as a big-endian
-integer.  Per deletion pattern it ANDs every signature with
-``kernel.kept_mask``, which zeroes the deleted classes' bytes, and a set
-of the masked integers shows whether any two codewords collide: the sweep
-is linear in the codebook's size per pattern.
+integer.  It lists the pairs of members that can collide at all, reads
+once for each pair the set of classes where the two differ, and then
+walks the deletion patterns: a pattern confuses a pair exactly when it
+contains the pair's differing classes, so no pattern is ever masked
+over the members.
 
-Before it masks any pattern, the scan keeps only the members that can
-collide at all, by the pigeonhole filter of approximate matching (split
-the key into t + 1 pieces, one of which must match exactly; Wu and
-Manber, CACM 1992).  Class k has the pair index i = min(k, n + 1 - k).
-No pattern touches more than t pair indices: asym_delete and skew delete
-at most t classes and never a class with its partner, and the pair models
-at most t pairs.  So the groups are made from the t that the sweep is
-asked for, and no pattern is read to make them.  Each pattern misses one
-of the t + 1 groups of classes whose pair index is g modulo t + 1, and
-two members that it confuses agree on that whole group.  One mask per
-group, over the classes of the group, keeps every member whose masked
-signature another member shares.  Every colliding pair of every pattern
-lies among the kept members, which stay in lexicographic order, so the
-scan below finds the same witness on them.  With fewer than two kept,
-nothing collides.  With fewer than t + 1 pair indices a group is empty,
-every member agrees on it, and all are kept.
+The candidate pairs come from the pigeonhole filter of approximate
+matching (split the key into t + 1 pieces, one of which must match
+exactly; Wu and Manber, CACM 1992).  Class k has the pair index
+i = min(k, n + 1 - k).  No pattern touches more than t pair indices:
+asym_delete and skew delete at most t classes and never a class with
+its partner, and the pair models at most t pairs.  So the groups are
+made from the t that the sweep is asked for, and no pattern is read to
+make them.  Each pattern misses one of the t + 1 groups of classes
+whose pair index is g modulo t + 1, and two members that it confuses
+agree on that whole group.  One ``kernel.kept_mask`` per group, over the
+classes of the group, buckets the members by their masked signature,
+and every two members of a bucket are a candidate pair: every pair that
+any pattern confuses is one.  A pair that agrees on several groups is
+listed once, under the first.  With fewer than t + 1 pair indices a
+group is empty, every member shares its one bucket, and every pair is a
+candidate.
 
 The filter runs in two stages, so that no class of a member is signed
 twice.  Classes 1..m, m = ceil(n/2), hold exactly one class of each pair
 index.  The first stage signs only those, for every member, and keeps
 per group the members that share the group's lower classes with
 another: two members that agree on a whole group agree on its lower
-classes too, so each group keeps a superset of what it keeps on whole
-signatures.  The second stage signs classes m+1..n of the members kept
-by some group only, joins the two parts into whole signatures, and
-filters each group again among the members that group kept, which gives
-exactly the members a one-stage filter keeps, in the same order, and so
-the same witness.  ``find_confusable_pair(16, "sym_pair_delete", 2)``
-keeps 1 016 of SR(16)'s 3 872 members in the first stage and 427 in the
-second.  Clean sweeps of SDSprime:16,t=2 under two consecutive pairs
-keep 22-31 of their 763-784 members in the first stage (a = 0..4),
-none in the second, and mask no pattern.
+classes too, so no candidate pair is lost.  The second stage signs
+classes m+1..n of the members kept by some group only, joins the two
+parts into whole signatures, and buckets each group among the members
+that group kept.  ``find_confusable_pair(16, "sym_pair_delete", 2)``
+signs the upper classes of 1 016 of SR(16)'s 3 872 members and finds 241
+candidate pairs, with 26 distinct sets of differing classes.  Clean
+sweeps of SDSprime:16,t=2 under two consecutive pairs keep 22-31 of
+their 763-784 members in the first stage (a = 0..4), find no candidate
+pair, and draw no pattern.  At t = 3 under ``asym_delete``, SR(18) has
+6 954 candidate pairs in 323 sets and SR(20) 14 680 in 678.
 
-The scan then masks the patterns in the fixed order (patterns
-ascending, strings lexicographic) and stops at the first whose masked
-keys repeat.  No pass over the largest patterns runs first: deleting
-more classes never separates two strings, so such a pass would show a
-codebook clean early, but the filter already ends clean sweeps like
-SDSprime:16's before any pattern is masked.
-
-The witness is the colliding pattern's lexicographically smallest pair:
-the first kept member whose key repeats and the next with that key.  It
-is checked again with ``ConfusabilityWitness.verify``, which signs its
-two strings one at a time with ``kernel.full_signature``.
+Each set of differing classes keeps only its lexicographically smallest
+pair, so what is held grows with the number of distinct sets, not of
+pairs.  The time still grows with the pairs: past t of about n/4 the
+groups are one or two pair indices wide, most members share a bucket,
+and at SR:16 the scan is slower than masking each pattern was (ROADMAP
+item 25).  The patterns are drawn lazily, in the fixed order of
+``deletion_patterns``, until the first that contains some set.  Two
+members that this pattern confuses are a candidate pair whose set
+it contains, so the smallest of those sets' pairs is the pattern's
+lexicographically smallest colliding pair: the first member whose
+masked key repeats and the next with that key, the witness that masking
+the pattern over every member would give.  It is checked again with
+``ConfusabilityWitness.verify``, which signs its two strings one at a
+time with ``kernel.full_signature``.  ``colliding_pairs`` reads the same
+candidate pass and lists every pair that some pattern confuses.
 
 ``count_classes`` likewise signs classes 1..m of all its strings in one
 batch.  A string whose lower classes no other string shares is alone in
@@ -67,7 +72,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, product, repeat
+from functools import cache
+from itertools import combinations, compress, count, product, repeat
 from operator import ne
 
 from . import channel, kernel
@@ -176,49 +182,63 @@ def _repeated(keys) -> list[int]:
                                       map(counts.__getitem__, keys))))
 
 
-def _collision_scan(members, n, t, patterns) -> ConfusabilityWitness | None:
+def _candidate_pairs(members, n, t):
+    """Every pair of members that agrees on a whole group of classes, once,
+    as ((i, j), the classes where the two differ), with positions i < j."""
     masks = _group_masks(n, t)
     # classes 1..m hold one class of each pair index: each group is first
     # filtered on them alone, by its mask shifted past classes m+1..n
     m = (n + 1) // 2
-    shift = 8 * (kernel.class_slice_bounds(n, n)[1]
-                 - kernel.class_slice_bounds(n, m)[1])
+    end = kernel.class_slice_bounds(n, n)[1]
+    shift = 8 * (end - kernel.class_slice_bounds(n, m)[1])
     lower = kernel.signatures(bits_to_bytes("".join(members)), n, m)
     keys = list(map(int.from_bytes, lower, repeat("big")))
     groups = [_repeated(list(map((mask >> shift).__and__, keys)))
               for mask in masks]
     kept = sorted(set().union(*groups))
     if len(kept) < 2:
-        return None
+        return
     # only the members a group kept get classes m+1..n signed, and each
-    # group is filtered again on whole signatures among those it kept:
-    # two members that agree on a whole group agree on its lower classes
+    # group is bucketed on whole signatures among those it kept: two
+    # members that agree on a whole group agree on its lower classes
     upper = kernel.signatures(
         bits_to_bytes("".join(map(members.__getitem__, kept))), n, n, m + 1)
     sig_at = dict(zip(kept, map(int.from_bytes, map(
         bytes.__add__, map(lower.__getitem__, kept), upper), repeat("big"))))
-    kept = set()
-    for mask, group in zip(masks, groups):
+    classes = range(1, n + 1)
+    class_masks = [(1 << 8 * (hi - lo)) - 1 << 8 * (end - hi)
+                   for lo, hi in map(kernel.class_slice_bounds,
+                                     repeat(n), classes)]
+    for g, (mask, group) in enumerate(zip(masks, groups)):
         keys = list(map(mask.__and__, map(sig_at.__getitem__, group)))
-        kept.update(map(group.__getitem__, _repeated(keys)))
-    if len(kept) < 2:
+        buckets = {}
+        for r in _repeated(keys):
+            buckets.setdefault(keys[r], []).append(group[r])
+        for bucket in buckets.values():
+            for i, j in combinations(bucket, 2):
+                differ = sig_at[i] ^ sig_at[j]
+                # a pair that agrees on an earlier group was listed there
+                if all(map(differ.__and__, masks[:g])):
+                    yield (i, j), frozenset(compress(
+                        classes, map(differ.__and__, class_masks)))
+
+
+def _collision_scan(members, n, t, patterns) -> ConfusabilityWitness | None:
+    # each set of differing classes keeps its lexicographically smallest
+    # pair: members are in lexicographic order
+    smallest = {}
+    for pair, differing in _candidate_pairs(members, n, t):
+        if smallest.setdefault(differing, pair) > pair:
+            smallest[differing] = pair
+    if not smallest:
         return None
-    # every colliding pair lies among the kept members, which keep their
-    # lexicographic order
-    kept = sorted(kept)
-    members = list(map(members.__getitem__, kept))
-    sigs = list(map(sig_at.__getitem__, kept))
     for pattern in patterns:
-        mask = kernel.kept_mask(n, pattern)
-        if len(set(map(mask.__and__, sigs))) < len(sigs):
+        inside = list(filter(pattern.__ge__, smallest))
+        if inside:
             break
     else:
         return None
-    # members are in lexicographic order, so the smallest pair is the
-    # first member whose key repeats and the next one with that key
-    keys = list(map(mask.__and__, sigs))
-    first = _repeated(keys)[0]
-    second = keys.index(keys[first], first + 1)
+    first, second = min(map(smallest.__getitem__, inside))
     witness = ConfusabilityWitness(members[first], members[second],
                                    frozenset(pattern))
     # verify() signs the pair again with full_signature: a fault in
@@ -227,6 +247,23 @@ def _collision_scan(members, n, t, patterns) -> ConfusabilityWitness | None:
         raise RuntimeError(f"batch signatures disagree with "
                            f"full_signature on {witness}")
     return witness
+
+
+def colliding_pairs(spec: CodebookSpec, model: str, t: int,
+                    cap: int = DEFAULT_CAP):
+    """Every pair of codewords that some pattern of the model with at most
+    t errors confuses, once each, as (s, v, the classes where they
+    differ) with s < v, group by group of the scan's candidate pass."""
+    _check_model(model, t)
+    if spec.n > cap:
+        raise ResourceCapError(f"pair listing capped at n <= {cap}")
+    members = enumerate_codebook(spec)
+    patterns = list(deletion_patterns(model, t, spec.n))
+    # one look at the universe per distinct set of differing classes
+    inside = cache(lambda differing: any(map(differing.__le__, patterns)))
+    return ((members[i], members[j], differing)
+            for (i, j), differing in _candidate_pairs(members, spec.n, t)
+            if inside(differing))
 
 
 def verify_code_property(spec: CodebookSpec, model: str, t: int,

@@ -418,39 +418,66 @@ def _counting_kept_mask(monkeypatch):
     return calls
 
 
+def _drawn_patterns(monkeypatch):
+    """Record each deletion pattern as the scan draws it."""
+    drawn = []
+    real_patterns = oracle.deletion_patterns
+
+    def drawing(model, t, n):
+        for pattern in real_patterns(model, t, n):
+            drawn.append(pattern)
+            yield pattern
+
+    monkeypatch.setattr(oracle, "deletion_patterns", drawing)
+    return drawn
+
+
 # the classes each group mask keeps at n = 16 under two pairs: pair
 # index i = min(k, 17 - k) is 0, 1 and 2 modulo 3
 _GROUPS_16 = [{3, 6, 11, 14}, {1, 4, 7, 10, 13, 16}, {2, 5, 8, 9, 12, 15}]
 
 
-def test_collision_scan_masks_patterns_in_scan_order(monkeypatch):
-    # the three group masks are made once, for the filter on the lower
-    # classes and again on whole signatures.  With no collision, no two
-    # members agree on any whole group, so no deletion pattern is masked
+def test_collision_scan_draws_patterns_in_scan_order(monkeypatch):
+    # the three group masks are made once, for both stages of the
+    # filter and the buckets, and no deletion pattern is masked.  With no
+    # candidate pair, as in this clean sweep, no pattern is drawn
     calls = _counting_kept_mask(monkeypatch)
+    drawn = _drawn_patterns(monkeypatch)
     spec = CodebookSpec("SDSprime", 16, t=2, a=0)
     assert verify_code_property(spec, "consecutive_sym_pair_delete", 2) is None
     assert [set(range(1, 17)) - p for p in calls] == _GROUPS_16
-    # with a witness, the group masks, then the patterns in scan order up
-    # to the first that collides
+    assert drawn == []
+    # with a witness, the patterns are drawn in scan order up to the first
+    # that contains a candidate pair's differing classes
     calls.clear()
     w = find_confusable_pair(16, "sym_pair_delete", 2)
     assert w.deleted_classes == frozenset({7, 8, 9, 10})
-    assert [set(range(1, 17)) - p for p in calls[:3]] == _GROUPS_16
+    assert [set(range(1, 17)) - p for p in calls] == _GROUPS_16
     patterns = list(deletion_patterns("sym_pair_delete", 2, 16))
-    assert calls[3:] == patterns[:patterns.index(w.deleted_classes) + 1]
-    assert len(calls) == 3 + 37
+    assert drawn == patterns[:patterns.index(w.deleted_classes) + 1]
+    assert len(drawn) == 37
 
 
 def test_collision_scan_stops_at_the_first_colliding_pattern(monkeypatch):
-    # after the two group masks (pair index even, odd), made once for
-    # both stages of the filter, the scan masks in order and stops at the
-    # witness
+    # the two group masks (pair index even, odd), then the patterns drawn
+    # in order up to the witness, the last of the universe
     calls = _counting_kept_mask(monkeypatch)
+    drawn = _drawn_patterns(monkeypatch)
     w = verify_code_property(CodebookSpec("SR", 6), "sym_pair_delete", 1)
     assert w.deleted_classes == frozenset({3, 4})
-    assert calls == [frozenset({1, 3, 4, 6}), frozenset({2, 5}),
-                     *deletion_patterns("sym_pair_delete", 1, 6)]
+    assert calls == [frozenset({1, 3, 4, 6}), frozenset({2, 5})]
+    assert drawn == [frozenset(), frozenset({1, 6}), frozenset({2, 5}),
+                     frozenset({3, 4})]
+    # under two pairs, two patterns that contain {3, 4} follow it, and
+    # the scan draws neither: three group masks, one pair index each
+    calls.clear()
+    drawn.clear()
+    w = verify_code_property(CodebookSpec("SR", 6), "sym_pair_delete", 2)
+    assert w.deleted_classes == frozenset({3, 4})
+    assert calls == [frozenset({1, 2, 5, 6}), frozenset({2, 3, 4, 5}),
+                     frozenset({1, 3, 4, 6})]
+    assert drawn == [frozenset(), frozenset({1, 6}), frozenset({2, 5}),
+                     frozenset({3, 4})]
 
 
 def test_collision_scan_checks_patterns_no_largest_one_contains():
@@ -513,3 +540,113 @@ def test_collision_scan_matches_joined_key_scan():
         assert got == _joined_key_first_witness(spec, model, t), (spec, model, t)
         outcomes.add(got is None)
     assert outcomes == {True, False}  # first witnesses and clean sweeps
+
+
+def _pattern_scan_first_witness(members, n, t, patterns):
+    """The scan before pairs: whole signatures, the pigeonhole filter on
+    each group, then every pattern masked in the order given until two
+    kept members' masked signatures repeat."""
+    sigs = list(map(int.from_bytes, kernel.signatures(
+        bits_to_bytes("".join(members)), n), itertools.repeat("big")))
+    kept = set()
+    for mask in oracle._group_masks(n, t):
+        counts = Counter(mask & sig for sig in sigs)
+        kept |= {i for i, sig in enumerate(sigs) if counts[mask & sig] > 1}
+    kept = sorted(kept)
+    for pattern in patterns:
+        mask = kernel.kept_mask(n, pattern)
+        keys = [mask & sigs[i] for i in kept]
+        counts = Counter(keys)
+        if len(counts) < len(keys):
+            first = next(r for r, key in enumerate(keys) if counts[key] > 1)
+            second = keys.index(keys[first], first + 1)
+            return ConfusabilityWitness(members[kept[first]],
+                                        members[kept[second]],
+                                        frozenset(pattern))
+    return None
+
+
+def test_pair_scan_matches_pattern_scan():
+    cases = [(CodebookSpec("SR", n), model, t)
+             for n in (12, 13) for model in oracle.PROPERTY_MODELS
+             for t in (2, 3)]
+    cases += [(CodebookSpec("SR", 16), "sym_pair_delete", t) for t in (2, 3)]
+    cases += [(CodebookSpec("SR", n), "asym_delete", 3) for n in (14, 15)]
+    cases += [(CodebookSpec("SDSprime", 14, t=2, a=a),
+               "consecutive_sym_pair_delete", t) for a in (0, 3) for t in (2, 3)]
+    cases += [(CodebookSpec("SDS2", 14, a=3), "sym_pair_delete", 2),
+              (CodebookSpec("SDA", 14, t=2), "skew", 3)]
+    # four groups over three pair indices: one group is empty, so every
+    # member shares its bucket there and every pair is a candidate
+    cases.append((CodebookSpec("SR", 6), "sym_pair_delete", 3))
+    outcomes = set()
+    for spec, model, t in cases:
+        got = verify_code_property(spec, model, t)
+        want = _pattern_scan_first_witness(
+            enumerate_codebook(spec), spec.n, t,
+            deletion_patterns(model, t, spec.n))
+        assert got == want, (spec, model, t)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_pair_scan_takes_the_smallest_pair_a_pattern_confuses():
+    # largest patterns first: the first that confuses any pair contains
+    # several sets of differing classes, and the witness is the
+    # lexicographically smallest pair among all of them
+    several = 0
+    for spec, model, t in [(CodebookSpec("SR", n), model, t)
+                           for n in (9, 10, 12) for t in (2, 3)
+                           for model in ("asym_delete", "sym_pair_delete")]:
+        members, n = enumerate_codebook(spec), spec.n
+        patterns = list(deletion_patterns(model, t, n))[::-1]
+        got = oracle._collision_scan(members, n, t, iter(patterns))
+        assert got == _pattern_scan_first_witness(members, n, t, patterns), (
+            spec, model, t)
+        several += 1 < len({d for s, v, d in oracle.colliding_pairs(
+            spec, model, t) if d <= got.deleted_classes})
+    assert several > 0
+
+
+def _pairwise_differing_classes(members, n):
+    """Reference: every pair of members with its differing classes, read
+    class by class off ``signature_of``."""
+    classes = {s: [kernel.class_counts(signature_of(s), n, k)
+                   for k in range(1, n + 1)] for s in members}
+    return [(s, v, frozenset(k for k, a, b in zip(range(1, n + 1),
+                                                  classes[s], classes[v])
+                             if a != b))
+            for s, v in itertools.combinations(members, 2)]
+
+
+def test_colliding_pairs_match_pairwise_reference():
+    specs = ([CodebookSpec("SR", n) for n in range(4, 13)]
+             + [CodebookSpec("SDS2", n) for n in (8, 11, 12)]
+             + [CodebookSpec("SDSprime", n, t=2) for n in (8, 11, 12)]
+             + [CodebookSpec("SDA", n, t=2) for n in (7, 11, 12)])
+    seen = 0
+    for spec in specs:
+        pairs = _pairwise_differing_classes(enumerate_codebook(spec), spec.n)
+        for model in oracle.PROPERTY_MODELS:
+            for t in (1, 2, 3):
+                patterns = list(deletion_patterns(model, t, spec.n))
+                inside = functools.cache(
+                    lambda d: any(d <= p for p in patterns))
+                got = list(oracle.colliding_pairs(spec, model, t))
+                assert len(got) == len(set(got)), (spec, model, t)
+                assert set(got) == {p for p in pairs if inside(p[2])}, (
+                    spec, model, t)
+                assert all(s < v for s, v, _ in got)
+                seen += len(got)
+    assert seen > 0
+
+
+def test_colliding_pairs_check_their_arguments_at_the_call():
+    spec = CodebookSpec("SR", 18)
+    with pytest.raises(ResourceCapError):
+        oracle.colliding_pairs(spec, "asym_delete", 1)
+    with pytest.raises(ValueError, match="t=0"):
+        oracle.colliding_pairs(CodebookSpec("SR", 8), "asym_delete", 0)
+    with pytest.raises(ValueError, match="unknown model"):
+        oracle.colliding_pairs(CodebookSpec("SR", 8), "erase", 1)
+    assert list(oracle.colliding_pairs(CodebookSpec("SCA1", 3), "skew", 2)) == []
