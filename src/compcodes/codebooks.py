@@ -34,6 +34,10 @@ kept in a slot outside the spec's value: equality, hash, repr,
 ``dataclasses.asdict``, ``vars`` and pickling never see them.  The table
 costs 65-180 ns and about 85 bytes per member to build, once per
 codebook (27-29 ms and 16 MB at SR:22), and saves 0.2-0.27 us per rank.
+Each store keeps the 32 codebooks used last, as the decoder's signature
+store does; a spec keeps what it took from them for as long as it lives,
+and an evicted codebook is listed again at its next use by a fresh spec.
+The bound counts codebooks, not members.
 """
 
 from __future__ import annotations
@@ -201,7 +205,10 @@ def _sr_shaped_strings(n: int, depth: int, least: int,
         if excess - 1 >= depth:
             walk(i, head + "1", "0" + tail, selected + 1, excess - 1, r + ci)
 
-    walk(2, "0", "1", 0, 0, c[n - 1])
+    try:
+        walk(2, "0", "1", 0, 0, c[n - 1])
+    finally:
+        del walk  # its cell holds it: break the cycle on return or raise
     return out
 
 
@@ -243,7 +250,7 @@ def is_member(spec: CodebookSpec, s: str) -> bool:
     return spec.modulus is None or weight_sum_mod(s, spec.modulus) == spec.a
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _members(key: tuple) -> tuple[str, ...]:
     # keyed by the plain tuple: a dataclass key would run Python-level
     # __hash__ and __eq__ on every rank/unrank lookup
@@ -261,7 +268,7 @@ def _members(key: tuple) -> tuple[str, ...]:
     return tuple(sorted(raw))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _member_index(key: tuple) -> dict[str, int]:
     """Member to lexicographic index: one dict per codebook, shared by
     every spec of it."""

@@ -38,6 +38,11 @@ over all its passes, visits at most ``SEARCH_BUDGET`` nodes of the
 sigma-candidate walk and the inward search, a finished string's
 signature counting as n nodes, and raises ``ResourceCapError`` past that.
 
+Each walk is a recursive closure, whose cell holds the closure itself.
+The walks drop that self-reference when they return or raise, so a
+decode leaves no reference cycle: reference counting frees it at once,
+and the cyclic GC has nothing of it to collect.
+
 ``reconstruct`` is the paper's unique-reconstruction problem: it takes
 only a full readout, checks no codebook, and returns the first string of
 the walk.  A codeword is asked of the decoder, which takes clean
@@ -165,11 +170,14 @@ def _sigma_candidates(n: int, known: dict[int, int],
                 rec(depth + 1, s + v, t + j * v)
                 sigma.pop()
 
-    for w1 in w1_options:
-        # k*w1 - w_k for the known class k = depth+2 <= m, by depth
-        target = [k * w1 - known[k] if k in known and k <= m else None
-                  for k in range(2, m + 2)]
-        rec(0, 0, 0)
+    try:
+        for w1 in w1_options:
+            # k*w1 - w_k for the known class k = depth+2 <= m, by depth
+            target = [k * w1 - known[k] if k in known and k <= m else None
+                      for k in range(2, m + 2)]
+            rec(0, 0, 0)
+    finally:
+        del rec  # its cell holds it: break the cycle on return or raise
     return found
 
 
@@ -297,7 +305,10 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
             if branching and len(results) == second_at:
                 empty_seconds += 1
 
-    rec(1, total_w, 0, total_w, 0)
+    try:
+        rec(1, total_w, 0, total_w, 0)
+    finally:
+        del rec  # its cell holds it: break the cycle on return or raise
 
 
 def _consistent_strings(r: Readout, drop: set[int],

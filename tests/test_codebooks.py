@@ -378,6 +378,28 @@ def test_rank_table_matches_bisect_reference(key):
     assert pickle.dumps(ranked) == pickle.dumps(fresh)
 
 
+def test_codebook_stores_keep_the_last_32_codebooks():
+    # 33 distinct codebooks ranked in turn evict the first from both stores
+    keys = [("SDS2", n, 1, a) for n in (8, 9, 10, 11, 12) for a in range(7)][:33]
+    kept = CodebookSpec(*keys[0])
+    first = enumerate_codebook(kept)
+    assert rank(kept, first[-1]) == len(first) - 1
+    for key in keys[1:]:
+        members = enumerate_codebook(CodebookSpec(*key))
+        assert rank(CodebookSpec(*key), members[-1]) == len(members) - 1
+    for store in (codebooks._members, codebooks._member_index):
+        assert store.cache_info().currsize <= 32
+    # a fresh spec of the evicted codebook lists it and builds its table
+    # again; the spec that ranked before the eviction keeps its own
+    misses = codebooks._member_index.cache_info().misses
+    fresh = CodebookSpec(*keys[0])
+    for i, s in enumerate(first):
+        assert unrank(fresh, i) == s and rank(fresh, s) == i
+        assert unrank(kept, i) == s and rank(kept, s) == i
+    assert codebooks._member_index.cache_info().misses == misses + 1
+    assert enumerate_codebook(fresh) == first
+
+
 def test_rank_checks_cap_then_type_then_membership():
     empty = CodebookSpec("SCA1", 3)
     assert enumerate_codebook(empty) == ()
