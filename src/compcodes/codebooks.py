@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .core import check_bits
@@ -363,12 +362,13 @@ def size_lower_bound(spec: CodebookSpec) -> float:
     if n % 2:
         raise ValueError("the counting bound is stated for even n")
     half = n // 2
-    total = Fraction(0)
-    for i in range(t, half):
-        total += (Fraction(2) ** (half - 2 - i)
-                  * math.comb(half - 1, i)
-                  * math.comb(i - t + 1, (i - t + 1) // 2))
-    return float(total)
+    # twice the sum, whose powers of 2 are then whole: i < half, so
+    # half - 1 - i >= 0, and int / int rounds once, as a Fraction would
+    total2 = sum(2 ** (half - 1 - i)
+                 * math.comb(half - 1, i)
+                 * math.comb(i - t + 1, (i - t + 1) // 2)
+                 for i in range(t, half))
+    return total2 / 2
 
 
 def measured_redundancy(spec: CodebookSpec) -> float:

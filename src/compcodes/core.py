@@ -61,8 +61,10 @@ class Readout:
     ``total_entries()``, ``is_full()``, the trust set
     ``untrusted_classes()`` and the ``outweighed_classes()`` it includes,
     and ``restrict(drop)``.  A class k is full when it holds its expected
-    n-k+1 entries.  Class sizes, weights and the trust set are each
-    computed on first use and kept for the life of the instance.
+    n-k+1 entries.  ``parse_readout`` hands over each class's size and
+    weight, which its parse loop sums as it reads the counts; every other
+    readout computes them on first use.  Sizes, weights and the trust set
+    are kept for the life of the instance.
 
     ``Readout(n, classes)`` checks its input: n an exact int in [1, 255],
     classes a dict, each key k an exact int in [1, n] and its vector a
@@ -96,11 +98,19 @@ class Readout:
                                  f"non-negative ints, got {counts!r}")
 
     @classmethod
-    def _from_valid(cls, n: int,
-                    classes: dict[int, tuple[int, ...]]) -> "Readout":
-        """A readout of classes its builder has already made valid."""
+    def _from_valid(cls, n: int, classes: dict[int, tuple[int, ...]],
+                    sizes: dict[int, int] | None = None,
+                    weights: dict[int, int] | None = None) -> "Readout":
+        """A readout of classes its builder has already made valid.
+
+        A builder that has summed each class's size and weight passes both
+        dicts, keyed like ``classes``; they stand in for ``_sizes`` and
+        ``_weights``.
+        """
         r = object.__new__(cls)
         r.n, r.classes = n, classes
+        if sizes is not None:
+            r._sizes, r._weights = sizes, weights
         return r
 
     @cached_property

@@ -23,7 +23,10 @@ allocated, a weight lies in [0, k], and a count is an exact int >= 1
 fails is named in the error.  These checks are the whole check of a wire
 readout: they refuse, with a ``ParseError``, everything ``Readout(...)``
 would refuse, so the vectors they build go into the ``Readout``
-unchecked again.
+unchecked again.  The same loop sums each class's size and weight, and
+the ``Readout`` takes them too, so its trust set reads them instead of
+summing every vector again; readouts from the other builders sum theirs
+on first use.
 
 An error spec's JSON carries the ``ErrorSpec`` fields, its targets as
 nested lists of wire pairs.  ``parse_error_spec`` hands the decoded fields
@@ -101,6 +104,8 @@ def parse_readout(text: str) -> Readout:
     if not isinstance(obj["counts"], dict):
         raise ParseError("'counts' must be an object keyed by class")
     classes: dict[int, tuple[int, ...]] = {}
+    sizes: dict[int, int] = {}
+    weights: dict[int, int] = {}
     for key, value in obj["counts"].items():
         try:
             k = int(key)
@@ -110,16 +115,18 @@ def parse_readout(text: str) -> Readout:
             raise ParseError(f"class {k} outside [1, {n}]")
         if k in classes:
             raise ParseError(f"class {k} repeats (key {key!r})")
-        classes[k] = _read_counts(k, value)
-    return Readout._from_valid(n, classes)
+        classes[k], sizes[k], weights[k] = _read_counts(k, value)
+    return Readout._from_valid(n, classes, sizes, weights)
 
 
-def _read_counts(k: int, weights) -> tuple[int, ...]:
-    """Class k's vector from its ``{"w": count}`` object."""
-    if not isinstance(weights, dict):
+def _read_counts(k: int, occupied) -> tuple[tuple[int, ...], int, int]:
+    """Class k's vector from its ``{"w": count}`` object, with its size
+    (the sum of the counts) and its weight (the sum of w * count)."""
+    if not isinstance(occupied, dict):
         raise ParseError(f"class {k} must be an object of weight counts")
     counts = [0] * (k + 1)
-    for key, count in weights.items():
+    size = weight = 0
+    for key, count in occupied.items():
         try:
             w = int(key)
         except ValueError:
@@ -134,7 +141,9 @@ def _read_counts(k: int, weights) -> tuple[int, ...]:
             raise ParseError(f"count {count!r} of weight {w} in class {k} "
                              f"is not an int >= 1")
         counts[w] = count
-    return tuple(counts)
+        size += count
+        weight += w * count
+    return tuple(counts), size, weight
 
 
 def emit_spec(spec: CodebookSpec) -> str:

@@ -435,15 +435,19 @@ def test_redundancy_bound_formulas():
 
 
 def test_sda_size_lower_bound_formula():
-    # independent evaluation of the binomial sum at n=12, t=2
-    n, t = 12, 2
-    half = n // 2
-    expected = sum(Fraction(2) ** (half - 2 - i)
-                   * math.comb(half - 1, i)
-                   * math.comb(i - t + 1, (i - t + 1) // 2)
-                   for i in range(t, half))
-    spec = CodebookSpec("SDA", n, t=t)
-    assert size_lower_bound(spec) == float(expected) == 98.0
+    # independent evaluation of the binomial sum in exact fractions, for
+    # every even n <= 64 and every t up to past n/2, where the sum is empty
+    for n in range(2, 65, 2):
+        half = n // 2
+        for t in range(1, half + 2):
+            expected = sum((Fraction(2) ** (half - 2 - i)
+                            * math.comb(half - 1, i)
+                            * math.comb(i - t + 1, (i - t + 1) // 2)
+                            for i in range(t, half)), Fraction(0))
+            got = size_lower_bound(CodebookSpec("SDA", n, t=t))
+            assert type(got) is float and got == float(expected), (n, t)
+    spec = CodebookSpec("SDA", 12, t=2)
+    assert size_lower_bound(spec) == 98.0
     assert size(spec) >= size_lower_bound(spec)
 
 

@@ -554,6 +554,33 @@ def test_parse_count_form_matches_reference():
     assert accepted > 100 and rejected > 300
 
 
+def test_parsed_sizes_and_weights_match_the_vectors():
+    # parse_readout sums each class's size and weight as it reads the
+    # counts; a readout built from the same vectors sums them on first
+    # use, and the two agree on every fact read from them
+    rng = random.Random(38)
+    compared = 0
+    for r in _wire_readouts():
+        text = emit_readout(r)
+        reference = Readout(r.n, dict(r.classes))
+        for variant in [text, _shuffled_counts(r, rng),
+                        *_near_canonical_counts(text)]:
+            try:
+                parsed = parse_readout(variant)
+            except ParseError:
+                continue
+            assert parsed == r
+            assert {"_sizes", "_weights"} <= vars(parsed).keys()
+            for k in r.classes:
+                assert parsed.class_size(k) == reference.class_size(k), (k, variant)
+                assert parsed.weight(k) == reference.weight(k), (k, variant)
+            assert parsed.is_full() == reference.is_full()
+            assert parsed.outweighed_classes() == reference.outweighed_classes()
+            assert parsed.untrusted_classes() == reference.untrusted_classes()
+            compared += 1
+    assert compared > 100
+
+
 def test_parse_readout_never_emits(monkeypatch):
     # parse_readout reads a text once; no emit_readout checks its result,
     # so a trace of a parse counts no emitted bytes
@@ -673,10 +700,24 @@ def test_library_builders_hand_over_only_valid_readouts(monkeypatch):
     # Readout(...), raises no ValueError and builds the same readouts
     cases = _builder_cases()
     unchecked = [_built(build, args) for build, args in cases]
-    monkeypatch.setattr(Readout, "_from_valid", classmethod(
-        lambda cls, n, classes: cls(n, classes)))
+    # a builder's class sizes and weights, when it hands them over, are
+    # those the checked readout sums from its own vectors
+    handed = []
+
+    def checked_readout(cls, n, classes, sizes=None, weights=None):
+        r = cls(n, classes)
+        if sizes is not None or weights is not None:
+            assert (sizes, weights) == (r._sizes, r._weights), (n, classes)
+            handed.append(n)
+        return r
+
+    monkeypatch.setattr(Readout, "_from_valid", classmethod(checked_readout))
     checked = [_built(build, args) for build, args in cases]
     for (build, args), got, want in zip(cases, unchecked, checked):
         assert got == want, (build.__name__, args)
     refused = sum(type(outcome) is tuple for outcome in checked)
     assert refused > 300 and len(cases) - refused > 2100
+    # every readout parse_readout accepts hands them over
+    assert len(handed) == sum(build is parse_readout and type(outcome) is list
+                              for (build, _), outcome in zip(cases, checked))
+    assert len(handed) > 90
