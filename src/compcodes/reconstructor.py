@@ -12,7 +12,7 @@ linear equations the surviving weights impose, optionally pre-filtered by
 the family's weight-sum residue; ``_sigma_candidates`` is their one solver.
 
 The walk checks the classes k >= ceil(n/2), each from window weights
-carried down the recursion in prefix-sum lanes; the classes below are
+carried down the walk in prefix-sum lanes; the classes below are
 checked on each finished string's signature of those classes alone (the
 finish filter).  A string and its reversal share a readout and a sigma,
 and below the first weight-1 pair the walk's (1, 0) subtree is the
@@ -38,10 +38,9 @@ over all its passes, visits at most ``SEARCH_BUDGET`` nodes of the
 sigma-candidate walk and the inward search, a finished string's
 signature counting as n nodes, and raises ``ResourceCapError`` past that.
 
-Each walk is a recursive closure, whose cell holds the closure itself.
-The walks drop that self-reference when they return or raise, so a
-decode leaves no reference cycle: reference counting frees it at once,
-and the cyclic GC has nothing of it to collect.
+Each walk is one loop over an explicit stack of frames, so its speed
+does not depend on the caller's stack depth, it needs no headroom under
+the recursion limit, and a decode leaves no reference cycle.
 
 ``reconstruct`` is the paper's unique-reconstruction problem: it takes
 only a full readout, checks no codebook, and returns the first string of
@@ -139,10 +138,10 @@ def _sigma_candidates(n: int, known: dict[int, int],
 
     Class k's weight is w_k = k*w1 - sum_{j<k} (k-j)*sigma_j, so with
     s = sum(sigma_j) and t = sum(j*sigma_j) over j < k its equation reads
-    k*w1 - w_k = k*s - t.  The recursion carries s and t, which makes
-    each node O(1).  A leaf's first-half weight sum, sum_{j<=m} c_j*sigma_j
-    with the codebooks' residue coefficients c_j, is one O(m) pass.
-    Every node is drawn from ``stats``'s budget.
+    k*w1 - w_k = k*s - t.  Each node of the walk carries its sigma prefix
+    with s and t, which makes it O(1).  A leaf's first-half weight sum,
+    sum_{j<=m} c_j*sigma_j with the codebooks' residue coefficients c_j,
+    is one O(m) pass.  Every node is drawn from ``stats``'s budget.
     """
     stats = stats or _SearchStats()
     m = (n + 1) // 2
@@ -153,31 +152,26 @@ def _sigma_candidates(n: int, known: dict[int, int],
     coefficients = _residue_coefficients(n)[:m]
     w1_options = [known[1]] if 1 in known else range(n + 1)
     found: list[tuple[int, ...]] = []
-    sigma: list[int] = []
-
-    def rec(depth: int, s: int, t: int):
-        stats.visit()
-        if depth == m:
-            if modulus is None or sum(
-                    map(mul, coefficients, sigma)) % modulus == residue:
-                found.append(tuple(sigma))
-            return
-        k, rhs, j = depth + 2, target[depth], depth + 1
-        for v in range(max(0, w1 - s - room[depth]),
-                       min(caps[depth], w1 - s) + 1):
-            if rhs is None or k * (s + v) - t - j * v == rhs:
-                sigma.append(v)
-                rec(depth + 1, s + v, t + j * v)
-                sigma.pop()
-
-    try:
-        for w1 in w1_options:
-            # k*w1 - w_k for the known class k = depth+2 <= m, by depth
-            target = [k * w1 - known[k] if k in known and k <= m else None
-                      for k in range(2, m + 2)]
-            rec(0, 0, 0)
-    finally:
-        del rec  # its cell holds it: break the cycle on return or raise
+    for w1 in w1_options:
+        # k*w1 - w_k for the known class k = depth+2 <= m, by depth
+        target = [k * w1 - known[k] if k in known and k <= m else None
+                  for k in range(2, m + 2)]
+        stack = [((), 0, 0)]
+        while stack:
+            sigma, s, t = stack.pop()
+            stats.visit()
+            depth = len(sigma)
+            if depth == m:
+                if modulus is None or sum(
+                        map(mul, coefficients, sigma)) % modulus == residue:
+                    found.append(sigma)
+                continue
+            k, rhs, j = depth + 2, target[depth], depth + 1
+            # pushed from the largest value down, so walked smallest first
+            for v in range(min(caps[depth], w1 - s),
+                           max(0, w1 - s - room[depth]) - 1, -1):
+                if rhs is None or k * (s + v) - t - j * v == rhs:
+                    stack.append((sigma + (v,), s + v, t + j * v))
     return found
 
 
@@ -225,7 +219,7 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
 
     With i pairs placed, window a = 0..i of class n - i is the string
     less its first a and last i - a bits.  Two lane integers carry that
-    down the recursion: byte a of ``ahead`` holds total_w less the ones
+    down the walk: byte a of ``ahead`` holds total_w less the ones
     among the first a bits, ``rem`` being its top byte, and byte a of
     ``behind`` the ones among the last i - a bits, ``suf`` being byte 0.
     Their difference holds the window weights, one a byte, with no
@@ -236,79 +230,76 @@ def _search(n: int, trusted: dict[int, tuple[int, ...]], finish_ranges,
     total_w = sum(sigma)
     if n in trusted and not trusted[n][total_w]:
         return
+    center = str(sigma[m - 1]) if n % 2 else ""
     pre_bits: list[str] = []
     suf_bits: list[str] = []          # suf_bits[0] is s_n
     decisions: list[int] = []
-
-    def finish():
-        center = str(sigma[m - 1]) if n % 2 else ""
-        s = "".join(pre_bits) + center + "".join(reversed(suf_bits))
-        # a signature counts as n nodes, where a node checks one class
-        stats.visit(n)
-        sig = kernel.full_signature(bits_to_bytes(s), m - 1)
-        if all(sig[lo:hi] == part for lo, hi, part in finish_ranges):
-            results.append(s)
-
     # branching nodes below the first one whose second option found nothing
     empty_seconds = 0
-
-    def mirror(start: int):
-        """Stand in for the walk of the first branching pair's (1, 0)
-        option, the reversal of its (0, 1) subtree just walked.
-
-        That walk finds the reversed strings in reverse order.  Each of
-        its nodes tries the original's second option first, so it
-        backtracks once per node counted in ``empty_seconds``, and it
-        fails class checks at the original's depths, which leaves
-        ``max_span`` as it is.
-        """
-        stats.backtracks += empty_seconds
-        results.extend([s[::-1] for s in reversed(results[start:])])
-
-    def rec(i: int, ahead: int, behind: int, rem: int, suf: int):
-        nonlocal empty_seconds
-        stats.visit()
+    # a frame: [i, ahead, behind, rem, suf, next option, results at entry,
+    # results when the second option began]; a frame with i > half is a leaf
+    stack = [[1, total_w, 0, total_w, 0, 0, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        i, ahead, behind, rem, suf, oi, at_entry, second_at = frame
         if i > half:
-            finish()
-            return
+            stack.pop()
+            stats.visit()
+            s = "".join(pre_bits) + center + "".join(reversed(suf_bits))
+            # a signature counts as n nodes, where a node checks one class
+            stats.visit(n)
+            sig = kernel.full_signature(bits_to_bytes(s), m - 1)
+            if all(sig[lo:hi] == part for lo, hi, part in finish_ranges):
+                results.append(s)
+            continue
         options = _PAIR_OPTIONS[sigma[i - 1]]
         branching = len(options) == 2
-        counts = trusted.get(n - i)
-        results_at_entry = len(results)
-        for oi, (a, b) in enumerate(options):
-            if oi == 1:
-                if len(results) == results_at_entry:
-                    stats.backtracks += 1
-                if not decisions:
-                    mirror(results_at_entry)
-                    break
-                second_at = len(results)
-            if branching:
-                decisions.append(i)
-            pre_bits.append(a)
-            suf_bits.append(b)
-            next_rem = rem - (a == "1")
-            next_suf = suf + (b == "1")
-            next_ahead = ahead | next_rem << 8 * i
-            next_behind = behind << 8 | next_suf
-            if counts is None or _matches(
-                    (next_ahead - next_behind).to_bytes(i + 1, "little"),
-                    counts):
-                rec(i + 1, next_ahead, next_behind, next_rem, next_suf)
-            elif decisions:
-                stats.max_span = max(stats.max_span, i - decisions[-1])
+        if oi:  # back from the previous option's subtree: undo its pair
             pre_bits.pop()
             suf_bits.pop()
             if branching:
                 decisions.pop()
         else:
+            stats.visit()
+            frame[6] = at_entry = len(results)
+        if oi == len(options):
             if branching and len(results) == second_at:
                 empty_seconds += 1
-
-    try:
-        rec(1, total_w, 0, total_w, 0)
-    finally:
-        del rec  # its cell holds it: break the cycle on return or raise
+            stack.pop()
+            continue
+        if oi == 1:
+            if len(results) == at_entry:
+                stats.backtracks += 1
+            if not decisions:
+                # The first branching pair: its (1, 0) subtree is the
+                # reversal of the (0, 1) subtree just walked, so it would
+                # find the reversed strings in reverse order.  Each of its
+                # nodes tries the original's second option first, so it
+                # backtracks once per node counted in empty_seconds, and
+                # it fails class checks at the original's depths, which
+                # leaves max_span as it is.
+                stats.backtracks += empty_seconds
+                results.extend([s[::-1] for s in reversed(results[at_entry:])])
+                stack.pop()
+                continue
+            frame[7] = len(results)
+        frame[5] = oi + 1
+        a, b = options[oi]
+        if branching:
+            decisions.append(i)
+        pre_bits.append(a)
+        suf_bits.append(b)
+        next_rem = rem - (a == "1")
+        next_suf = suf + (b == "1")
+        next_ahead = ahead | next_rem << 8 * i
+        next_behind = behind << 8 | next_suf
+        counts = trusted.get(n - i)
+        if counts is None or _matches(
+                (next_ahead - next_behind).to_bytes(i + 1, "little"), counts):
+            stack.append([i + 1, next_ahead, next_behind, next_rem, next_suf,
+                          0, 0, 0])
+        elif decisions:
+            stats.max_span = max(stats.max_span, i - decisions[-1])
 
 
 def _consistent_strings(r: Readout, drop: set[int],

@@ -1,9 +1,11 @@
 """No call on a hot path leaves a reference cycle behind.
 
-Each walk of the decoder and of the codebook enumeration is a recursive
-closure whose cell holds the closure itself.  Unless that self-reference
-is dropped when the walk ends, every decode is cyclic garbage that only
-the cyclic GC frees, and its collections land inside whatever runs next.
+The decoder's walks are loops, but the codebook enumeration's walk is a
+recursive closure whose cell holds the closure itself.  Unless that
+self-reference is dropped when the walk ends, every enumeration is
+cyclic garbage that only the cyclic GC frees, and its collections land
+inside whatever runs next; a closure brought back into a walk would do
+the same to every decode.
 Each test runs its call once to warm caches, collects, runs it again with
 the GC disabled, and asserts that a collection then finds nothing.
 """

@@ -1,14 +1,19 @@
 """Decoders: worked example, exhaustive small-size round trips, agreement
 with the brute-force reference, and honest ambiguity."""
 
+import hashlib
 import itertools
+import json
+import sys
 from functools import lru_cache
 
 import pytest
 
 from compcodes import kernel, reconstructor
-from compcodes.channel import ErrorSpec, SplitMix64, apply, random_error, resolve
-from compcodes.codebooks import CodebookSpec, enumerate_codebook, weight_sum_mod
+from compcodes.channel import (MODELS, ErrorSpec, SplitMix64, apply,
+                               random_error, resolve)
+from compcodes.codebooks import (CodebookSpec, enumerate_codebook, is_member,
+                                 weight_sum_mod)
 from compcodes.core import bits_to_bytes, full_readout
 from compcodes.errors import (
     CapabilityError,
@@ -22,9 +27,11 @@ from compcodes.reconstructor import (
     SEARCH_BUDGET,
     DecodeReport,
     _consistent_strings,
+    _drop_sets,
     _first_half_weights,
     _SearchStats,
     _sigma_candidates,
+    _walked_members,
     brute_force_decode,
     decode_deletions,
     decode_insertions,
@@ -522,6 +529,81 @@ def test_search_budget_is_two_hundred_thousand_nodes():
     stats.visit(200_000)
     with pytest.raises(ResourceCapError, match="budget of 200000 nodes"):
         stats.visit()
+
+
+def _frame_depth() -> int:
+    """Python frames on the stack of the caller, the caller's included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_walks_need_no_stack_headroom():
+    # each walk is a loop over its own stack, so a decode, a reconstruct
+    # and the budget refusal all run within a few frames of the limit
+    n, s = 255, "0" * 128 + "1" * 127
+    spec, full = CodebookSpec("SR", n), full_readout(s)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 40)
+    try:
+        assert decode_deletions(full.restrict({7, 249}), spec).result == s
+        assert reconstruct(full).result == s
+        with pytest.raises(ResourceCapError):
+            decode_deletions(full.restrict(set(range(129, n + 1))), spec)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _seeded_member(spec, rng):
+    # endpoints fixed 0...1, the bits between drawn until a member turns up
+    while True:
+        bits = "".join(format(rng.next_u64(), "064b")
+                       for _ in range((spec.n - 2) // 64 + 1))
+        s = "0" + bits[:spec.n - 2] + "1"
+        if is_member(spec, s):
+            return s
+
+
+# sha256 of the canonical JSON of [drop, members, backtracks, max_span,
+# nodes] for every drop set of every readout below, members None where
+# the walk refused.  The nodes drawn are not compared by _SearchStats's
+# equality, so this pins the budget each decode draws.
+GOLDEN_WALK_BUDGET = \
+    "b49ddbd8ec44ee95bdc08c97a09aa7c617e00e83507ad4c4d082edc3ad286132"
+
+
+def test_walks_draw_a_pinned_budget():
+    rng = SplitMix64(39)
+    readouts = []
+    for text in ("SR:20", "SR:33", "SR:64", "SR:255", "SDS2:20",
+                 "SDA:18,t=2", "SDSprime:64,t=2"):
+        spec = parse_spec(text)
+        for _ in range(2):
+            full = full_readout(_seeded_member(spec, rng))
+            for model in MODELS:
+                for count in (1, 2):
+                    readouts.append((spec, apply(full, ErrorSpec(
+                        model, count=count, seed=rng.next_u64()))))
+    upper_half = set(range(129, 256))
+    readouts.append((CodebookSpec("SR", 255),
+                     full_readout("0" * 128 + "1" * 127).restrict(upper_half)))
+    records = []
+    for spec, r in readouts:
+        for drop in _drop_sets(r):
+            stats = _SearchStats()
+            try:
+                members = _walked_members(r, spec, drop, stats)
+            except ResourceCapError:
+                members = None
+            records.append([sorted(drop), members, stats.backtracks,
+                            stats.max_span, stats.nodes])
+    # only the two drop sets of the last readout are refused, each past
+    # the budget
+    refused = [rec[4] for rec in records if rec[1] is None]
+    assert len(refused) == 2 and min(refused) > SEARCH_BUDGET
+    text = json.dumps(records, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WALK_BUDGET
 
 
 def test_brute_force_on_clean_readout(example_readout):
