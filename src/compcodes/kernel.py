@@ -3,7 +3,7 @@
 Imports the compiled signature kernel, which setup.py builds from
 ``_ckernel.c`` when a C compiler is available, otherwise the pure-Python
 twin.  Set COMPCODES_PURE=1 to force the fallback (used by the
-benchmark's gated runs).
+benchmark's gated runs and by CI's pure-kernel legs).
 
 ``full_signature(bits)`` signs one string.  ``full_signature(bits, top)``
 signs only classes 1..top, for top in [0, n]: the first top(top+3)/2

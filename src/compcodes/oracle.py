@@ -113,6 +113,8 @@ def max_code_bound(n: int) -> int:
 def count_classes(n: int, cap: int = DEFAULT_CAP) -> tuple[int, list[str]]:
     """Partition {0,1}^n by readout; returns the class count and the
     lexicographically smallest representative of each class."""
+    if type(n) is not int:  # 12.5 and True are errors
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"count_classes needs n >= 1, got n={n}")
     if n > cap:
@@ -153,6 +155,8 @@ def _class_candidates(n: int) -> list[str]:
 def _check_model(model: str, t: int) -> None:
     if model not in PROPERTY_MODELS:
         raise ValueError(f"unknown model {model!r}")
+    if type(t) is not int:  # 2.5 and True are errors
+        raise ValueError(f"t must be an int, got {t!r}")
     if t < 1:
         raise ValueError(f"deletion patterns need t >= 1, got t={t}")
 

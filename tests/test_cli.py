@@ -9,7 +9,7 @@ import compcodes
 from compcodes import cli, formats
 from compcodes.core import full_readout
 
-EXAMPLE_S = "001010111"
+from conftest import EXAMPLE_MULTISET, EXAMPLE_S
 
 # the CLI subprocess imports the same package as this test process
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
@@ -71,19 +71,24 @@ def test_corrupt_insert_decode_auto_pipeline():
 
 def test_decode_explicit_targets_skew():
     _, readout, _ = run("compose", EXAMPLE_S)
-    targets = json.dumps({"model": "skew",
-                          "targets": [[7, [2, 5], [3, 4]]]})
-    _, corrupted, _ = run("corrupt", "--targets", targets, inp=readout)
-    rc, out, _ = run("decode", "--spec", "SR:9", inp=corrupted)
-    assert rc == 0
-    report = json.loads(out)
-    assert report["result"] == EXAMPLE_S
-    assert report["dropped_classes"] == [7]
+    # --show-error writes the targets in the wire form, so the wire form
+    # comes back byte for byte
+    wire = '{"model":"skew","targets":[[7,[2,5],[3,4]]]}'
+    for targets in (json.dumps(json.loads(wire)), wire):
+        _, corrupted, shown = run("corrupt", "--targets", targets,
+                                  "--show-error", inp=readout)
+        assert shown == wire
+        rc, out, _ = run("decode", "--spec", "SR:9", inp=corrupted)
+        assert rc == 0
+        report = json.loads(out)
+        assert report["result"] == EXAMPLE_S
+        assert report["dropped_classes"] == [7]
 
 
 def test_decode_nonconsecutive_sdsprime_pairs():
     # the decoder counts pairs only; pairs 2 and 6 are not consecutive
-    codeword = "00000000001110100011"  # unrank 100
+    codeword = "00000000001110100011"
+    assert run("unrank", "--spec", "SDSprime:20,t=2", "100") == (0, codeword, "")
     readout = formats.emit_readout(full_readout(codeword))
     targets = json.dumps({"model": "sym_pair_delete",
                           "targets": [[2, 19], [6, 15]]})
@@ -239,6 +244,12 @@ def test_corrupt_seeded_targets_over_capacity_exit_two():
     assert (rc, out) == (2, "")
     assert err == ("error: InvalidErrorSpecError: asym_delete supports at "
                    "most 4 errors at n=9")
+    # so is a class pair with a third field
+    rc, out, err = run("corrupt", "--targets",
+                       '{"model":"sym_pair_delete","targets":[[1,9,99]]}',
+                       inp=readout)
+    assert (rc, out) == (2, "")
+    assert "[1, 9, 99]" in err and "Traceback" not in err
 
 
 def test_model_choices_follow_each_side_of_the_model_table(capsys):
@@ -260,6 +271,19 @@ def test_enumerate_rank_unrank():
     assert rc == 0 and out == "1"
     rc, out, _ = run("unrank", "--spec", "SR:4", "2")
     assert rc == 0 and out == "0111"
+    # through the member-to-index table of SDS2's residue walk and of SR's
+    # plain one, the last at SR:20's last index
+    for spec, index in (("SDS2:20", "7000"), ("SR:20", "52667")):
+        rc, s, _ = run("unrank", "--spec", spec, index)
+        assert rc == 0 and run("rank", "--spec", spec, s) == (0, index, "")
+    # a non-member and the index one past the end are usage errors, and
+    # SR:27 is over the enumeration cap
+    for args, code in ((("rank", "--spec", "SDS2:20", "0" * 20), 2),
+                       (("unrank", "--spec", "SR:20", "52668"), 2),
+                       (("unrank", "--spec", "SR:27", "0"), 3)):
+        rc, out, err = run(*args)
+        assert (rc, out) == (code, ""), args
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_exit_codes():
@@ -287,6 +311,14 @@ def test_verify_output_lines():
         '"model":"sym_pair_delete","t":2,"ok":false,'
         '"witness":{"s":"0001001011","v":"0010001101",'
         '"deleted_classes":[3,4,7,8]},"reverified":true}')
+    # the consecutive-pair regime's counterexample at n = 10 (criterion 6)
+    rc, out, _ = run("verify", "--spec", "SDSprime:10,t=2,a=2",
+                     "--model", "consecutive_sym_pair_delete", "--t", "2")
+    assert rc == 1 and out == (
+        '{"spec":{"family":"SDSprime","n":10,"t":2,"a":2},'
+        '"model":"consecutive_sym_pair_delete","t":2,"ok":false,'
+        '"witness":{"s":"0100111011","v":"0110010111",'
+        '"deleted_classes":[4,5,6,7]},"reverified":true}')
 
 
 def test_bounds_command():
@@ -321,10 +353,11 @@ def test_bounds_below_stated_length_exit_two():
 
 
 def test_classes_command():
-    rc, out, _ = run("classes", "--n", "6")
-    assert rc == 0
-    payload = json.loads(out)
-    assert payload["classes"] == 36 and payload["achieves_bound"]
+    for n, classes in ((6, 36), (10, 528)):
+        rc, out, _ = run("classes", "--n", str(n))
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["classes"] == classes and payload["achieves_bound"]
 
 
 def test_classes_below_length_one_exit_two():
@@ -349,7 +382,7 @@ def test_usage_errors_exit_two():
     assert rc == 3  # resource cap
 
 
-def test_malformed_readout_exits_two():
+def test_malformed_readout_exits_two(tmp_path):
     for text in ('{"n":3,"counts":[1]}', '{"n":3,"counts":{"1":5}}', "[" * 5000,
                  '{"n":256,"counts":{}}', '{"n":1000000000,"counts":{}}'):
         rc, _, err = run("decode", "--spec", "SR:3", inp=text)
@@ -358,6 +391,14 @@ def test_malformed_readout_exits_two():
     # the entry-list form of older files is refused, naming the count form
     rc, out, err = run("decode", "--spec", "SR:3",
                        inp='{"n":3,"classes":{"3":[[2,1]]}}')
+    assert rc == 2 and out == "", err
+    assert "'counts'" in err and "Traceback" not in err
+    # so is a whole file in that form, the worked example's, read by -i
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps({"n": 9, "classes": {
+        k: [[z, w] for (z, w), m in table.items() for _ in range(m)]
+        for k, table in EXAMPLE_MULTISET.items()}}))
+    rc, out, err = run("decode", "--spec", "SR:9", "-i", str(path))
     assert rc == 2 and out == "", err
     assert "'counts'" in err and "Traceback" not in err
 

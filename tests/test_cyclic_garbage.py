@@ -62,6 +62,13 @@ def _decode_undecodable():
         pytest.fail("no UndecodableError")
 
 
+def _decode_n255():
+    # the walk at full size, one class deleted
+    s = "0" * 128 + "1" * 127
+    r = full_readout(s).restrict({7})
+    assert decode_deletions(r, CodebookSpec("SR", 255)).result == s
+
+
 def _decode_over_budget():
     # the walk is unpruned with the upper half deleted, and the budget
     # stops it deep inside the recursion
@@ -136,9 +143,10 @@ def _fresh_enumeration():
 
 
 @pytest.mark.parametrize("call", [
-    _decode_ok, _decode_undecodable, _decode_over_budget, _reconstruct,
-    _brute_force, _campaign, _cli_pipeline, _verify_with_witness,
-    _colliding_pairs, _count_classes, _fresh_enumeration,
+    _decode_ok, _decode_undecodable, _decode_n255, _decode_over_budget,
+    _reconstruct, _brute_force, _campaign, _cli_pipeline,
+    _verify_with_witness, _colliding_pairs, _count_classes,
+    _fresh_enumeration,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_call_leaves_no_cyclic_garbage(call):
     assert _cyclic_garbage(call) == 0

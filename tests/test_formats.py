@@ -539,10 +539,11 @@ def test_parse_count_form_matches_reference():
     texts = list(_MALFORMED_COUNTS) + _fuzzed_counts(rng, 600)
     for r in _wire_readouts():
         text = emit_readout(r)
-        texts += [text, _shuffled_counts(r, rng)]
+        pretty = json.dumps(json.loads(text), indent=4)  # json.tool's
+        texts += [text, _shuffled_counts(r, rng), pretty]
         texts += [pad + text + pad for pad in _PADDINGS]
         texts += _near_canonical_counts(text)
-        assert parse_readout(text) == r
+        assert parse_readout(text) == parse_readout(pretty) == r
     accepted = rejected = 0
     for text in texts:
         expected = _outcome(_reference_parse_counts, text)

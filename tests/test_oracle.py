@@ -112,8 +112,11 @@ def test_count_classes_cap():
 
 
 def test_count_classes_rejects_lengths_below_one():
-    for n in (0, -3):
-        with pytest.raises(ValueError, match=f"n={n}"):
+    # True is no length 1, nor 6.0 a length 6
+    for n, message in ([(n, f"n={n}") for n in (0, -3)]
+                       + [(n, f"^n must be an int, got {n!r}$")
+                          for n in (True, 6.0, "6")]):
+        with pytest.raises(ValueError, match=message):
             count_classes(n)
 
 
@@ -139,11 +142,14 @@ def test_deletion_patterns_are_deterministic_and_valid():
 
 
 def test_deletion_patterns_reject_t_below_one():
+    # True is no t = 1, and 2.5 no TypeError out of range()
+    refusals = ([(t, f"t={t}") for t in (0, -1)]
+                + [(t, f"^t must be an int, got {t!r}$") for t in (True, 2.5, 2.0)])
     for model in oracle.PROPERTY_MODELS:
-        for t in (0, -1):
-            with pytest.raises(ValueError, match=f"t={t}"):
+        for t, message in refusals:
+            with pytest.raises(ValueError, match=message):
                 list(deletion_patterns(model, t, 8))
-            with pytest.raises(ValueError, match=f"t={t}"):
+            with pytest.raises(ValueError, match=message):
                 verify_code_property(CodebookSpec("SR", 8), model, t)
 
 
